@@ -11,6 +11,7 @@ then per tensor:
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -34,21 +35,35 @@ def save_archive(path, tensors):
             f.write(arr.astype("<f8").tobytes())
 
 
+def read_exact(f, n, path):
+    """Exactly n bytes from binary file f, or ValueError naming path.
+
+    The size is checked before reading, so a corrupt length field cannot
+    make the read allocate more than the file holds.
+    """
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise ValueError(f"{path}: truncated: expected {n} more bytes at "
+                         f"offset {f.tell()}, found {left}")
+    return f.read(n)
+
+
 def load_archive(path):
     """Read back a name -> ndarray mapping in file order."""
     with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
+        if read_exact(f, 4, path) != MAGIC:
             raise ValueError(f"{path}: not a parameter archive")
-        version, count = struct.unpack("<II", f.read(8))
+        version, count = struct.unpack("<II", read_exact(f, 8, path))
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported archive version {version}")
         out = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", f.read(4))
-            name = f.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{ndim}Q", f.read(8 * ndim)) if ndim else ()
+            (name_len,) = struct.unpack("<I", read_exact(f, 4, path))
+            name = read_exact(f, name_len, path).decode("utf-8")
+            (ndim,) = struct.unpack("<I", read_exact(f, 4, path))
+            shape = struct.unpack(f"<{ndim}Q", read_exact(f, 8 * ndim, path))
             n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            data = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(shape)
+            data = np.frombuffer(read_exact(f, 8 * n, path),
+                                 dtype="<f8").reshape(shape)
             out[name] = data.astype(np.float64)
         return out

@@ -19,10 +19,10 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import hashing
 from .archive import FORMAT_VERSION
-from .fusion import predict_labels
-from .model import (GeoModel, ModelConfig, batch_arrays, load_checkpoint,
+from .model import (EVAL_BATCH_SIZE, FEATURES, MESSAGE_ONLY, GeoModel,
+                    ModelConfig, batch_arrays, iter_batches, load_checkpoint,
                     save_checkpoint)
-from .rbf_net import RbfNetwork, bin_weight_profile
+from .rbf_net import bin_weight_profile
 from .text_net import top_attended_spans
 from .trainer import (SyntheticConfig, TrainConfig, evaluate_accuracy,
                       generate_synthetic, synthetic_model_config, train)
@@ -31,7 +31,15 @@ MODEL_FILE = "model.gtpa"
 CHAR_VOCAB_FILE = "char_vocab.txt"
 TIMEZONE_FILE = "timezones.txt"
 LABEL_FILE = "labels.txt"
+VOCAB_FILES = (CHAR_VOCAB_FILE, TIMEZONE_FILE, LABEL_FILE)
 RUN_CONFIG_FILE = "run_config.json"
+
+# ModelConfig fields settable by a flag of the same name; unset flags are None
+MODEL_FLAGS = dict.fromkeys(
+    ("text_max_len", "text_emb_size", "text_window", "text_out_size",
+     "time_bins", "offset_bins", "timezone_emb_size", "loc_max_len",
+     "loc_emb_size", "loc_span", "loc_out_size", "penultimate_dim",
+     "account_bins"), int) | {"dropout": float}
 
 
 def read_config_file(path):
@@ -49,25 +57,24 @@ def read_config_file(path):
     return values
 
 
-def _apply_config_file(args, argv):
+def _apply_config_file(parser, args, argv):
     if not getattr(args, "config", None):
         return args
     file_values = read_config_file(args.config)
     # flags explicitly given on the command line win over the file
     given = {a.lstrip("-").replace("-", "_").split("=")[0]
              for a in argv if a.startswith("--")}
+    # a value takes its flag's own type, also where the default is None
+    (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
+    flags = {a.dest: a for a in commands[args.command]._actions}
     for key, raw in file_values.items():
-        if key in given or not hasattr(args, key):
+        flag = flags.get(key)
+        if key in given or flag is None or not hasattr(args, key):
             continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
+        if isinstance(flag.default, bool):
             setattr(args, key, raw.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(args, key, int(raw))
-        elif isinstance(current, float):
-            setattr(args, key, float(raw))
         else:
-            setattr(args, key, raw)
+            setattr(args, key, flag.type(raw) if flag.type else raw)
     return args
 
 
@@ -85,25 +92,19 @@ def write_run_config(out_dir, args, extra=None):
 
 def model_config_from_args(args):
     if args.synthetic_scale:
-        base = dataclasses.asdict(synthetic_model_config())
+        base = synthetic_model_config()
+    elif args.feature_set == MESSAGE_ONLY:
+        base = ModelConfig.message_only_defaults()
     else:
-        base = dataclasses.asdict(ModelConfig())
-        if args.feature_set == "message-only":
-            base["text_out_size"] = 600
-    base["feature_set"] = args.feature_set
-    for key in ("text_max_len", "text_emb_size", "text_window", "text_out_size",
-                "time_bins", "offset_bins", "timezone_emb_size", "loc_max_len",
-                "loc_emb_size", "loc_span", "loc_out_size", "penultimate_dim",
-                "account_bins", "dropout"):
-        value = getattr(args, key, None)
-        if value is not None:
-            base[key] = value
+        base = ModelConfig()
+    overrides = {key: getattr(args, key) for key in MODEL_FLAGS
+                 if getattr(args, key) is not None}
     if args.hashing:
-        base["noise_sigma"] = args.noise_sigma
-        base["extrema_alpha"] = args.extrema_alpha
-    base["removed_features"] = tuple(
-        args.remove_feature) if getattr(args, "remove_feature", None) else ()
-    return ModelConfig(**base)
+        overrides.update(noise_sigma=args.noise_sigma,
+                         extrema_alpha=args.extrema_alpha)
+    return dataclasses.replace(
+        base, feature_set=args.feature_set,
+        removed_features=tuple(args.remove_feature or ()), **overrides)
 
 
 def encode_records(records, char_vocab, tz_vocab, label_vocab, config):
@@ -125,6 +126,27 @@ def _load_encoded(path, char_vocab, tz_vocab, label_vocab, config):
     records = corpus_mod.read_jsonl(path)
     return records, encode_records(records, char_vocab, tz_vocab, label_vocab,
                                    config)
+
+
+def _training_splits(args, config):
+    """Vocabularies of the filtered train split, then the encoded train and
+    dev splits."""
+    train_records = corpus_mod.filter_training(
+        corpus_mod.read_jsonl(args.train))
+    dev_records = corpus_mod.read_jsonl(args.dev)
+    vocabs = corpus_mod.build_vocabularies(train_records, args.min_char_count)
+    return (vocabs, encode_records(train_records, *vocabs, config),
+            encode_records(dev_records, *vocabs, config))
+
+
+def _write_report(args, report, filename):
+    """Print a report; with --out, also write it and the run config there."""
+    print(report, end="")
+    if args.out:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / filename).write_text(report, encoding="utf-8")
+        write_run_config(out, args)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -151,40 +173,22 @@ def cmd_synth(args):
 
 def cmd_train(args):
     model_config = model_config_from_args(args)
-    train_records = corpus_mod.filter_training(corpus_mod.read_jsonl(args.train))
-    dev_records = corpus_mod.read_jsonl(args.dev)
-    char_vocab = corpus_mod.build_char_vocab(
-        (r.text + r.user_location for r in train_records),
-        min_count=args.min_char_count)
-    tz_vocab = corpus_mod.CategoryVocabulary(
-        [r.timezone_name for r in train_records if r.timezone_name])
-    label_vocab = corpus_mod.CategoryVocabulary(
-        [r.city_label for r in train_records], with_unk=False)
-    train_ex = encode_records(train_records, char_vocab, tz_vocab, label_vocab,
-                              model_config)
-    dev_ex = encode_records(dev_records, char_vocab, tz_vocab, label_vocab,
-                            model_config)
+    vocabs, train_ex, dev_ex = _training_splits(args, model_config)
     rng = np.random.default_rng(args.seed)
-    model = GeoModel(model_config, len(char_vocab), len(tz_vocab),
-                     len(label_vocab), rng)
+    model = GeoModel(model_config, *map(len, vocabs), rng)
     train_config = TrainConfig(batch_size=args.batch_size, epochs=args.epochs,
                                learning_rate=args.learning_rate, seed=args.seed)
     report = train(model, train_ex, dev_ex, train_config)
     if args.test:
-        test_records = corpus_mod.read_jsonl(args.test)
-        test_ex = encode_records(test_records, char_vocab, tz_vocab,
-                                 label_vocab, model_config)
+        _, test_ex = _load_encoded(args.test, *vocabs, model_config)
         report.test_accuracy = evaluate_accuracy(model, test_ex)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    char_vocab.save(out / CHAR_VOCAB_FILE)
-    tz_vocab.save(out / TIMEZONE_FILE)
-    label_vocab.save(out / LABEL_FILE)
+    for vocab, name in zip(vocabs, VOCAB_FILES):
+        vocab.save(out / name)
     save_checkpoint(str(out / MODEL_FILE), model, seed=args.seed)
-    (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-    write_run_config(out, args)
-    print(report.to_text(), end="")
+    _write_report(args, report.to_text(), "report.txt")
     return 0
 
 
@@ -193,13 +197,7 @@ def cmd_eval(args):
     _, examples = _load_encoded(args.data, char_vocab, tz_vocab, label_vocab,
                                 model.config)
     accuracy = evaluate_accuracy(model, examples)
-    print(f"accuracy\t{accuracy:.6f}")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "accuracy.txt").write_text(f"accuracy\t{accuracy:.6f}\n",
-                                          encoding="utf-8")
-        write_run_config(out, args)
+    _write_report(args, f"accuracy\t{accuracy:.6f}\n", "accuracy.txt")
     return 0
 
 
@@ -209,40 +207,20 @@ def cmd_ablate(args):
     if base_config.feature_set != "tweet-user":
         print("ablate requires --feature-set tweet-user", file=sys.stderr)
         return 2
-    train_records = corpus_mod.filter_training(corpus_mod.read_jsonl(args.train))
-    dev_records = corpus_mod.read_jsonl(args.dev)
-    test_records = corpus_mod.read_jsonl(args.test)
-    char_vocab = corpus_mod.build_char_vocab(
-        (r.text + r.user_location for r in train_records),
-        min_count=args.min_char_count)
-    tz_vocab = corpus_mod.CategoryVocabulary(
-        [r.timezone_name for r in train_records if r.timezone_name])
-    label_vocab = corpus_mod.CategoryVocabulary(
-        [r.city_label for r in train_records], with_unk=False)
-    train_ex = batch_arrays(encode_records(
-        train_records, char_vocab, tz_vocab, label_vocab, base_config))
-    dev_ex = batch_arrays(encode_records(
-        dev_records, char_vocab, tz_vocab, label_vocab, base_config))
-    test_ex = batch_arrays(encode_records(
-        test_records, char_vocab, tz_vocab, label_vocab, base_config))
+    vocabs, train_ex, dev_ex = _training_splits(args, base_config)
+    _, test_ex = _load_encoded(args.test, *vocabs, base_config)
 
     def build(cfg, seed):
-        return GeoModel(cfg, len(char_vocab), len(tz_vocab), len(label_vocab),
-                        np.random.default_rng(seed))
+        return GeoModel(cfg, *map(len, vocabs), np.random.default_rng(seed))
 
     train_config = TrainConfig(batch_size=args.batch_size, epochs=args.epochs,
                                learning_rate=args.learning_rate, seed=args.seed)
-    baseline, deltas = ablate(build, train_ex, dev_ex, test_ex, base_config,
-                              train_config)
+    splits = map(batch_arrays, (train_ex, dev_ex, test_ex))
+    baseline, deltas = ablate(build, *splits, base_config, train_config)
     lines = [f"all_features\t{baseline:.6f}\t-"]
     for feat, delta in deltas.items():
         lines.append(f"-{feat}\t{baseline + delta:.6f}\t{delta:+.6f}")
-    table = "\n".join(lines) + "\n"
-    print(table, end="")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "ablation.txt").write_text(table, encoding="utf-8")
-    write_run_config(out, args)
+    _write_report(args, "\n".join(lines) + "\n", "ablation.txt")
     return 0
 
 
@@ -253,37 +231,25 @@ def cmd_attn(args):
         return 2
     records, examples = _load_encoded(args.data, char_vocab, tz_vocab,
                                       label_vocab, model.config)
-    arrays = batch_arrays(examples)
+    attention = [row for batch in iter_batches(batch_arrays(examples),
+                                               EVAL_BATCH_SIZE)
+                 for row in model.forward(batch, train=False)[2]]
     lines = ["example\trank\tstart\tspan\tweight"]
-    window = model.config.text_window
-    for start in range(0, len(records), 512):
-        batch = {k: v[start:start + 512] for k, v in arrays.items()}
-        _, _, attention = model.forward(batch, train=False)
-        for j in range(len(batch["label_id"])):
-            i = start + j
-            padded = records[i].text[:model.config.text_max_len].ljust(
-                model.config.text_max_len)
-            spans = top_attended_spans(padded, attention[j], window, k=args.top_k)
-            for rank, (pos, substring, weight) in enumerate(spans, start=1):
-                lines.append(f"{i}\t{rank}\t{pos}\t{substring!r}\t{weight:.6f}")
-    report = "\n".join(lines) + "\n"
-    print(report, end="")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "attention.txt").write_text(report, encoding="utf-8")
-        write_run_config(out, args)
+    max_len = model.config.text_max_len
+    for i, (record, weights) in enumerate(zip(records, attention)):
+        padded = record.text[:max_len].ljust(max_len)
+        spans = top_attended_spans(padded, weights, model.config.text_window,
+                                   k=args.top_k)
+        for rank, (pos, substring, weight) in enumerate(spans, start=1):
+            lines.append(f"{i}\t{rank}\t{pos}\t{substring!r}\t{weight:.6f}")
+    _write_report(args, "\n".join(lines) + "\n", "attention.txt")
     return 0
-
-
-_TIME_FEATURES = {"tweet_time": ("time", "tweet_time"),
-                  "utc_offset": ("offset", "utc_offset"),
-                  "account_time": ("account", "account_time")}
 
 
 def cmd_time_profile(args):
     model, _, char_vocab, tz_vocab, label_vocab = load_model_dir(args.model)
-    if args.feature not in _TIME_FEATURES:
+    feature = FEATURES.get(args.feature)
+    if feature is None or not feature.rbf:
         print(f"unknown time feature {args.feature!r}", file=sys.stderr)
         return 2
     if args.feature not in model.features:
@@ -293,8 +259,7 @@ def cmd_time_profile(args):
                                 model.config)
     arrays = batch_arrays(examples)
     net = model.nets[args.feature]
-    _, column = _TIME_FEATURES[args.feature]
-    acts = net.forward(arrays[column]).data
+    acts = net.forward(arrays[feature.column]).data
     mu = net.params[f"{net.prefix}.mu"].data
     sigma = net.params[f"{net.prefix}.sigma"].data
     lines = ["city\tbin_index\tmu\tsigma\tmean_weight\texcluded"]
@@ -306,13 +271,7 @@ def cmd_time_profile(args):
         for b in range(len(mu)):
             lines.append(f"{city}\t{b}\t{mu[b]:.6f}\t{sigma[b]:.6f}"
                          f"\t{means[b]:.6f}\t{int(excluded[b])}")
-    report = "\n".join(lines) + "\n"
-    print(report, end="")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "time_profile.txt").write_text(report, encoding="utf-8")
-        write_run_config(out, args)
+    _write_report(args, "\n".join(lines) + "\n", "time_profile.txt")
     return 0
 
 
@@ -333,15 +292,9 @@ def cmd_retrieve(args):
     test = hashing.load_codes(args.test_codes)
     dev = hashing.load_codes(args.dev_codes)
     mean_ap, excluded = hashing.map_from_codes(test, dev)
-    report = (f"map\t{mean_ap:.6f}\n"
-              f"queries\t{len(test) - excluded}\n"
-              f"excluded\t{excluded}\n")
-    print(report, end="")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "map_report.txt").write_text(report, encoding="utf-8")
-        write_run_config(out, args)
+    _write_report(args, f"map\t{mean_ap:.6f}\n"
+                        f"queries\t{len(test) - excluded}\n"
+                        f"excluded\t{excluded}\n", "map_report.txt")
     return 0
 
 
@@ -376,13 +329,7 @@ def cmd_hist(args):
         lines.append(f"{edges[i]:.6f}\t{edges[i + 1]:.6f}\t{int(c)}")
     for k, v in masses.items():
         lines.append(f"mass_{k}\t-\t{v:.6f}")
-    report = "\n".join(lines) + "\n"
-    print(report, end="")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "r_histogram.txt").write_text(report, encoding="utf-8")
-        write_run_config(out, args)
+    _write_report(args, "\n".join(lines) + "\n", "r_histogram.txt")
     return 0
 
 
@@ -394,12 +341,8 @@ def _add_model_flags(p):
                    default="tweet-user")
     p.add_argument("--synthetic-scale", action="store_true",
                    help="use small hyper-parameters sized for synthetic data")
-    for key in ("text-max-len", "text-emb-size", "text-window", "text-out-size",
-                "time-bins", "offset-bins", "timezone-emb-size", "loc-max-len",
-                "loc-emb-size", "loc-span", "loc-out-size", "penultimate-dim",
-                "account-bins"):
-        p.add_argument(f"--{key}", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=None)
+    for key, type_ in MODEL_FLAGS.items():
+        p.add_argument(f"--{key.replace('_', '-')}", type=type_, default=None)
     p.add_argument("--hashing", action="store_true",
                    help="train with noise and extrema loss for binarization")
     p.add_argument("--noise-sigma", type=float, default=0.1)
@@ -504,7 +447,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(args, argv)
+        args = _apply_config_file(parser, args, argv)
         return args.func(args)
     except (ValueError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)

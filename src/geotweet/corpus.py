@@ -135,6 +135,17 @@ def build_char_vocab(training_texts, min_count=DEFAULT_MIN_COUNT):
     return CharVocabulary(counts, min_count)
 
 
+def build_vocabularies(train_records, min_count):
+    """(characters, timezones, city labels) of the training split."""
+    char_vocab = build_char_vocab(
+        (r.text + r.user_location for r in train_records), min_count=min_count)
+    tz_vocab = CategoryVocabulary(
+        [r.timezone_name for r in train_records if r.timezone_name])
+    label_vocab = CategoryVocabulary(
+        [r.city_label for r in train_records], with_unk=False)
+    return char_vocab, tz_vocab, label_vocab
+
+
 def filter_training(records):
     """Drop training records with text shorter than 5 characters.
 

@@ -8,12 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import batch_arrays
+from .archive import read_exact
+from .model import EVAL_BATCH_SIZE, as_arrays, iter_batches
 
 CODE_MAGIC = b"GTBC"
 CODE_FORMAT_VERSION = 1
-
-EVAL_BATCH_SIZE = 512
 
 
 @dataclass
@@ -98,13 +97,9 @@ def map_from_codes(test, dev):
 
 def compute_representations(model, examples, batch_size=EVAL_BATCH_SIZE):
     """Penultimate vectors for a list of examples (eval mode)."""
-    arrays = examples if isinstance(examples, dict) else batch_arrays(examples)
-    n = len(arrays["label_id"])
-    chunks = []
-    for start in range(0, n, batch_size):
-        batch = {k: v[start:start + batch_size] for k, v in arrays.items()}
-        _, r, _ = model.forward(batch, train=False)
-        chunks.append(r.data)
+    arrays = as_arrays(examples)
+    chunks = [model.forward(batch, train=False)[1].data
+              for batch in iter_batches(arrays, batch_size)]
     return np.concatenate(chunks, axis=0), arrays["label_id"]
 
 
@@ -201,17 +196,15 @@ def save_codes(path, codes):
 
 def load_codes(path):
     with open(path, "rb") as f:
-        if f.read(4) != CODE_MAGIC:
+        if read_exact(f, 4, path) != CODE_MAGIC:
             raise ValueError(f"{path}: not a binary code file")
-        version, width, count = struct.unpack("<IIQ", f.read(16))
+        version, width, count = struct.unpack("<IIQ", read_exact(f, 16, path))
         if version != CODE_FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported code file version {version}")
-        nbytes = (width + 7) // 8
-        ids = np.empty(count, dtype=np.int64)
-        labels = np.empty(count, dtype=np.int64)
-        bits = np.empty((count, width), dtype=np.uint8)
-        for i in range(count):
-            ids[i], labels[i] = struct.unpack("<QQ", f.read(16))
-            packed = np.frombuffer(f.read(nbytes), dtype=np.uint8)
-            bits[i] = np.unpackbits(packed)[:width]
-    return CodeSet(bits=bits, ids=ids, labels=labels)
+        record = np.dtype([("id", "<u8"), ("label", "<u8"),
+                           ("bits", "u1", ((width + 7) // 8,))])
+        rows = np.frombuffer(read_exact(f, count * record.itemsize, path),
+                             dtype=record)
+    return CodeSet(bits=np.unpackbits(rows["bits"], axis=1)[:, :width],
+                   ids=rows["id"].astype(np.int64),
+                   labels=rows["label"].astype(np.int64))

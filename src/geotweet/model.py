@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -14,8 +15,39 @@ from .loc_net import LocConvNetwork, TimezoneEmbedding
 from .rbf_net import RbfNetwork
 from .text_net import TextNetwork
 
-FEATURE_ORDER = ("text", "tweet_time", "utc_offset", "timezone", "location",
-                 "account_time")
+
+class Feature(NamedTuple):
+    """One input feature: the batch column its network reads, and
+    ``build(config, char_vocab_size, n_timezones, rng) -> (net, width)``."""
+
+    column: str
+    build: Callable
+    rbf: bool = False  # an RbfNetwork over a [0, 1] time value
+
+
+def _rbf_feature(column, bins_field, prefix):
+    def build(cfg, n_chars, n_timezones, rng):
+        bins = getattr(cfg, bins_field)
+        return RbfNetwork(bins, prefix), bins
+    return Feature(column, build, rbf=True)
+
+
+# Insertion order is the fusion order and the order parameters draw from rng.
+FEATURES = {
+    "text": Feature("text_ids", lambda cfg, n_chars, n_timezones, rng: (
+        TextNetwork(rng, n_chars, cfg.text_emb_size, cfg.text_out_size,
+                    cfg.text_window, cfg.text_attn_size), cfg.text_out_size)),
+    "tweet_time": _rbf_feature("tweet_time", "time_bins", "time"),
+    "utc_offset": _rbf_feature("utc_offset", "offset_bins", "offset"),
+    "timezone": Feature("timezone_id", lambda cfg, n_chars, n_timezones, rng: (
+        TimezoneEmbedding(rng, n_timezones, cfg.timezone_emb_size),
+        cfg.timezone_emb_size)),
+    "location": Feature("location_ids", lambda cfg, n_chars, n_timezones, rng: (
+        LocConvNetwork(rng, n_chars, cfg.loc_emb_size, cfg.loc_span,
+                       cfg.loc_out_size), cfg.loc_out_size)),
+    "account_time": _rbf_feature("account_time", "account_bins", "account"),
+}
+FEATURE_ORDER = tuple(FEATURES)
 
 MESSAGE_ONLY = "message-only"
 TWEET_USER = "tweet-user"
@@ -82,7 +114,8 @@ class GeoModel:
         self.params = {}
         dims = []
         for feat in self.features:
-            net, dim = self._build_feature(feat, config, rng)
+            net, dim = FEATURES[feat].build(config, char_vocab_size,
+                                            n_timezones, rng)
             self.nets[feat] = net
             self.params.update(net.params)
             dims.append(dim)
@@ -90,46 +123,15 @@ class GeoModel:
                                        n_classes)
         self.params.update(self.fusion.params)
 
-    def _build_feature(self, feat, cfg, rng):
-        if feat == "text":
-            net = TextNetwork(rng, self.char_vocab_size, cfg.text_emb_size,
-                              cfg.text_out_size, cfg.text_window,
-                              cfg.text_attn_size)
-            return net, cfg.text_out_size
-        if feat == "tweet_time":
-            return RbfNetwork(cfg.time_bins, "time"), cfg.time_bins
-        if feat == "utc_offset":
-            return RbfNetwork(cfg.offset_bins, "offset"), cfg.offset_bins
-        if feat == "timezone":
-            net = TimezoneEmbedding(rng, self.n_timezones, cfg.timezone_emb_size)
-            return net, cfg.timezone_emb_size
-        if feat == "location":
-            net = LocConvNetwork(rng, self.char_vocab_size, cfg.loc_emb_size,
-                                 cfg.loc_span, cfg.loc_out_size)
-            return net, cfg.loc_out_size
-        if feat == "account_time":
-            return RbfNetwork(cfg.account_bins, "account"), cfg.account_bins
-        raise ValueError(f"unknown feature {feat!r}")
-
     def forward(self, batch, train=False, rng=None):
         """Returns (probs, r, attention) for a batch-array dict."""
         vectors = []
         attention = None
         for feat in self.features:
-            net = self.nets[feat]
+            vec = self.nets[feat].forward(batch[FEATURES[feat].column])
             if feat == "text":
-                vec, attn = net.forward(batch["text_ids"])
+                vec, attn = vec
                 attention = attn.data
-            elif feat == "tweet_time":
-                vec = net.forward(batch["tweet_time"])
-            elif feat == "utc_offset":
-                vec = net.forward(batch["utc_offset"])
-            elif feat == "timezone":
-                vec = net.forward(batch["timezone_id"])
-            elif feat == "location":
-                vec = net.forward(batch["location_ids"])
-            else:
-                vec = net.forward(batch["account_time"])
             vectors.append(vec)
         cfg = self.config
         fused = self.fusion.fuse(vectors, noise_sigma=cfg.noise_sigma,
@@ -166,6 +168,9 @@ class GeoModel:
             p.data[...] = arrays[name]
 
 
+EVAL_BATCH_SIZE = 512
+
+
 def batch_arrays(examples):
     """Column-major arrays for a list of EncodedExamples."""
     return {
@@ -177,6 +182,20 @@ def batch_arrays(examples):
         "timezone_id": np.array([e.timezone_id for e in examples], dtype=np.int64),
         "label_id": np.array([e.label_id for e in examples], dtype=np.int64),
     }
+
+
+def as_arrays(examples):
+    """Batch arrays for a list of EncodedExamples; a dict passes through."""
+    return examples if isinstance(examples, dict) else batch_arrays(examples)
+
+
+def iter_batches(arrays, batch_size, order=None):
+    """Batch-array dicts of up to ``batch_size`` rows, taken in ``order``
+    (default: row order); the last batch keeps the remainder."""
+    for start in range(0, len(arrays["label_id"]), batch_size):
+        rows = (slice(start, start + batch_size) if order is None
+                else order[start:start + batch_size])
+        yield {k: v[rows] for k, v in arrays.items()}
 
 
 def save_checkpoint(path, model, seed=None):

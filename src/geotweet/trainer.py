@@ -6,17 +6,15 @@ from __future__ import annotations
 import json
 import string
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
 from .corpus import TweetRecord
 from .fusion import predict_labels
-from .model import GeoModel, ModelConfig, batch_arrays
+from .model import EVAL_BATCH_SIZE, ModelConfig, as_arrays, iter_batches
 from .optim import Adam
-
-EVAL_BATCH_SIZE = 512
 
 
 @dataclass
@@ -51,21 +49,14 @@ class TrainReport:
         }, indent=2) + "\n"
 
 
-def _batches(arrays, indices, batch_size):
-    for start in range(0, len(indices), batch_size):
-        idx = indices[start:start + batch_size]
-        yield {k: v[idx] for k, v in arrays.items()}
-
-
 def evaluate_accuracy(model, examples_or_arrays, batch_size=EVAL_BATCH_SIZE):
     """Fraction of examples whose argmax prediction equals the label."""
-    arrays = (examples_or_arrays if isinstance(examples_or_arrays, dict)
-              else batch_arrays(examples_or_arrays))
+    arrays = as_arrays(examples_or_arrays)
     n = len(arrays["label_id"])
     if n == 0:
         raise ValueError("cannot evaluate on an empty set")
     correct = 0
-    for batch in _batches(arrays, np.arange(n), batch_size):
+    for batch in iter_batches(arrays, batch_size):
         probs, _, _ = model.forward(batch, train=False)
         correct += int((predict_labels(probs.data) == batch["label_id"]).sum())
     return correct / n
@@ -82,10 +73,8 @@ def train(model, train_examples, dev_examples, config):
         raise ValueError("train and dev splits must be non-empty")
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
-    train_arrays = (train_examples if isinstance(train_examples, dict)
-                    else batch_arrays(train_examples))
-    dev_arrays = (dev_examples if isinstance(dev_examples, dict)
-                  else batch_arrays(dev_examples))
+    train_arrays = as_arrays(train_examples)
+    dev_arrays = as_arrays(dev_examples)
     n = len(train_arrays["label_id"])
     optimizer = Adam(model.params, learning_rate=config.learning_rate)
     report = TrainReport()
@@ -94,7 +83,7 @@ def train(model, train_examples, dev_examples, config):
     best_opt = None
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
-        for batch in _batches(train_arrays, order, config.batch_size):
+        for batch in iter_batches(train_arrays, config.batch_size, order):
             loss, _, _ = model.loss(batch, train=True, rng=rng)
             loss.backward()
             optimizer.step()
@@ -138,17 +127,9 @@ def ablate(build_model, train_examples, dev_examples, test_examples,
     baseline = run(model_config)
     deltas = {}
     for feat in features:
-        cfg = ModelConfig(**{**_config_dict(model_config),
-                             "removed_features": (feat,)})
+        cfg = replace(model_config, removed_features=(feat,))
         deltas[feat] = run(cfg) - baseline
     return baseline, deltas
-
-
-def _config_dict(config):
-    from dataclasses import asdict
-    d = asdict(config)
-    d["removed_features"] = tuple(d["removed_features"])
-    return d
 
 
 def synthetic_model_config(**overrides):

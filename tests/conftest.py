@@ -47,12 +47,7 @@ def tiny_corpus():
     """Small synthetic corpus with vocabularies, shared across tests."""
     cfg = SyntheticConfig(n_cities=5, n_train=400, n_dev=80, n_test=80, seed=11)
     train, dev, test = generate_synthetic(cfg)
-    char_vocab = C.build_char_vocab(
-        (r.text + r.user_location for r in train), min_count=1)
-    tz_vocab = C.CategoryVocabulary(
-        [r.timezone_name for r in train if r.timezone_name])
-    label_vocab = C.CategoryVocabulary(
-        [r.city_label for r in train], with_unk=False)
+    char_vocab, tz_vocab, label_vocab = C.build_vocabularies(train, min_count=1)
     return {
         "train": train, "dev": dev, "test": test,
         "char_vocab": char_vocab, "tz_vocab": tz_vocab,

@@ -39,3 +39,14 @@ def test_identical_content_gives_identical_bytes(tmp_path):
     save_archive(a, tensors)
     save_archive(b, tensors)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_every_truncation_is_reported(tmp_path):
+    path = tmp_path / "params.gtpa"
+    save_archive(path, {"w": np.ones((2, 3)), "s": np.array(1.0)})
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.gtpa"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(ValueError, match=f"{cut}: truncated"):
+            load_archive(cut)

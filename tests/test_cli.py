@@ -133,6 +133,38 @@ def test_config_file_precedence(tmp_path):
     assert resolved["cities"] == 2 and resolved["seed"] == 9
 
 
+def test_config_file_values_take_their_flag_types(tmp_path, pipeline):
+    # both flags default to None, so their type comes from the flag itself
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("text-max-len = 20\ndropout = 0.3\n", encoding="utf-8")
+    data, out = pipeline["data"], tmp_path / "run"
+    assert main(["train", "--config", str(cfg),
+                 "--train", str(data / "train.jsonl"),
+                 "--dev", str(data / "dev.jsonl"), "--out", str(out),
+                 "--synthetic-scale", "--epochs", "1",
+                 "--min-char-count", "1"]) == 0
+    resolved = json.loads((out / "run_config.json").read_text())
+    assert resolved["text_max_len"] == 20 and resolved["dropout"] == 0.3
+    meta = json.loads((out / "model.gtpa.json").read_text())
+    assert meta["config"]["text_max_len"] == 20
+    assert meta["config"]["dropout"] == 0.3
+
+
+def test_truncated_code_file_fails_with_one_error_line(pipeline, tmp_path,
+                                                       capsys):
+    dev_codes = tmp_path / "dev.bin"
+    assert main(["hash", "--model", str(pipeline["run"]),
+                 "--data", str(pipeline["data"] / "dev.jsonl"),
+                 "--out", str(dev_codes)]) == 0
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes(dev_codes.read_bytes()[:10])
+    capsys.readouterr()
+    assert main(["retrieve", "--test-codes", str(cut),
+                 "--dev-codes", str(dev_codes)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {cut}: truncated")
+
+
 def test_train_message_only_defaults(tmp_path, pipeline):
     # message-only preset selects the wider text output
     from geotweet.cli import build_parser, model_config_from_args

@@ -1,5 +1,6 @@
 import json
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -208,3 +209,21 @@ class TestJsonl:
         path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
         loaded = C.read_jsonl(path)
         assert loaded[0].created_at.year == 2010
+
+
+def test_readme_data_format_example(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("```json\n")[1]
+    path = tmp_path / "example.jsonl"
+    path.write_text(block.split("```")[0], encoding="utf-8")
+    records = C.read_jsonl(path)
+    assert len(records) == 2
+    first, second = records
+    assert first.utc_offset_seconds == -18000
+    assert first.timezone_name == "Eastern Time (US & Canada)"
+    assert first.created_at == datetime(2010, 7, 29, 17, 25,
+                                        tzinfo=timezone.utc)
+    assert second.utc_offset_seconds is None and second.timezone_name is None
+    # the example uses exactly the fields the corpus writer emits
+    for line in path.read_text(encoding="utf-8").splitlines():
+        assert list(json.loads(line)) == list(C.record_to_dict(first))

@@ -198,6 +198,16 @@ class TestCodeFile:
         # header: magic(4) + version/width(8) + count(8); record: id+label(16)
         assert raw[36] == 0b1000_0000
 
+    def test_every_truncation_is_reported(self, tmp_path):
+        path = tmp_path / "codes.bin"
+        H.save_codes(path, code_set([[1, 0, 1], [0, 1, 1]], labels=[3, 4]))
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(ValueError, match=f"{cut}: truncated"):
+                H.load_codes(cut)
+
     def test_rejects_non_code_file(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"nope")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geotweet.model import (GeoModel, ModelConfig, batch_arrays,
+from geotweet.model import (FEATURES, GeoModel, ModelConfig, batch_arrays,
                             load_checkpoint, save_checkpoint)
 from geotweet.trainer import synthetic_model_config
 
@@ -82,3 +82,28 @@ def test_ablated_model_has_narrower_fusion(tiny_corpus):
     assert "location" not in ablated.features
     diff = base.fusion.input_dim - ablated.fusion.input_dim
     assert diff == base.config.loc_out_size
+
+
+@pytest.mark.parametrize("feat", list(FEATURES))
+def test_feature_table_entry(feat, tiny_corpus, monkeypatch):
+    sizes = (len(tiny_corpus["char_vocab"]), len(tiny_corpus["tz_vocab"]))
+    cfg = synthetic_model_config(
+        removed_features=tuple(f for f in FEATURES if f != feat))
+    model = GeoModel(cfg, *sizes, len(tiny_corpus["label_vocab"]),
+                     np.random.default_rng(0))
+    _, width = FEATURES[feat].build(cfg, *sizes, np.random.default_rng(0))
+    column = FEATURES[feat].column
+    assert [f for f, e in FEATURES.items() if e.column == column] == [feat]
+    arrays = batch_arrays(encode_all(tiny_corpus["test"][:4], tiny_corpus,
+                                     cfg.text_max_len, cfg.loc_max_len))
+    fused = []
+    fuse = model.fusion.fuse
+
+    def spy(vectors, **kwargs):
+        fused.append(fuse(vectors, **kwargs))
+        return fused[-1]
+
+    monkeypatch.setattr(model.fusion, "fuse", spy)
+    # the batch holds only the table's column, so a wrong column is a KeyError
+    model.forward({column: arrays[column], "label_id": arrays["label_id"]})
+    assert fused[0].shape == (4, width) == (4, model.fusion.input_dim)

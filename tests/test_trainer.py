@@ -141,14 +141,14 @@ def test_overfit_capacity_sanity(tiny_corpus, tiny_encoded):
 def test_incomplete_final_minibatch_is_kept(tiny_corpus, tiny_encoded,
                                             monkeypatch):
     seen = []
-    original = trainer_mod._batches
+    original = trainer_mod.iter_batches
 
-    def spy(arrays, indices, batch_size):
-        for batch in original(arrays, indices, batch_size):
+    def spy(arrays, batch_size, order=None):
+        for batch in original(arrays, batch_size, order):
             seen.append(len(batch["label_id"]))
             yield batch
 
-    monkeypatch.setattr(trainer_mod, "_batches", spy)
+    monkeypatch.setattr(trainer_mod, "iter_batches", spy)
     model = build_model(tiny_corpus, tiny_encoded["config"], 0)
     train(model, tiny_encoded["train"][:100], tiny_encoded["dev"][:16],
           TrainConfig(batch_size=64, epochs=1, seed=0))
