@@ -11,6 +11,7 @@ then per tensor:
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -43,8 +44,8 @@ def read_exact(f, n, path):
     """
     left = os.fstat(f.fileno()).st_size - f.tell()
     if n > left:
-        raise ValueError(f"{path}: truncated: expected {n} more bytes at "
-                         f"offset {f.tell()}, found {left}")
+        raise ValueError(f"{path}: truncated: needs more than the {left} "
+                         f"bytes left at offset {f.tell()}")
     return f.read(n)
 
 
@@ -59,10 +60,10 @@ def load_archive(path):
         out = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<I", read_exact(f, 4, path))
-            name = read_exact(f, name_len, path).decode("utf-8")
+            name = read_exact(f, name_len, path).decode("utf-8", "replace")
             (ndim,) = struct.unpack("<I", read_exact(f, 4, path))
             shape = struct.unpack(f"<{ndim}Q", read_exact(f, 8 * ndim, path))
-            n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+            n = math.prod(shape)  # exact, where an int64 product could wrap
             data = np.frombuffer(read_exact(f, 8 * n, path),
                                  dtype="<f8").reshape(shape)
             out[name] = data.astype(np.float64)

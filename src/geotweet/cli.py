@@ -19,27 +19,24 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import hashing
 from .archive import FORMAT_VERSION
-from .model import (EVAL_BATCH_SIZE, FEATURES, MESSAGE_ONLY, GeoModel,
-                    ModelConfig, batch_arrays, iter_batches, load_checkpoint,
-                    save_checkpoint)
+from .model import (EVAL_BATCH_SIZE, FEATURES, MESSAGE_ONLY, VOCAB_SIZES,
+                    GeoModel, ModelConfig, batch_arrays, iter_batches,
+                    load_checkpoint, save_checkpoint)
 from .rbf_net import bin_weight_profile
 from .text_net import top_attended_spans
-from .trainer import (SyntheticConfig, TrainConfig, evaluate_accuracy,
+from .trainer import (SyntheticConfig, TrainConfig, ablate, evaluate_accuracy,
                       generate_synthetic, synthetic_model_config, train)
 
 MODEL_FILE = "model.gtpa"
-CHAR_VOCAB_FILE = "char_vocab.txt"
-TIMEZONE_FILE = "timezones.txt"
-LABEL_FILE = "labels.txt"
-VOCAB_FILES = (CHAR_VOCAB_FILE, TIMEZONE_FILE, LABEL_FILE)
+# in the order of build_vocabularies and of VOCAB_SIZES
+VOCAB_FILES = {"char_vocab.txt": corpus_mod.CharVocabulary,
+               "timezones.txt": corpus_mod.CategoryVocabulary,
+               "labels.txt": corpus_mod.CategoryVocabulary}
 RUN_CONFIG_FILE = "run_config.json"
 
-# ModelConfig fields settable by a flag of the same name; unset flags are None
-MODEL_FLAGS = dict.fromkeys(
-    ("text_max_len", "text_emb_size", "text_window", "text_out_size",
-     "time_bins", "offset_bins", "timezone_emb_size", "loc_max_len",
-     "loc_emb_size", "loc_span", "loc_out_size", "penultimate_dim",
-     "account_bins"), int) | {"dropout": float}
+# ModelConfig's int fields and dropout: same-named flags, None when unset
+MODEL_FLAGS = {f.name: int for f in dataclasses.fields(ModelConfig)
+               if f.type == "int"} | {"dropout": float}
 
 
 def read_config_file(path):
@@ -58,34 +55,34 @@ def read_config_file(path):
 
 
 def _apply_config_file(parser, args, argv):
+    """Parse argv again with the config file's values as the subcommand's
+    defaults: command-line flags win, and each value takes its flag's type."""
     if not getattr(args, "config", None):
         return args
     file_values = read_config_file(args.config)
-    # flags explicitly given on the command line win over the file
-    given = {a.lstrip("-").replace("-", "_").split("=")[0]
-             for a in argv if a.startswith("--")}
-    # a value takes its flag's own type, also where the default is None
-    (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
-    flags = {a.dest: a for a in commands[args.command]._actions}
-    for key, raw in file_values.items():
-        flag = flags.get(key)
-        if key in given or flag is None or not hasattr(args, key):
+    (sub,) = [a.choices[args.command] for a in parser._actions
+              if a.dest == "command"]
+    defaults = {}
+    for flag in sub._actions:
+        raw = file_values.get(flag.dest)
+        if raw is None or not hasattr(args, flag.dest):
             continue
-        if isinstance(flag.default, bool):
-            setattr(args, key, raw.lower() in ("1", "true", "yes"))
+        if isinstance(flag, argparse._AppendAction):
+            # a repeatable flag given on the command line replaces the file's
+            if getattr(args, flag.dest) is None:
+                defaults[flag.dest] = [raw]
+        elif isinstance(flag.default, bool):
+            defaults[flag.dest] = raw.lower() in ("1", "true", "yes")
         else:
-            setattr(args, key, flag.type(raw) if flag.type else raw)
-    return args
+            defaults[flag.dest] = raw
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
-def write_run_config(out_dir, args, extra=None):
+def write_run_config(out_dir, args):
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     resolved["format_version"] = FORMAT_VERSION
-    if extra:
-        resolved.update(extra)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / RUN_CONFIG_FILE, "w", encoding="utf-8") as f:
+    with open(Path(out_dir) / RUN_CONFIG_FILE, "w", encoding="utf-8") as f:
         json.dump(resolved, f, indent=2, sort_keys=True, default=str)
         f.write("\n")
 
@@ -116,27 +113,33 @@ def encode_records(records, char_vocab, tz_vocab, label_vocab, config):
 def load_model_dir(model_dir):
     model_dir = Path(model_dir)
     model, meta = load_checkpoint(str(model_dir / MODEL_FILE))
-    char_vocab = corpus_mod.CharVocabulary.load(model_dir / CHAR_VOCAB_FILE)
-    tz_vocab = corpus_mod.CategoryVocabulary.load(model_dir / TIMEZONE_FILE)
-    label_vocab = corpus_mod.CategoryVocabulary.load(model_dir / LABEL_FILE)
-    return model, meta, char_vocab, tz_vocab, label_vocab
+    vocabs = [kind.load(model_dir / name) for name, kind in VOCAB_FILES.items()]
+    for vocab, name, key in zip(vocabs, VOCAB_FILES, VOCAB_SIZES):
+        if len(vocab) != meta[key]:
+            raise ValueError(f"{model_dir / name}: {len(vocab)} entries, but "
+                             f"{model_dir / MODEL_FILE}.json has {key} {meta[key]}")
+    return model, meta, *vocabs
 
 
-def _load_encoded(path, char_vocab, tz_vocab, label_vocab, config):
-    records = corpus_mod.read_jsonl(path)
-    return records, encode_records(records, char_vocab, tz_vocab, label_vocab,
-                                   config)
+def _model_and_data(args):
+    """--model's model and vocabularies, --data's records and examples."""
+    model, _, *vocabs = load_model_dir(args.model)
+    records = corpus_mod.read_jsonl(args.data)
+    return model, vocabs, records, encode_records(records, *vocabs,
+                                                  model.config)
 
 
 def _training_splits(args, config):
-    """Vocabularies of the filtered train split, then the encoded train and
-    dev splits."""
+    """Vocabularies of the filtered train split, then the encoded train, dev
+    and test splits; test is None without --test."""
     train_records = corpus_mod.filter_training(
         corpus_mod.read_jsonl(args.train))
     dev_records = corpus_mod.read_jsonl(args.dev)
+    test_records = corpus_mod.read_jsonl(args.test) if args.test else None
     vocabs = corpus_mod.build_vocabularies(train_records, args.min_char_count)
-    return (vocabs, encode_records(train_records, *vocabs, config),
-            encode_records(dev_records, *vocabs, config))
+    return vocabs, *(None if records is None
+                     else encode_records(records, *vocabs, config)
+                     for records in (train_records, dev_records, test_records))
 
 
 def _write_report(args, report, filename):
@@ -147,6 +150,20 @@ def _write_report(args, report, filename):
         out.mkdir(parents=True, exist_ok=True)
         (out / filename).write_text(report, encoding="utf-8")
         write_run_config(out, args)
+
+
+def _write_codes(args, codes, kind="codes"):
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    hashing.save_codes(out, codes)
+    write_run_config(out.parent, args)
+    print(f"wrote {len(codes)} {kind} of width {codes.width} to {out}")
+    return 0
+
+
+def _train_config(args):
+    return TrainConfig(batch_size=args.batch_size, epochs=args.epochs,
+                       learning_rate=args.learning_rate, seed=args.seed)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -160,27 +177,23 @@ def cmd_synth(args):
         time_informative=not args.uninformative_time,
         timezone_informative=not args.uninformative_timezone,
         text_informative=args.informative_text)
-    train_recs, dev_recs, test_recs = generate_synthetic(cfg)
+    splits = generate_synthetic(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    corpus_mod.write_jsonl(out / "train.jsonl", train_recs)
-    corpus_mod.write_jsonl(out / "dev.jsonl", dev_recs)
-    corpus_mod.write_jsonl(out / "test.jsonl", test_recs)
+    for name, records in zip(("train", "dev", "test"), splits):
+        corpus_mod.write_jsonl(out / f"{name}.jsonl", records)
     write_run_config(out, args)
-    print(f"wrote {len(train_recs)}/{len(dev_recs)}/{len(test_recs)} records to {out}")
+    print(f"wrote {'/'.join(str(len(r)) for r in splits)} records to {out}")
     return 0
 
 
 def cmd_train(args):
     model_config = model_config_from_args(args)
-    vocabs, train_ex, dev_ex = _training_splits(args, model_config)
+    vocabs, train_ex, dev_ex, test_ex = _training_splits(args, model_config)
     rng = np.random.default_rng(args.seed)
     model = GeoModel(model_config, *map(len, vocabs), rng)
-    train_config = TrainConfig(batch_size=args.batch_size, epochs=args.epochs,
-                               learning_rate=args.learning_rate, seed=args.seed)
-    report = train(model, train_ex, dev_ex, train_config)
+    report = train(model, train_ex, dev_ex, _train_config(args))
     if args.test:
-        _, test_ex = _load_encoded(args.test, *vocabs, model_config)
         report.test_accuracy = evaluate_accuracy(model, test_ex)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -193,30 +206,24 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    model, _, char_vocab, tz_vocab, label_vocab = load_model_dir(args.model)
-    _, examples = _load_encoded(args.data, char_vocab, tz_vocab, label_vocab,
-                                model.config)
+    model, _, _, examples = _model_and_data(args)
     accuracy = evaluate_accuracy(model, examples)
     _write_report(args, f"accuracy\t{accuracy:.6f}\n", "accuracy.txt")
     return 0
 
 
 def cmd_ablate(args):
-    from .trainer import ablate
     base_config = model_config_from_args(args)
     if base_config.feature_set != "tweet-user":
         print("ablate requires --feature-set tweet-user", file=sys.stderr)
         return 2
-    vocabs, train_ex, dev_ex = _training_splits(args, base_config)
-    _, test_ex = _load_encoded(args.test, *vocabs, base_config)
+    vocabs, train_ex, dev_ex, test_ex = _training_splits(args, base_config)
 
     def build(cfg, seed):
         return GeoModel(cfg, *map(len, vocabs), np.random.default_rng(seed))
 
-    train_config = TrainConfig(batch_size=args.batch_size, epochs=args.epochs,
-                               learning_rate=args.learning_rate, seed=args.seed)
     splits = map(batch_arrays, (train_ex, dev_ex, test_ex))
-    baseline, deltas = ablate(build, *splits, base_config, train_config)
+    baseline, deltas = ablate(build, *splits, base_config, _train_config(args))
     lines = [f"all_features\t{baseline:.6f}\t-"]
     for feat, delta in deltas.items():
         lines.append(f"-{feat}\t{baseline + delta:.6f}\t{delta:+.6f}")
@@ -225,12 +232,10 @@ def cmd_ablate(args):
 
 
 def cmd_attn(args):
-    model, _, char_vocab, tz_vocab, label_vocab = load_model_dir(args.model)
+    model, _, records, examples = _model_and_data(args)
     if "text" not in model.features:
         print("model has no text network", file=sys.stderr)
         return 2
-    records, examples = _load_encoded(args.data, char_vocab, tz_vocab,
-                                      label_vocab, model.config)
     attention = [row for batch in iter_batches(batch_arrays(examples),
                                                EVAL_BATCH_SIZE)
                  for row in model.forward(batch, train=False)[2]]
@@ -247,7 +252,7 @@ def cmd_attn(args):
 
 
 def cmd_time_profile(args):
-    model, _, char_vocab, tz_vocab, label_vocab = load_model_dir(args.model)
+    model, (_, _, label_vocab), _, examples = _model_and_data(args)
     feature = FEATURES.get(args.feature)
     if feature is None or not feature.rbf:
         print(f"unknown time feature {args.feature!r}", file=sys.stderr)
@@ -255,8 +260,6 @@ def cmd_time_profile(args):
     if args.feature not in model.features:
         print(f"model has no {args.feature} network", file=sys.stderr)
         return 2
-    _, examples = _load_encoded(args.data, char_vocab, tz_vocab, label_vocab,
-                                model.config)
     arrays = batch_arrays(examples)
     net = model.nets[args.feature]
     acts = net.forward(arrays[feature.column]).data
@@ -276,16 +279,8 @@ def cmd_time_profile(args):
 
 
 def cmd_hash(args):
-    model, _, char_vocab, tz_vocab, label_vocab = load_model_dir(args.model)
-    _, examples = _load_encoded(args.data, char_vocab, tz_vocab, label_vocab,
-                                model.config)
-    codes = hashing.encode_code_set(model, examples)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    hashing.save_codes(out, codes)
-    write_run_config(out.parent, args)
-    print(f"wrote {len(codes)} codes of width {codes.width} to {out}")
-    return 0
+    model, _, _, examples = _model_and_data(args)
+    return _write_codes(args, hashing.encode_code_set(model, examples))
 
 
 def cmd_retrieve(args):
@@ -299,9 +294,7 @@ def cmd_retrieve(args):
 
 
 def cmd_lsh(args):
-    model, _, char_vocab, tz_vocab, label_vocab = load_model_dir(args.model)
-    _, examples = _load_encoded(args.data, char_vocab, tz_vocab, label_vocab,
-                                model.config)
+    _, (char_vocab, tz_vocab, _), _, examples = _model_and_data(args)
     features = hashing.raw_feature_matrix(examples, len(char_vocab),
                                           len(tz_vocab))
     rng = np.random.default_rng(args.seed)
@@ -310,18 +303,11 @@ def cmd_lsh(args):
         bits=lsh.encode(features),
         ids=np.arange(len(examples), dtype=np.int64),
         labels=np.array([e.label_id for e in examples], dtype=np.int64))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    hashing.save_codes(out, codes)
-    write_run_config(out.parent, args)
-    print(f"wrote {len(codes)} LSH codes of width {codes.width} to {out}")
-    return 0
+    return _write_codes(args, codes, "LSH codes")
 
 
 def cmd_hist(args):
-    model, _, char_vocab, tz_vocab, label_vocab = load_model_dir(args.model)
-    _, examples = _load_encoded(args.data, char_vocab, tz_vocab, label_vocab,
-                                model.config)
+    model, _, _, examples = _model_and_data(args)
     reps, _ = hashing.compute_representations(model, examples)
     counts, edges, masses = hashing.r_histogram(reps, args.bins)
     lines = ["bin_lo\tbin_hi\tcount"]
@@ -371,6 +357,13 @@ def build_parser():
         p.set_defaults(func=fn)
         return p
 
+    def on_run(name, fn, **kwargs):
+        """A subcommand reading a run directory and a data file."""
+        p = new(name, fn, **kwargs)
+        p.add_argument("--model", required=True)
+        p.add_argument("--data", required=True)
+        return p
+
     p = new("synth", cmd_synth, help="generate a synthetic labeled corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--cities", type=int, default=20)
@@ -390,9 +383,7 @@ def build_parser():
     _add_model_flags(p)
     _add_train_flags(p)
 
-    p = new("eval", cmd_eval, help="evaluate accuracy of a checkpoint")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    p = on_run("eval", cmd_eval, help="evaluate accuracy of a checkpoint")
     p.add_argument("--out")
 
     p = new("ablate", cmd_ablate, help="feature ablation via retraining")
@@ -403,22 +394,16 @@ def build_parser():
     _add_model_flags(p)
     _add_train_flags(p)
 
-    p = new("attn", cmd_attn, help="top attended character spans per example")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    p = on_run("attn", cmd_attn, help="top attended character spans per example")
     p.add_argument("--top-k", type=int, default=3)
     p.add_argument("--out")
 
-    p = new("time-profile", cmd_time_profile,
+    p = on_run("time-profile", cmd_time_profile,
             help="per-city RBF bin-weight profile")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
     p.add_argument("--feature", default="tweet_time")
     p.add_argument("--out")
 
-    p = new("hash", cmd_hash, help="binarize representations to a code file")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    p = on_run("hash", cmd_hash, help="binarize representations to a code file")
     p.add_argument("--out", required=True)
 
     p = new("retrieve", cmd_retrieve, help="Hamming retrieval MAP report")
@@ -426,15 +411,11 @@ def build_parser():
     p.add_argument("--dev-codes", required=True)
     p.add_argument("--out")
 
-    p = new("lsh", cmd_lsh, help="LSH baseline codes over raw input features")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    p = on_run("lsh", cmd_lsh, help="LSH baseline codes over raw input features")
     p.add_argument("--bits", type=int, default=100)
     p.add_argument("--out", required=True)
 
-    p = new("hist", cmd_hist, help="histogram of penultimate values")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    p = on_run("hist", cmd_hist, help="histogram of penultimate values")
     p.add_argument("--bins", type=int, default=40)
     p.add_argument("--out")
 

@@ -71,18 +71,21 @@ class CharVocabulary:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as f:
-            header = f.readline().rstrip("\n").split("\t")
-            if len(header) != 3 or header[0] != "charvocab":
-                raise ValueError(f"{path}: not a character vocabulary file")
-            if int(header[1]) != VOCAB_FORMAT_VERSION:
-                raise ValueError(f"{path}: unsupported vocabulary version {header[1]}")
-            min_count = int(header[2])
-            counts = {}
-            for line in f:
-                code, n = line.rstrip("\n").split("\t")
+        min_count, lines = _read_vocab(path, "charvocab", "character")
+        if min_count < 1:
+            raise ValueError(f"{path}: line 1: min_count must be >= 1")
+        counts = {}
+        try:
+            for i, line in enumerate(lines, start=2):
+                code, _, n = line.partition("\t")
                 counts[chr(int(code[2:], 16))] = int(n)
-        return cls(counts, min_count)
+        except (ValueError, OverflowError):
+            raise ValueError(f"{path}: line {i}: not 'U+<hex><tab><count>'") from None
+        vocab = cls(counts, min_count)
+        # ids follow line order: a repeated, reordered or dropped line shifts them
+        if len(counts) != len(lines) or list(vocab.char_to_id) != list(counts):
+            raise ValueError(f"{path}: lines not unique, >= min_count, in id order")
+        return vocab
 
 
 class CategoryVocabulary:
@@ -116,12 +119,25 @@ class CategoryVocabulary:
 
     @classmethod
     def load(cls, path):
+        with_unk, names = _read_vocab(path, "catvocab", "category")
+        if names != sorted(set(names)):  # ids follow the sorted order
+            raise ValueError(f"{path}: names are not unique and sorted")
+        return cls(names, with_unk=bool(with_unk))
+
+
+def _read_vocab(path, tag, kind):
+    """The last header field and the entry lines of a vocabulary file."""
+    try:
         with open(path, encoding="utf-8") as f:
-            header = f.readline().rstrip("\n").split("\t")
-            if len(header) != 3 or header[0] != "catvocab":
-                raise ValueError(f"{path}: not a category vocabulary file")
-            names = [line.rstrip("\n") for line in f]
-        return cls(names, with_unk=bool(int(header[2])))
+            lines = [line.rstrip("\n") for line in f]
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not a UTF-8 text file") from None
+    header = lines[0].split("\t") if lines else []
+    if len(header) != 3 or header[0] != tag or not all(map(str.isdecimal, header[1:])):
+        raise ValueError(f"{path}: line 1: not a {kind} vocabulary header")
+    if int(header[1]) != VOCAB_FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported vocabulary version {header[1]}")
+    return int(header[2]), lines[1:]
 
 
 def build_char_vocab(training_texts, min_count=DEFAULT_MIN_COUNT):

@@ -95,11 +95,11 @@ def map_from_codes(test, dev):
     return mean_ap, excluded
 
 
-def compute_representations(model, examples, batch_size=EVAL_BATCH_SIZE):
+def compute_representations(model, examples):
     """Penultimate vectors for a list of examples (eval mode)."""
     arrays = as_arrays(examples)
     chunks = [model.forward(batch, train=False)[1].data
-              for batch in iter_batches(arrays, batch_size)]
+              for batch in iter_batches(arrays, EVAL_BATCH_SIZE)]
     return np.concatenate(chunks, axis=0), arrays["label_id"]
 
 
@@ -205,6 +205,8 @@ def load_codes(path):
                            ("bits", "u1", ((width + 7) // 8,))])
         rows = np.frombuffer(read_exact(f, count * record.itemsize, path),
                              dtype=record)
+        if f.read(1):
+            raise ValueError(f"{path}: data after the last of {count} records")
     return CodeSet(bits=np.unpackbits(rows["bits"], axis=1)[:, :width],
                    ids=rows["id"].astype(np.int64),
                    labels=rows["label"].astype(np.int64))

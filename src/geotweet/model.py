@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .archive import load_archive, save_archive
+from .corpus import EncodedExample
 from .fusion import FusionClassifier, extrema_loss
 from .loc_net import LocConvNetwork, TimezoneEmbedding
 from .rbf_net import RbfNetwork
@@ -47,12 +48,13 @@ FEATURES = {
                        cfg.loc_out_size), cfg.loc_out_size)),
     "account_time": _rbf_feature("account_time", "account_bins", "account"),
 }
-FEATURE_ORDER = tuple(FEATURES)
 
 MESSAGE_ONLY = "message-only"
 TWEET_USER = "tweet-user"
 
 CHECKPOINT_META_VERSION = 1
+# GeoModel attributes and checkpoint keys sized by the three vocabularies
+VOCAB_SIZES = ("char_vocab_size", "n_timezones", "n_classes")
 
 
 @dataclass
@@ -82,13 +84,17 @@ class ModelConfig:
     def __post_init__(self):
         if self.feature_set not in (MESSAGE_ONLY, TWEET_USER):
             raise ValueError(f"unknown feature set {self.feature_set!r}")
+        for f in fields(self):  # every int field is a size
+            size = getattr(self, f.name)
+            if f.type.startswith("int") and size is not None and size < 1:
+                raise ValueError(f"{f.name} must be >= 1, got {size}")
         self.removed_features = tuple(self.removed_features)
         for f in self.removed_features:
             if f not in self.active_features(ignore_removed=True):
                 raise ValueError(f"cannot remove feature {f!r}: not in the model")
 
     def active_features(self, ignore_removed=False):
-        feats = FEATURE_ORDER if self.feature_set == TWEET_USER else ("text",)
+        feats = tuple(FEATURES) if self.feature_set == TWEET_USER else ("text",)
         if ignore_removed:
             return feats
         return tuple(f for f in feats if f not in self.removed_features)
@@ -172,16 +178,10 @@ EVAL_BATCH_SIZE = 512
 
 
 def batch_arrays(examples):
-    """Column-major arrays for a list of EncodedExamples."""
-    return {
-        "text_ids": np.array([e.text_ids for e in examples], dtype=np.int64),
-        "location_ids": np.array([e.location_ids for e in examples], dtype=np.int64),
-        "tweet_time": np.array([e.tweet_time for e in examples]),
-        "account_time": np.array([e.account_time for e in examples]),
-        "utc_offset": np.array([e.utc_offset for e in examples]),
-        "timezone_id": np.array([e.timezone_id for e in examples], dtype=np.int64),
-        "label_id": np.array([e.label_id for e in examples], dtype=np.int64),
-    }
+    """Column-major arrays of EncodedExamples, one per field: float64 or int64."""
+    return {f.name: np.array([getattr(e, f.name) for e in examples],
+                             dtype=np.float64 if f.type == "float" else np.int64)
+            for f in fields(EncodedExample)}
 
 
 def as_arrays(examples):
@@ -203,12 +203,9 @@ def save_checkpoint(path, model, seed=None):
     meta = {
         "meta_version": CHECKPOINT_META_VERSION,
         "config": asdict(model.config),
-        "char_vocab_size": model.char_vocab_size,
-        "n_timezones": model.n_timezones,
-        "n_classes": model.n_classes,
         "seed": seed,
+        **{key: getattr(model, key) for key in VOCAB_SIZES},
     }
-    meta["config"]["removed_features"] = list(model.config.removed_features)
     with open(f"{path}.json", "w", encoding="utf-8") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -216,13 +213,22 @@ def save_checkpoint(path, model, seed=None):
 
 def load_checkpoint(path):
     """Rebuild a model from an archive plus its JSON sidecar."""
-    with open(f"{path}.json", encoding="utf-8") as f:
-        meta = json.load(f)
-    if meta.get("meta_version") != CHECKPOINT_META_VERSION:
-        raise ValueError(f"{path}.json: unsupported checkpoint metadata version")
-    config = ModelConfig(**meta["config"])
-    rng = np.random.default_rng(0)  # weights overwritten below
-    model = GeoModel(config, meta["char_vocab_size"], meta["n_timezones"],
-                     meta["n_classes"], rng)
-    model.load_param_arrays(load_archive(path))
+    meta_path = f"{path}.json"
+    try:
+        with open(meta_path, encoding="utf-8") as f:
+            meta = json.load(f)
+        if meta["meta_version"] != CHECKPOINT_META_VERSION:
+            raise ValueError("unsupported checkpoint metadata version")
+        model = GeoModel(ModelConfig(**meta["config"]),
+                         *(meta[key] for key in VOCAB_SIZES),
+                         np.random.default_rng(0))  # weights loaded below
+    except KeyError as e:
+        raise ValueError(f"{meta_path}: missing key {e}") from None
+    except (ValueError, TypeError, OverflowError) as e:
+        raise ValueError(f"{meta_path}: {e}") from None
+    arrays = load_archive(path)
+    try:
+        model.load_param_arrays(arrays)
+    except ValueError as e:
+        raise ValueError(f"{path} does not match {meta_path}: {e}") from None
     return model, meta

@@ -12,9 +12,6 @@ import numpy as np
 from . import autodiff as ad
 from .init import embedding_table, glorot, zeros
 
-# gate layout inside the fused LSTM weight matrices
-_GATES = ("input", "forget", "cell", "output")
-
 
 def _lstm_params(rng, prefix, emb_size, hidden):
     p = {
@@ -72,24 +69,22 @@ class TextNetwork:
         emb = self._p("emb")
         return [ad.embedding(text_ids[:, t], emb) for t in range(text_ids.shape[1])]
 
+    def _lstm_states(self, xs, direction, steps, zero):
+        """Hidden states, by position, of one LSTM run over ``steps``."""
+        Wx, Wh, b = (self._p(f"{direction}.{w}") for w in ("Wx", "Wh", "b"))
+        states = [None] * len(xs)
+        h = c = zero
+        for t in steps:
+            h, c = _lstm_step(xs[t], h, c, Wx, Wh, b, self.hidden)
+            states[t] = h
+        return states
+
     def bilstm_contexts(self, xs):
         """Forward and backward hidden-state sequences for embedded chars."""
         T = len(xs)
-        batch = xs[0].shape[0]
-        zero = ad.Tensor(np.zeros((batch, self.hidden)))
-        fwd, bwd = [], []
-        h, c = zero, zero
-        Wx, Wh, b = self._p("fwd.Wx"), self._p("fwd.Wh"), self._p("fwd.b")
-        for t in range(T):
-            h, c = _lstm_step(xs[t], h, c, Wx, Wh, b, self.hidden)
-            fwd.append(h)
-        h, c = zero, zero
-        Wx, Wh, b = self._p("bwd.Wx"), self._p("bwd.Wh"), self._p("bwd.b")
-        for t in reversed(range(T)):
-            h, c = _lstm_step(xs[t], h, c, Wx, Wh, b, self.hidden)
-            bwd.append(h)
-        bwd.reverse()
-        return fwd, bwd
+        zero = ad.Tensor(np.zeros((xs[0].shape[0], self.hidden)))
+        return (self._lstm_states(xs, "fwd", range(T), zero),
+                self._lstm_states(xs, "bwd", reversed(range(T)), zero))
 
     def contextual_projection(self, xs, fwd, bwd):
         """ReLU projection of [h_fwd[t-1] ; x_t ; h_bwd[t+1]] for every position.

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import string
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -41,22 +41,17 @@ class TrainReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self):
-        return json.dumps({
-            "dev_accuracy": self.dev_accuracy,
-            "revert_epochs": self.revert_epochs,
-            "test_accuracy": self.test_accuracy,
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
 
-def evaluate_accuracy(model, examples_or_arrays, batch_size=EVAL_BATCH_SIZE):
+def evaluate_accuracy(model, examples_or_arrays):
     """Fraction of examples whose argmax prediction equals the label."""
     arrays = as_arrays(examples_or_arrays)
     n = len(arrays["label_id"])
     if n == 0:
         raise ValueError("cannot evaluate on an empty set")
     correct = 0
-    for batch in iter_batches(arrays, batch_size):
+    for batch in iter_batches(arrays, EVAL_BATCH_SIZE):
         probs, _, _ = model.forward(batch, train=False)
         correct += int((predict_labels(probs.data) == batch["label_id"]).sum())
     return correct / n
@@ -71,6 +66,8 @@ def train(model, train_examples, dev_examples, config):
     """
     if not train_examples or not dev_examples:
         raise ValueError("train and dev splits must be non-empty")
+    if config.batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {config.batch_size}")
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     train_arrays = as_arrays(train_examples)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -50,3 +52,15 @@ def test_every_truncation_is_reported(tmp_path):
         cut.write_bytes(raw[:n])
         with pytest.raises(ValueError, match=f"{cut}: truncated"):
             load_archive(cut)
+
+
+@pytest.mark.parametrize("dims", [
+    (2**63 + 2, 3),  # the element count does not fit an int64
+    (2**63,) * 600,  # nor, printed, in 4300 digits
+])
+def test_huge_shape_is_a_truncation(tmp_path, dims):
+    path = tmp_path / "params.gtpa"
+    path.write_bytes(b"GTPA" + struct.pack("<III", 1, 1, 1) + b"w"
+                     + struct.pack(f"<I{len(dims)}Q", len(dims), *dims))
+    with pytest.raises(ValueError, match=f"{path}: truncated"):
+        load_archive(path)

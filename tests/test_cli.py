@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -148,6 +149,73 @@ def test_config_file_values_take_their_flag_types(tmp_path, pipeline):
     meta = json.loads((out / "model.gtpa.json").read_text())
     assert meta["config"]["text_max_len"] == 20
     assert meta["config"]["dropout"] == 0.3
+
+
+def test_abbreviated_flag_beats_config_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cities = 5\n", encoding="utf-8")
+    out = tmp_path / "synth"
+    assert main(["synth", "--config", str(cfg), "--out", str(out),
+                 "--cit", "2", "--train-size", "10",
+                 "--dev-size", "2", "--test-size", "2"]) == 0
+    assert json.loads((out / "run_config.json").read_text())["cities"] == 2
+
+
+@pytest.mark.parametrize("argv, removed", [
+    ([], ["location"]),  # the file's value is one feature, not its letters
+    (["--remove-feature", "text"], ["text"]),  # the command line replaces it
+])
+def test_repeatable_flag_from_config_file(tmp_path, pipeline, argv, removed):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("remove-feature = location\n", encoding="utf-8")
+    data, out = pipeline["data"], tmp_path / "run"
+    assert main(["train", "--config", str(cfg), *argv,
+                 "--train", str(data / "train.jsonl"),
+                 "--dev", str(data / "dev.jsonl"), "--out", str(out),
+                 "--synthetic-scale", "--epochs", "1",
+                 "--min-char-count", "1"]) == 0
+    resolved = json.loads((out / "run_config.json").read_text())
+    assert resolved["remove_feature"] == removed
+    meta = json.loads((out / "model.gtpa.json").read_text())
+    assert meta["config"]["removed_features"] == removed
+
+
+@pytest.mark.parametrize("flag, field", [
+    ("--account-bins", "account_bins"),
+    ("--text-emb-size", "text_emb_size"),
+    ("--batch-size", "batch_size"),
+])
+def test_non_positive_size_names_the_field(tmp_path, pipeline, capsys, flag,
+                                           field):
+    data = pipeline["data"]
+    assert main(["train", "--train", str(data / "train.jsonl"),
+                 "--dev", str(data / "dev.jsonl"), "--out", str(tmp_path),
+                 "--synthetic-scale", "--epochs", "1", flag, "0"]) == 1
+    assert capsys.readouterr().err == f"error: {field} must be >= 1, got 0\n"
+
+
+def test_vocab_file_not_matching_checkpoint(pipeline, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(pipeline["run"], run)
+    labels = run / "labels.txt"
+    labels.write_text("".join(labels.read_text().splitlines(True)[:3]))
+    assert main(["eval", "--model", str(run),
+                 "--data", str(pipeline["data"] / "test.jsonl")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {labels}: 2 entries, but {run / 'model.gtpa.json'} has "
+        "n_classes 4\n")
+
+
+def test_malformed_vocab_line_names_file_and_line(pipeline, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(pipeline["run"], run)
+    vocab = run / "char_vocab.txt"
+    lines = vocab.read_text().splitlines(True)
+    lines[1] = lines[1].split("\t")[0] + "\n"
+    vocab.write_text("".join(lines))
+    assert main(["eval", "--model", str(run),
+                 "--data", str(pipeline["data"] / "test.jsonl")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {vocab}: line 2: ")
 
 
 def test_truncated_code_file_fails_with_one_error_line(pipeline, tmp_path,

@@ -1,4 +1,5 @@
 import json
+import re
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -227,3 +228,35 @@ def test_readme_data_format_example(tmp_path):
     # the example uses exactly the fields the corpus writer emits
     for line in path.read_text(encoding="utf-8").splitlines():
         assert list(json.loads(line)) == list(C.record_to_dict(first))
+
+
+@pytest.mark.parametrize("content, fault", [
+    ("charvocab\t1\tx\nU+0061\t2\n", "line 1"),
+    ("charvocab\t1\t0\nU+0061\t2\n", "line 1: min_count"),
+    ("charvocab\t1\t1\nU+0061\t2\nU+0062\n", "line 3"),
+    ("charvocab\t1\t1\nU+FFFFFFFFFF\t2\n", "line 2"),
+    ("charvocab\t1\t1\nU+0062\t1\nU+0061\t2\n", "in id order"),
+    ("charvocab\t1\t1\nU+0061\t2\nU+0061\t2\n", "unique"),
+    ("charvocab\t1\t2\nU+0061\t2\nU+0062\t1\n", "min_count"),
+    (b"charvocab\t1\t1\nU+0061\t\xff\n", "UTF-8"),
+])
+def test_char_vocab_load_names_file_and_fault(tmp_path, content, fault):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(content if isinstance(content, bytes)
+                     else content.encode("utf-8"))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*{fault}"):
+        C.CharVocabulary.load(path)
+
+
+@pytest.mark.parametrize("content, fault", [
+    ("catvocab\t7\t0\na\n", "unsupported vocabulary version 7"),
+    ("catvocab\t1\tno\na\n", "line 1"),
+    ("charvocab\t1\t0\na\n", "not a category vocabulary"),
+    ("catvocab\t1\t0\nb\na\n", "sorted"),
+    ("catvocab\t1\t0\na\na\n", "unique"),
+])
+def test_category_vocab_load_names_file_and_fault(tmp_path, content, fault):
+    path = tmp_path / "labels.txt"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*{fault}"):
+        C.CategoryVocabulary.load(path)

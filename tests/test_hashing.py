@@ -208,6 +208,14 @@ class TestCodeFile:
             with pytest.raises(ValueError, match=f"{cut}: truncated"):
                 H.load_codes(cut)
 
+    def test_trailing_data_is_reported(self, tmp_path):
+        # a wrong width or count in the header leaves bytes unparsed
+        path = tmp_path / "codes.bin"
+        H.save_codes(path, code_set([[1, 0, 1], [0, 1, 1]], labels=[3, 4]))
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match=f"{path}: data after the last of 2"):
+            H.load_codes(path)
+
     def test_rejects_non_code_file(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"nope")

@@ -1,3 +1,7 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -107,3 +111,63 @@ def test_feature_table_entry(feat, tiny_corpus, monkeypatch):
     # the batch holds only the table's column, so a wrong column is a KeyError
     model.forward({column: arrays[column], "label_id": arrays["label_id"]})
     assert fused[0].shape == (4, width) == (4, model.fusion.input_dim)
+
+
+@pytest.mark.parametrize("field", ["text_max_len", "text_emb_size",
+                                   "text_window", "text_attn_size",
+                                   "loc_span", "penultimate_dim",
+                                   "account_bins"])
+def test_sizes_must_be_positive(field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+        ModelConfig(**{field: 0})
+
+
+@pytest.fixture
+def checkpoint(tiny_corpus, tmp_path):
+    """Path of a saved synthetic-scale checkpoint."""
+    model = GeoModel(synthetic_model_config(), len(tiny_corpus["char_vocab"]),
+                     len(tiny_corpus["tz_vocab"]),
+                     len(tiny_corpus["label_vocab"]), np.random.default_rng(1))
+    path = str(tmp_path / "model.gtpa")
+    save_checkpoint(path, model)
+    return path
+
+
+def _edit_sidecar(path, edit):
+    meta = json.loads(Path(f"{path}.json").read_text())
+    edit(meta)
+    Path(f"{path}.json").write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("edit, fault", [
+    (lambda m: m["config"].update(acount_bins=6),
+     "unexpected keyword argument 'acount_bins'"),
+    (lambda m: m["config"].update(account_bins=0),
+     "account_bins must be >= 1, got 0"),
+    (lambda m: m.pop("n_classes"), "missing key 'n_classes'"),
+    (lambda m: m.update(meta_version=7), "unsupported"),
+])
+def test_bad_sidecar_is_reported_with_its_path(checkpoint, edit, fault):
+    _edit_sidecar(checkpoint, edit)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(checkpoint)
+    assert str(err.value).startswith(f"{checkpoint}.json: ")
+    assert fault in str(err.value)
+
+
+def test_sidecar_not_matching_archive_names_both(checkpoint):
+    _edit_sidecar(checkpoint, lambda m: m.update(n_classes=m["n_classes"] + 1))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{checkpoint} does not match {checkpoint}.json: checkpoint "
+            "parameter")):
+        load_checkpoint(checkpoint)
+
+
+def test_non_utf8_tensor_name_is_a_missing_parameter(checkpoint):
+    raw = bytearray(Path(checkpoint).read_bytes())
+    raw[16] = 0xFF  # first byte of the first tensor name
+    Path(checkpoint).write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{checkpoint} does not match {checkpoint}.json: checkpoint "
+            "missing parameter")):
+        load_checkpoint(checkpoint)

@@ -204,3 +204,10 @@ def test_ablate_rejects_unknown_feature(tiny_corpus, tiny_encoded):
         ablate(build, tiny_encoded["train"], tiny_encoded["dev"],
                tiny_encoded["test"], tiny_encoded["config"],
                TrainConfig(epochs=1), features=["bogus"])
+
+
+def test_batch_size_must_be_positive(tiny_corpus, tiny_encoded):
+    model = build_model(tiny_corpus, tiny_encoded["config"], 0)
+    with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+        train(model, tiny_encoded["train"], tiny_encoded["dev"],
+              TrainConfig(batch_size=0))
