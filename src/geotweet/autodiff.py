@@ -236,9 +236,13 @@ def tanh(a):
     return _make(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 def sigmoid(a):
     a = as_tensor(a)
-    y = 1.0 / (1.0 + np.exp(-a.data))
+    y = _sigmoid(a.data)
     return _make(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
@@ -295,6 +299,102 @@ def maximum_list(tensors):
     for t in tensors[1:]:
         out = maximum(out, t)
     return out
+
+
+def window_max(a, P):
+    """Elementwise max over each length-``P`` window along axis 0: T-P+1 rows.
+
+    The gradient of each output goes to the first maximum in its window,
+    as a chain of ``maximum`` calls would route it.
+    """
+    a = as_tensor(a)
+    T = a.shape[0]
+    if not 1 <= P <= T:
+        raise ValueError(f"pooling window {P} not in 1..{T} (the sequence length)")
+    spans = T - P + 1
+    y = a.data[:spans].copy()
+    for k in range(1, P):
+        np.maximum(y, a.data[k:k + spans], out=y)
+
+    def backward(g):
+        out = np.zeros_like(a.data)
+        unrouted = np.ones(y.shape, dtype=bool)
+        for k in range(P):
+            hit = (a.data[k:k + spans] == y) & unrouted
+            out[k:k + spans] += g * hit
+            unrouted ^= hit
+        return (out,)
+
+    return _make(y, (a,), backward)
+
+
+def lstm_sequence(x, Wx, Wh, b, reverse=False):
+    """LSTM over a (T, batch, E) input from a zero state; returns the
+    (T, batch, H) hidden states.
+
+    The 4H gate columns are input, forget, cell candidate, output. With
+    ``reverse`` the steps run from T-1 down to 0, so state t has read
+    positions t..T-1. The input projection of all steps is one GEMM, and
+    backward runs BPTT in one loop, then one GEMM each for dx, dWx and dWh.
+    """
+    x, Wx, Wh, b = (as_tensor(t) for t in (x, Wx, Wh, b))
+    T, B, E = x.shape
+    H = Wh.shape[0]
+    if Wx.shape != (E, 4 * H) or Wh.shape != (H, 4 * H) or b.shape != (4 * H,):
+        raise ValueError(
+            f"lstm_sequence: input {x.shape} does not fit weights "
+            f"{Wx.shape}, {Wh.shape}, {b.shape}")
+    x2d = x.data.reshape(T * B, E)
+    # pre-activations, overwritten step by step with the gate activations
+    acts = (x2d @ Wx.data + b.data).reshape(T, B, 4 * H)
+    cells = np.empty((T, B, H))
+    hs = np.empty((T, B, H))
+    h = c = np.zeros((B, H))
+    steps = range(T)[::-1] if reverse else range(T)
+    for t in steps:
+        z = acts[t]
+        z += h @ Wh.data
+        g = np.tanh(z[:, 2 * H:3 * H])
+        z[...] = _sigmoid(z)
+        z[:, 2 * H:3 * H] = g
+        c = z[:, H:2 * H] * c + z[:, :H] * g
+        h = z[:, 3 * H:] * np.tanh(c)
+        cells[t] = c
+        hs[t] = h
+
+    # each step at ``later`` starts from the state left at ``earlier``;
+    # steps[0] starts from zeros
+    later, earlier = ((slice(None, -1), slice(1, None)) if reverse
+                      else (slice(1, None), slice(None, -1)))
+
+    def backward(grad_h):
+        i, f, g, o = (acts[..., k * H:(k + 1) * H] for k in range(4))
+        c_prev = np.zeros_like(cells)
+        c_prev[later] = cells[earlier]
+        tanh_c = np.tanh(cells)
+        # gradient of the pre-activations: [dc * gate_terms | dh * out_terms],
+        # with dc and dh that of the cell and hidden state at the same step
+        gate_terms = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
+                               i * (1.0 - g * g)], axis=2)
+        out_terms = tanh_c * o * (1.0 - o)
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        dz = np.empty_like(acts)
+        dz4 = dz.reshape(T, B, 4, H)
+        Wh_T = Wh.data.T
+        dh_next = dc_next = np.zeros((B, H))
+        for t in steps[::-1]:
+            dh = grad_h[t] + dh_next
+            dc = dh * dc_dh[t] + dc_next
+            np.multiply(gate_terms[t], dc[:, None], out=dz4[t, :, :3])
+            np.multiply(out_terms[t], dh, out=dz4[t, :, 3])
+            dc_next = dc * f[t]
+            dh_next = dz[t] @ Wh_T
+        dz2d = dz.reshape(T * B, 4 * H)
+        return ((dz2d @ Wx.data.T).reshape(T, B, E), x2d.T @ dz2d,
+                hs[earlier].reshape(-1, H).T @ dz[later].reshape(-1, 4 * H),
+                dz2d.sum(axis=0))
+
+    return _make(hs, (x, Wx, Wh, b), backward)
 
 
 def amax(a, axis):

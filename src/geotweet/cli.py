@@ -37,6 +37,9 @@ RUN_CONFIG_FILE = "run_config.json"
 # ModelConfig's int fields and dropout: same-named flags, None when unset
 MODEL_FLAGS = {f.name: int for f in dataclasses.fields(ModelConfig)
                if f.type == "int"} | {"dropout": float}
+# values a config file may give a store_true flag
+BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False,
+              "1": True, "0": False}
 
 
 def read_config_file(path):
@@ -62,17 +65,23 @@ def _apply_config_file(parser, args, argv):
     file_values = read_config_file(args.config)
     (sub,) = [a.choices[args.command] for a in parser._actions
               if a.dest == "command"]
+    flags = {flag.dest: flag for flag in sub._actions if hasattr(args, flag.dest)}
     defaults = {}
-    for flag in sub._actions:
-        raw = file_values.get(flag.dest)
-        if raw is None or not hasattr(args, flag.dest):
-            continue
+    for key, raw in file_values.items():
+        flag = flags.get(key)
+        if flag is None:
+            raise ValueError(f"{args.config}: unknown key {key!r} for "
+                             f"'{args.command}'")
         if isinstance(flag, argparse._AppendAction):
             # a repeatable flag given on the command line replaces the file's
             if getattr(args, flag.dest) is None:
                 defaults[flag.dest] = [raw]
         elif isinstance(flag.default, bool):
-            defaults[flag.dest] = raw.lower() in ("1", "true", "yes")
+            value = BOOL_WORDS.get(raw.lower())
+            if value is None:
+                raise ValueError(f"{args.config}: {key} must be one of "
+                                 f"{'/'.join(BOOL_WORDS)}, got {raw!r}")
+            defaults[flag.dest] = value
         else:
             defaults[flag.dest] = raw
     sub.set_defaults(**defaults)

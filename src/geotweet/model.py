@@ -88,6 +88,8 @@ class ModelConfig:
             size = getattr(self, f.name)
             if f.type.startswith("int") and size is not None and size < 1:
                 raise ValueError(f"{f.name} must be >= 1, got {size}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         self.removed_features = tuple(self.removed_features)
         for f in self.removed_features:
             if f not in self.active_features(ignore_removed=True):

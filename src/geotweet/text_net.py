@@ -24,17 +24,6 @@ def _lstm_params(rng, prefix, emb_size, hidden):
     return p
 
 
-def _lstm_step(x_t, h, c, Wx, Wh, b, hidden):
-    gates = ad.add(ad.add(ad.matmul(x_t, Wx), ad.matmul(h, Wh)), b)
-    i = ad.sigmoid(gates[:, 0 * hidden:1 * hidden])
-    f = ad.sigmoid(gates[:, 1 * hidden:2 * hidden])
-    g = ad.tanh(gates[:, 2 * hidden:3 * hidden])
-    o = ad.sigmoid(gates[:, 3 * hidden:4 * hidden])
-    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_new = ad.mul(o, ad.tanh(c_new))
-    return h_new, c_new
-
-
 class TextNetwork:
     """Produces one feature vector per tweet plus span attention weights."""
 
@@ -64,56 +53,32 @@ class TextNetwork:
         return self.params[f"{self.prefix}.{name}"]
 
     def char_vectors(self, text_ids):
-        """Per-position embedding lookups; text_ids is a (batch, T) int array."""
-        text_ids = np.asarray(text_ids)
-        emb = self._p("emb")
-        return [ad.embedding(text_ids[:, t], emb) for t in range(text_ids.shape[1])]
-
-    def _lstm_states(self, xs, direction, steps, zero):
-        """Hidden states, by position, of one LSTM run over ``steps``."""
-        Wx, Wh, b = (self._p(f"{direction}.{w}") for w in ("Wx", "Wh", "b"))
-        states = [None] * len(xs)
-        h = c = zero
-        for t in steps:
-            h, c = _lstm_step(xs[t], h, c, Wx, Wh, b, self.hidden)
-            states[t] = h
-        return states
+        """Embedded characters, (T, batch, E); text_ids is a (batch, T) int array."""
+        return ad.embedding(np.asarray(text_ids).T, self._p("emb"))
 
     def bilstm_contexts(self, xs):
-        """Forward and backward hidden-state sequences for embedded chars."""
-        T = len(xs)
-        zero = ad.Tensor(np.zeros((xs[0].shape[0], self.hidden)))
-        return (self._lstm_states(xs, "fwd", range(T), zero),
-                self._lstm_states(xs, "bwd", reversed(range(T)), zero))
+        """Forward and backward (T, batch, H) hidden states over embedded chars."""
+        return tuple(
+            ad.lstm_sequence(xs, *(self._p(f"{d}.{w}") for w in ("Wx", "Wh", "b")),
+                             reverse=d == "bwd")
+            for d in ("fwd", "bwd"))
 
     def contextual_projection(self, xs, fwd, bwd):
         """ReLU projection of [h_fwd[t-1] ; x_t ; h_bwd[t+1]] for every position.
 
         Out-of-range contexts are zero vectors. Returns a (T, batch, O) tensor.
         """
-        T = len(xs)
-        batch = xs[0].shape[0]
-        zero = ad.Tensor(np.zeros((batch, self.hidden)))
-        stacked = ad.concat(
-            [ad.concat([fwd[t - 1] if t > 0 else zero,
-                        xs[t],
-                        bwd[t + 1] if t + 1 < T else zero], axis=1)
-             for t in range(T)],
-            axis=0)
-        proj = ad.relu(ad.add(ad.matmul(stacked, self._p("Wg")), self._p("bg")))
+        T, batch, E = xs.shape
+        zero = ad.Tensor(np.zeros((1, batch, self.hidden)))
+        stacked = ad.concat([ad.concat([zero, fwd[:-1]], axis=0), xs,
+                             ad.concat([bwd[1:], zero], axis=0)], axis=2)
+        flat = ad.reshape(stacked, (T * batch, 3 * E))
+        proj = ad.relu(ad.add(ad.matmul(flat, self._p("Wg")), self._p("bg")))
         return ad.reshape(proj, (T, batch, self.out_size))
 
     def windowed_max_pool(self, g_seq, window=None):
         """Elementwise max over each length-P window; yields T-P+1 span vectors."""
-        P = self.window if window is None else window
-        T = g_seq.shape[0]
-        if P > T:
-            raise ValueError(f"pooling window {P} exceeds sequence length {T}")
-        spans = T - P + 1
-        pooled = g_seq[0:spans]
-        for k in range(1, P):
-            pooled = ad.maximum(pooled, g_seq[k:k + spans])
-        return pooled
+        return ad.window_max(g_seq, self.window if window is None else window)
 
     def attention_pool(self, pooled):
         """Softmax-weighted mean of span vectors; also returns the weights."""

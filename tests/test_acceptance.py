@@ -200,6 +200,17 @@ def test_criterion_1_gradient_integrity():
         finite_difference_check(fusion.params, fusion_loss, rel_tol=GRAD_TOL,
                                 max_coords=3, seed=trial)
 
+    # fused sequence ops, after the checks above so that their draws are unchanged
+    for trial in range(20):
+        T, batch, E, H = dims(1, 6), dims(), dims(), dims()
+        P = int(rng.integers(1, T + 1))
+        check(lambda a: ad.tsum(ad.tanh(ad.window_max(a, P))),
+              [(T, batch, H)], trial)
+        for reverse in (False, True):
+            check(lambda x, wx, wh, b: ad.tsum(ad.tanh(
+                      ad.lstm_sequence(x, wx, wh, b, reverse=reverse))),
+                  [(T, batch, E), (E, 4 * H), (H, 4 * H), (4 * H,)], trial)
+
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"gradient checks took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 1 PASS: gradient integrity "

@@ -194,6 +194,47 @@ def test_non_positive_size_names_the_field(tmp_path, pipeline, capsys, flag,
     assert capsys.readouterr().err == f"error: {field} must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("value", ["-0.5", "1.0"])
+def test_dropout_out_of_range_names_the_field(tmp_path, pipeline, capsys,
+                                              value):
+    data = pipeline["data"]
+    assert main(["train", "--train", str(data / "train.jsonl"),
+                 "--dev", str(data / "dev.jsonl"), "--out", str(tmp_path),
+                 "--synthetic-scale", "--epochs", "1",
+                 "--dropout", value]) == 1
+    assert capsys.readouterr().err == (
+        f"error: dropout must be in [0, 1), got {float(value)}\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("epoch = 1", "unknown key 'epoch' for 'synth'"),
+    ("informative-text = maybe",
+     "informative_text must be one of true/false/yes/no/1/0, got 'maybe'"),
+])
+def test_bad_config_file_key_fails_with_one_error_line(tmp_path, capsys, line,
+                                                       message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 3\n{line}\n", encoding="utf-8")
+    out = tmp_path / "synth"
+    assert main(["synth", "--config", str(cfg), "--out", str(out),
+                 "--train-size", "10", "--dev-size", "2",
+                 "--test-size", "2"]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("word, expected", [("YES", True), ("0", False)])
+def test_config_file_bool_words(tmp_path, word, expected):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"informative-text = {word}\n", encoding="utf-8")
+    out = tmp_path / "synth"
+    assert main(["synth", "--config", str(cfg), "--out", str(out),
+                 "--train-size", "10", "--dev-size", "2",
+                 "--test-size", "2"]) == 0
+    resolved = json.loads((out / "run_config.json").read_text())
+    assert resolved["informative_text"] is expected
+
+
 def test_vocab_file_not_matching_checkpoint(pipeline, tmp_path, capsys):
     run = tmp_path / "run"
     shutil.copytree(pipeline["run"], run)

@@ -42,13 +42,170 @@ def scalar_lstm_reference(xs, Wx, Wh, b, hidden):
     return states
 
 
+# --- the unfused per-position graph that the fused ops replace: the oracle --
+
+def _lstm_step(x_t, h, c, Wx, Wh, b, hidden):
+    gates = ad.add(ad.add(ad.matmul(x_t, Wx), ad.matmul(h, Wh)), b)
+    i = ad.sigmoid(gates[:, 0 * hidden:1 * hidden])
+    f = ad.sigmoid(gates[:, 1 * hidden:2 * hidden])
+    g = ad.tanh(gates[:, 2 * hidden:3 * hidden])
+    o = ad.sigmoid(gates[:, 3 * hidden:4 * hidden])
+    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
+    h_new = ad.mul(o, ad.tanh(c_new))
+    return h_new, c_new
+
+
+def unfused_lstm(xs, Wx, Wh, b, reverse):
+    """Hidden states, by position, of an LSTM over a list of (batch, E) tensors."""
+    hidden = Wh.shape[0]
+    h = c = ad.Tensor(np.zeros((xs[0].shape[0], hidden)))
+    states = [None] * len(xs)
+    for t in (reversed(range(len(xs))) if reverse else range(len(xs))):
+        h, c = _lstm_step(xs[t], h, c, Wx, Wh, b, hidden)
+        states[t] = h
+    return states
+
+
+def unfused_window_max(a, P):
+    spans = a.shape[0] - P + 1
+    return ad.maximum_list([a[k:k + spans] for k in range(P)])
+
+
+def unfused_forward(net, text_ids):
+    """TextNetwork.forward built position by position: T embedding lookups,
+    two step loops, T nested concats and a chain of maximum ops."""
+    p = net.params
+    batch, T = text_ids.shape
+    xs = [ad.embedding(text_ids[:, t], p["text.emb"]) for t in range(T)]
+    fwd, bwd = (unfused_lstm(xs, p[f"text.{d}.Wx"], p[f"text.{d}.Wh"],
+                             p[f"text.{d}.b"], reverse=d == "bwd")
+                for d in ("fwd", "bwd"))
+    zero = ad.Tensor(np.zeros((batch, net.hidden)))
+    stacked = ad.concat(
+        [ad.concat([fwd[t - 1] if t > 0 else zero,
+                    xs[t],
+                    bwd[t + 1] if t + 1 < T else zero], axis=1)
+         for t in range(T)],
+        axis=0)
+    proj = ad.relu(ad.add(ad.matmul(stacked, p["text.Wg"]), p["text.bg"]))
+    g_seq = ad.reshape(proj, (T, batch, net.out_size))
+    return net.attention_pool(unfused_window_max(g_seq, net.window))
+
+
+def assert_matches_oracle(actual, expected):
+    """Equal within 1e-10 of the oracle's largest magnitude."""
+    expected = np.asarray(expected)
+    np.testing.assert_allclose(actual, expected, rtol=1e-10,
+                               atol=1e-10 * np.abs(expected).max())
+
+
+def gradients(tensors, loss):
+    for t in tensors:
+        t.grad = None
+    loss.backward()
+    # a tensor the loss does not reach has no gradient: zero
+    grads = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+             for t in tensors]
+    for t in tensors:
+        t.grad = None
+    return grads
+
+
+class TestFusedOpsMatchOracle:
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("T", [1, 6])
+    def test_lstm_sequence(self, T, reverse):
+        rng = np.random.default_rng(T + 10 * reverse)
+        B, E, H = 3, 4, 5
+        x = ad.Tensor(rng.standard_normal((T, B, E)), requires_grad=True)
+        weights = [ad.Tensor(rng.standard_normal(shape) * 0.5, requires_grad=True)
+                   for shape in ((E, 4 * H), (H, 4 * H), (4 * H,))]
+        upstream = rng.standard_normal((T, B, H))
+        fused = ad.lstm_sequence(x, *weights, reverse=reverse)
+        oracle = unfused_lstm([x[t] for t in range(T)], *weights, reverse)
+        assert fused.shape == (T, B, H)
+        assert_matches_oracle(fused.data, [h.data for h in oracle])
+        fused_loss = ad.tsum(ad.mul(fused, upstream))
+        oracle_loss = ad.tsum(ad.concat(
+            [ad.mul(h, upstream[t]) for t, h in enumerate(oracle)], axis=0))
+        for got, want in zip(gradients([x, *weights], fused_loss),
+                             gradients([x, *weights], oracle_loss)):
+            assert_matches_oracle(got, want)
+
+    @pytest.mark.parametrize("T,P", [(6, 1), (6, 6), (7, 3)])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_window_max(self, T, P, ties):
+        rng = np.random.default_rng(T * P)
+        shape = (T, 4, 5)
+        # small integers make many windows hold their maximum more than once
+        values = (rng.integers(0, 3, size=shape).astype(float) if ties
+                  else rng.standard_normal(shape))
+        a = ad.Tensor(values, requires_grad=True)
+        upstream = rng.standard_normal((T - P + 1, 4, 5))
+        fused = ad.window_max(a, P)
+        oracle = unfused_window_max(a, P)
+        np.testing.assert_array_equal(fused.data, oracle.data)
+        got, = gradients([a], ad.tsum(ad.mul(fused, upstream)))
+        want, = gradients([a], ad.tsum(ad.mul(oracle, upstream)))
+        assert_matches_oracle(got, want)
+
+    def test_window_max_tie_goes_to_first_maximum(self):
+        a = ad.Tensor(np.array([1.0, 3.0, 3.0, 2.0]).reshape(4, 1, 1),
+                      requires_grad=True)
+        pooled = ad.window_max(a, 2)
+        np.testing.assert_array_equal(pooled.data.reshape(-1), [3.0, 3.0, 3.0])
+        ad.tsum(ad.mul(pooled, np.array([1.0, 10.0, 100.0]).reshape(3, 1, 1))
+                ).backward()
+        # span 1 covers the tied positions 1 and 2 and routes to position 1
+        np.testing.assert_array_equal(a.grad.reshape(-1), [0.0, 11.0, 100.0, 0.0])
+
+    @pytest.mark.parametrize("T,P", [(1, 1), (5, 1), (5, 5), (7, 3)])
+    def test_network(self, T, P):
+        net = make_net(vocab_size=8, emb=3, out=5, window=P, attn=4, seed=T + P)
+        rng = np.random.default_rng(T)
+        ids = rng.integers(0, 8, size=(2, T))
+        upstream = rng.standard_normal((2, 5))
+        f, weights = net.forward(ids)
+        f_oracle, weights_oracle = unfused_forward(net, ids)
+        assert_matches_oracle(f.data, f_oracle.data)
+        assert_matches_oracle(weights.data, weights_oracle.data)
+        params = list(net.params.values())
+        for name, got, want in zip(
+                net.params,
+                gradients(params, ad.tsum(ad.mul(f, upstream))),
+                gradients(params, ad.tsum(ad.mul(f_oracle, upstream)))):
+            # at T=1 both contexts are out of range, so the LSTMs get none
+            if T > 1 and name.split(".")[1] in ("fwd", "bwd"):
+                assert np.abs(want).max() > 0.0, name
+            assert_matches_oracle(got, want)
+
+
+def graph_size(out):
+    """Number of tensors reachable from ``out`` through the graph."""
+    seen = set()
+    stack = [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_graph_size_does_not_grow_with_length():
+    net = make_net(window=3)
+    rng = np.random.default_rng(0)
+    sizes = [graph_size(net.forward(rng.integers(0, 9, size=(2, T)))[0])
+             for T in (5, 40)]
+    assert sizes[0] == sizes[1]
+
+
 class TestBilstm:
     def test_single_position(self):
         net = make_net()
         ids = np.array([[2]])
         fwd, bwd = net.bilstm_contexts(net.char_vectors(ids))
-        assert len(fwd) == 1 and len(bwd) == 1
-        assert fwd[0].shape == (1, net.hidden)
+        assert fwd.shape == bwd.shape == (1, 1, net.hidden)
 
     def test_zero_weights_give_zero_states(self):
         net = make_net()
@@ -57,8 +214,9 @@ class TestBilstm:
                 p.data[...] = 0.0
         ids = np.array([[2, 3, 4]])
         fwd, bwd = net.bilstm_contexts(net.char_vectors(ids))
-        for h in fwd + bwd:
-            np.testing.assert_allclose(h.data, 0.0)
+        assert fwd.shape == bwd.shape == (3, 1, net.hidden)
+        np.testing.assert_allclose(fwd.data, 0.0)
+        np.testing.assert_allclose(bwd.data, 0.0)
 
     def test_matches_scalar_reference(self):
         net = make_net(seed=4)
@@ -66,13 +224,14 @@ class TestBilstm:
         xs = net.char_vectors(ids)
         fwd, _ = net.bilstm_contexts(xs)
         ref = scalar_lstm_reference(
-            [x.data[0].tolist() for x in xs],
+            xs.data[:, 0].tolist(),
             net.params["text.fwd.Wx"].data.tolist(),
             net.params["text.fwd.Wh"].data.tolist(),
             net.params["text.fwd.b"].data.tolist(),
             net.hidden)
-        for t, h in enumerate(fwd):
-            np.testing.assert_allclose(h.data[0], ref[t], atol=1e-12)
+        assert fwd.shape[0] == len(ref) == 4
+        for t in range(4):
+            np.testing.assert_allclose(fwd.data[t, 0], ref[t], atol=1e-12)
 
     def test_backward_direction_matches_reversed_reference(self):
         net = make_net(seed=5)
@@ -80,14 +239,16 @@ class TestBilstm:
         xs = net.char_vectors(ids)
         _, bwd = net.bilstm_contexts(xs)
         ref = scalar_lstm_reference(
-            [x.data[0].tolist() for x in reversed(xs)],
+            xs.data[::-1, 0].tolist(),
             net.params["text.bwd.Wx"].data.tolist(),
             net.params["text.bwd.Wh"].data.tolist(),
             net.params["text.bwd.b"].data.tolist(),
             net.hidden)
         # bwd[t] consumed positions T-1..t, i.e. ref step T-1-t
-        for t, h in enumerate(bwd):
-            np.testing.assert_allclose(h.data[0], ref[len(xs) - 1 - t],
+        T = xs.shape[0]
+        assert bwd.shape[0] == len(ref) == 3
+        for t in range(T):
+            np.testing.assert_allclose(bwd.data[t, 0], ref[T - 1 - t],
                                        atol=1e-12)
 
     def test_forget_bias_initialized_to_one(self):
