@@ -3,9 +3,13 @@
 All values are float64 numpy arrays. Every op records a backward rule;
 calling ``backward`` on a scalar populates ``grad`` on every reachable
 tensor with ``requires_grad`` set. Gradients accumulate until zeroed.
+``backward`` frees the graph as it goes, so each forward gets one backward.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -54,15 +58,19 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         grads = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = grads.pop(id(node), None)
+            if g is not None and node.requires_grad:
+                node._accumulate(g)
+            rule, parents = node._backward, node._parents
+            if rule is None:
+                continue
+            # free the graph as it goes: what a rule saved dies with it
+            node._backward, node._parents = _freed, ()
             if g is None:
                 continue
-            if node.requires_grad:
-                node._accumulate(g)
-            if node._backward is None:
-                continue
-            for parent, pg in zip(node._parents, node._backward(g)):
+            for parent, pg in zip(parents, rule(g)):
                 if pg is None:
                     continue
                 key = id(parent)
@@ -103,12 +111,18 @@ class Tensor:
         return take(self, key)
 
 
+def _freed(g):
+    raise ValueError("backward: this graph was freed by an earlier backward(); "
+                     "run the forward again for another backward")
+
+
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _needs_graph(*tensors):
-    return any(t.requires_grad or t._parents for t in tensors)
+    # a freed node keeps a rule, so a graph through it fails in backward
+    return any(t.requires_grad or t._backward is not None for t in tensors)
 
 
 def _make(data, parents, backward):
@@ -328,6 +342,78 @@ def window_max(a, P):
     return _make(y, (a,), backward)
 
 
+def _check_lstm(x, Wx, Wh, b, op):
+    T, B, E = x.shape
+    H = Wh.shape[0]
+    if Wx.shape != (E, 4 * H) or Wh.shape != (H, 4 * H) or b.shape != (4 * H,):
+        raise ValueError(
+            f"{op}: input {x.shape} does not fit weights "
+            f"{Wx.shape}, {Wh.shape}, {b.shape}")
+
+
+def _lstm_steps(T, reverse):
+    return range(T)[::-1] if reverse else range(T)
+
+
+def _lstm_forward(x, Wx, Wh, b, reverse, hs):
+    """One LSTM direction over raw arrays: writes the hidden states into
+    ``hs`` and returns the gate activations and cells that backward reads."""
+    T, B, E = x.shape
+    H = Wh.shape[0]
+    # pre-activations, overwritten step by step with the gate activations
+    acts = (x.reshape(T * B, E) @ Wx + b).reshape(T, B, 4 * H)
+    cells = np.empty((T, B, H))
+    h = c = np.zeros((B, H))
+    for t in _lstm_steps(T, reverse):
+        z = acts[t]
+        z += h @ Wh
+        g = np.tanh(z[:, 2 * H:3 * H])
+        z[...] = _sigmoid(z)
+        z[:, 2 * H:3 * H] = g
+        c = z[:, H:2 * H] * c + z[:, :H] * g
+        h = z[:, 3 * H:] * np.tanh(c)
+        cells[t] = c
+        hs[t] = h
+    return acts, cells
+
+
+def _lstm_backward(grad_h, x, Wx, Wh, hs, acts, cells, reverse):
+    """BPTT of one ``_lstm_forward`` direction: (dx, dWx, dWh, db).
+
+    The gate derivatives are formed one step at a time, so besides the
+    saved arrays only the (T, batch, 4H) pre-activation gradient is held.
+    """
+    T, B, E = x.shape
+    H = Wh.shape[0]
+    steps = _lstm_steps(T, reverse)
+    dz = np.empty_like(acts)
+    Wh_T = Wh.T
+    zero = np.zeros((B, H))
+    dh_next = dc_next = zero
+    for n in reversed(range(T)):
+        t = steps[n]
+        i, f, g, o = (acts[t, :, k * H:(k + 1) * H] for k in range(4))
+        # the step before t in reading order left c_prev; the first, zeros
+        c_prev = cells[steps[n - 1]] if n else zero
+        tanh_c = np.tanh(cells[t])
+        dh = grad_h[t] + dh_next
+        dc = dh * (o * (1.0 - tanh_c * tanh_c)) + dc_next
+        d = dz[t]
+        np.multiply(g * i * (1.0 - i), dc, out=d[:, :H])
+        np.multiply(c_prev * f * (1.0 - f), dc, out=d[:, H:2 * H])
+        np.multiply(i * (1.0 - g * g), dc, out=d[:, 2 * H:3 * H])
+        np.multiply(tanh_c * o * (1.0 - o), dh, out=d[:, 3 * H:])
+        dc_next = dc * f
+        dh_next = d @ Wh_T
+    # each step at ``later`` starts from the state left at ``earlier``
+    later, earlier = ((slice(None, -1), slice(1, None)) if reverse
+                      else (slice(1, None), slice(None, -1)))
+    dz2d = dz.reshape(T * B, 4 * H)
+    return ((dz2d @ Wx.T).reshape(T, B, E), x.reshape(T * B, E).T @ dz2d,
+            hs[earlier].reshape(-1, H).T @ dz[later].reshape(-1, 4 * H),
+            dz2d.sum(axis=0))
+
+
 def lstm_sequence(x, Wx, Wh, b, reverse=False):
     """LSTM over a (T, batch, E) input from a zero state; returns the
     (T, batch, H) hidden states.
@@ -338,63 +424,88 @@ def lstm_sequence(x, Wx, Wh, b, reverse=False):
     backward runs BPTT in one loop, then one GEMM each for dx, dWx and dWh.
     """
     x, Wx, Wh, b = (as_tensor(t) for t in (x, Wx, Wh, b))
-    T, B, E = x.shape
-    H = Wh.shape[0]
-    if Wx.shape != (E, 4 * H) or Wh.shape != (H, 4 * H) or b.shape != (4 * H,):
-        raise ValueError(
-            f"lstm_sequence: input {x.shape} does not fit weights "
-            f"{Wx.shape}, {Wh.shape}, {b.shape}")
-    x2d = x.data.reshape(T * B, E)
-    # pre-activations, overwritten step by step with the gate activations
-    acts = (x2d @ Wx.data + b.data).reshape(T, B, 4 * H)
-    cells = np.empty((T, B, H))
-    hs = np.empty((T, B, H))
-    h = c = np.zeros((B, H))
-    steps = range(T)[::-1] if reverse else range(T)
-    for t in steps:
-        z = acts[t]
-        z += h @ Wh.data
-        g = np.tanh(z[:, 2 * H:3 * H])
-        z[...] = _sigmoid(z)
-        z[:, 2 * H:3 * H] = g
-        c = z[:, H:2 * H] * c + z[:, :H] * g
-        h = z[:, 3 * H:] * np.tanh(c)
-        cells[t] = c
-        hs[t] = h
+    _check_lstm(x, Wx, Wh, b, "lstm_sequence")
+    T, B, _ = x.shape
+    hs = np.empty((T, B, Wh.shape[0]))
+    saved = _lstm_forward(x.data, Wx.data, Wh.data, b.data, reverse, hs)
+    return _make(hs, (x, Wx, Wh, b), lambda g: _lstm_backward(
+        g, x.data, Wx.data, Wh.data, hs, *saved, reverse))
 
-    # each step at ``later`` starts from the state left at ``earlier``;
-    # steps[0] starts from zeros
-    later, earlier = ((slice(None, -1), slice(1, None)) if reverse
-                      else (slice(1, None), slice(None, -1)))
 
-    def backward(grad_h):
-        i, f, g, o = (acts[..., k * H:(k + 1) * H] for k in range(4))
-        c_prev = np.zeros_like(cells)
-        c_prev[later] = cells[earlier]
-        tanh_c = np.tanh(cells)
-        # gradient of the pre-activations: [dc * gate_terms | dh * out_terms],
-        # with dc and dh that of the cell and hidden state at the same step
-        gate_terms = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
-                               i * (1.0 - g * g)], axis=2)
-        out_terms = tanh_c * o * (1.0 - o)
-        dc_dh = o * (1.0 - tanh_c * tanh_c)
-        dz = np.empty_like(acts)
-        dz4 = dz.reshape(T, B, 4, H)
-        Wh_T = Wh.data.T
-        dh_next = dc_next = np.zeros((B, H))
-        for t in steps[::-1]:
-            dh = grad_h[t] + dh_next
-            dc = dh * dc_dh[t] + dc_next
-            np.multiply(gate_terms[t], dc[:, None], out=dz4[t, :, :3])
-            np.multiply(out_terms[t], dh, out=dz4[t, :, 3])
-            dc_next = dc * f[t]
-            dh_next = dz[t] @ Wh_T
-        dz2d = dz.reshape(T * B, 4 * H)
-        return ((dz2d @ Wx.data.T).reshape(T, B, E), x2d.T @ dz2d,
-                hs[earlier].reshape(-1, H).T @ dz[later].reshape(-1, 4 * H),
-                dz2d.sum(axis=0))
+# Multiply-adds of one recurrent step, batch x H x 4H, from which
+# bilstm_sequence runs its two directions on two threads. Below it the
+# threads mostly trade the interpreter lock over small arrays, which was
+# slower than running the directions one after the other.
+_CONCURRENT_STEP_MACS = 2 ** 20
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
 
-    return _make(hs, (x, Wx, Wh, b), backward)
+
+def _new_worker():
+    """The executor that runs the reverse direction; its thread starts on
+    the first submit."""
+    global _worker
+    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="geotweet-lstm")
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):
+    # a forked child has no copy of the thread, and would wait on it forever
+    os.register_at_fork(after_in_child=_new_worker)
+
+
+def _per_direction(fn, batch, hidden):
+    """[fn(0), fn(1)], with fn(1) on the worker thread while fn(0) runs here
+    when there is a second CPU and a recurrent step is large enough."""
+    if _CPUS < 2 or batch * hidden * 4 * hidden < _CONCURRENT_STEP_MACS:
+        return [fn(0), fn(1)]
+    errors = np.geterr()  # per thread: the worker takes the caller's
+
+    def reverse():
+        with np.errstate(**errors):
+            return fn(1)
+
+    future = _worker.submit(reverse)
+    try:
+        first = fn(0)
+    finally:
+        second = future.result()
+    return [first, second]
+
+
+def bilstm_sequence(x, fwd_weights, bwd_weights):
+    """Both directions of a bidirectional LSTM over a (T, batch, E) input.
+
+    ``fwd_weights`` and ``bwd_weights`` are (Wx, Wh, b) triples as
+    ``lstm_sequence`` takes them. Returns a (2, T, batch, H) tensor: the
+    forward states, then the reverse states, each equal bit for bit to
+    ``lstm_sequence``'s. The directions share only the input, so when a
+    recurrent step is large the reverse one runs on a worker thread, in
+    forward and in backward; numpy releases the interpreter lock inside
+    its array loops and BLAS calls. The input gradient is the forward
+    direction's plus the reverse one's, in that order either way.
+    """
+    x = as_tensor(x)
+    weights = [tuple(as_tensor(w) for w in ws) for ws in (fwd_weights, bwd_weights)]
+    for ws in weights:
+        _check_lstm(x, *ws, "bilstm_sequence")
+    T, B, _ = x.shape
+    H = weights[0][1].shape[0]
+    if weights[1][1].shape[0] != H:
+        raise ValueError(f"bilstm_sequence: hidden sizes {H} and "
+                         f"{weights[1][1].shape[0]} differ")
+    hs = np.empty((2, T, B, H))
+    raw = [[w.data for w in ws] for ws in weights]
+    saved = _per_direction(
+        lambda d: _lstm_forward(x.data, *raw[d], d == 1, hs[d]), B, H)
+
+    def backward(g):
+        (dx_f, *dw_f), (dx_b, *dw_b) = _per_direction(
+            lambda d: _lstm_backward(g[d], x.data, raw[d][0], raw[d][1], hs[d],
+                                     *saved[d], d == 1), B, H)
+        return (dx_f + dx_b, *dw_f, *dw_b)
+
+    return _make(hs, (x, *weights[0], *weights[1]), backward)
 
 
 def amax(a, axis):
@@ -481,14 +592,15 @@ LOG_PROB_FLOOR = 1e-12
 def cross_entropy(probs, label_ids):
     """Mean negative log-probability of the labels.
 
-    ``probs`` is a batch x K tensor whose rows must sum to 1 within 1e-6;
-    probabilities are floored at 1e-12 before the log.
+    ``probs`` is a batch x K tensor whose finite rows must sum to 1 within
+    1e-6; a row with a non-finite value makes the loss non-finite.
+    Probabilities are floored at 1e-12 before the log.
     """
     probs = as_tensor(probs)
     labels = np.asarray(label_ids)
     n, k = probs.shape
     sums = probs.data.sum(axis=-1)
-    if not np.allclose(sums, 1.0, atol=1e-6):
+    if not np.allclose(sums[np.isfinite(sums)], 1.0, atol=1e-6):
         raise ValueError("cross_entropy: rows must sum to 1 within 1e-6")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"cross_entropy: label out of range for {k} classes")

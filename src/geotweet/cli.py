@@ -215,9 +215,16 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    model, _, _, examples = _model_and_data(args)
-    accuracy = evaluate_accuracy(model, examples)
-    _write_report(args, f"accuracy\t{accuracy:.6f}\n", "accuracy.txt")
+    model, _, *vocabs = load_model_dir(args.model)
+    records = corpus_mod.read_jsonl(args.data)
+    # the model has no class for a city missing from labels.txt: such a
+    # record counts as wrong
+    known = [r for r in records if r.city_label in vocabs[2].name_to_id]
+    unseen = len(records) - len(known)
+    accuracy = evaluate_accuracy(
+        model, encode_records(known, *vocabs, model.config), unseen=unseen)
+    _write_report(args, f"accuracy\t{accuracy:.6f}\nunseen_labels\t{unseen}\n",
+                  "accuracy.txt")
     return 0
 
 

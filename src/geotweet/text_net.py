@@ -58,10 +58,9 @@ class TextNetwork:
 
     def bilstm_contexts(self, xs):
         """Forward and backward (T, batch, H) hidden states over embedded chars."""
-        return tuple(
-            ad.lstm_sequence(xs, *(self._p(f"{d}.{w}") for w in ("Wx", "Wh", "b")),
-                             reverse=d == "bwd")
-            for d in ("fwd", "bwd"))
+        hs = ad.bilstm_sequence(xs, *(
+            [self._p(f"{d}.{w}") for w in ("Wx", "Wh", "b")] for d in ("fwd", "bwd")))
+        return hs[0], hs[1]
 
     def contextual_projection(self, xs, fwd, bwd):
         """ReLU projection of [h_fwd[t-1] ; x_t ; h_bwd[t+1]] for every position.

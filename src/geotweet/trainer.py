@@ -44,10 +44,12 @@ class TrainReport:
         return json.dumps(asdict(self), indent=2) + "\n"
 
 
-def evaluate_accuracy(model, examples_or_arrays):
-    """Fraction of examples whose argmax prediction equals the label."""
+def evaluate_accuracy(model, examples_or_arrays, unseen=0):
+    """Fraction of examples whose argmax prediction equals the label;
+    ``unseen`` more examples, whose labels the model has no class for,
+    count as wrong."""
     arrays = as_arrays(examples_or_arrays)
-    n = len(arrays["label_id"])
+    n = len(arrays["label_id"]) + unseen
     if n == 0:
         raise ValueError("cannot evaluate on an empty set")
     correct = 0
@@ -57,12 +59,16 @@ def evaluate_accuracy(model, examples_or_arrays):
     return correct / n
 
 
+# numpy's overflow warnings would only repeat the non-finite check's error
+@np.errstate(all="ignore")
 def train(model, train_examples, dev_examples, config):
     """Train for exactly config.epochs epochs with the epoch-revert rule.
 
     After each epoch the model is scored on dev; if accuracy fell below the
     previously accepted epoch's, parameters and optimizer moments are
-    restored from the last accepted snapshot.
+    restored from the last accepted snapshot. A non-finite loss or
+    parameter gradient stops training with a ValueError naming the epoch
+    and batch.
     """
     if not train_examples or not dev_examples:
         raise ValueError("train and dev splits must be non-empty")
@@ -80,9 +86,16 @@ def train(model, train_examples, dev_examples, config):
     best_opt = None
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
-        for batch in iter_batches(train_arrays, config.batch_size, order):
+        batches = iter_batches(train_arrays, config.batch_size, order)
+        for number, batch in enumerate(batches, start=1):
             loss, _, _ = model.loss(batch, train=True, rng=rng)
+            where = f"at epoch {epoch}, batch {number}"
+            if not np.isfinite(loss.data):
+                raise ValueError(f"non-finite loss {where}")
             loss.backward()
+            for name, p in model.params.items():
+                if p.grad is not None and not np.isfinite(p.grad).all():
+                    raise ValueError(f"non-finite gradient of {name} {where}")
             optimizer.step()
             model.clamp()
         accuracy = evaluate_accuracy(model, dev_arrays)

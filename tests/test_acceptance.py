@@ -211,6 +211,13 @@ def test_criterion_1_gradient_integrity():
                       ad.lstm_sequence(x, wx, wh, b, reverse=reverse))),
                   [(T, batch, E), (E, 4 * H), (H, 4 * H), (4 * H,)], trial)
 
+    # the bidirectional op, after the checks above so that their draws are unchanged
+    for trial in range(20):
+        T, batch, E, H = dims(1, 6), dims(), dims(), dims()
+        check(lambda x, *w: ad.tsum(ad.tanh(
+                  ad.bilstm_sequence(x, w[:3], w[3:]))),
+              [(T, batch, E)] + [(E, 4 * H), (H, 4 * H), (4 * H,)] * 2, trial)
+
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"gradient checks took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 1 PASS: gradient integrity "

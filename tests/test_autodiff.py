@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -72,6 +73,31 @@ def test_backward_accumulates_until_zeroed():
     np.testing.assert_allclose(x.grad, 2 * once)
     x.zero_grad()
     assert x.grad is None
+
+
+def test_backward_frees_what_rules_saved():
+    x = Tensor(np.ones(3), requires_grad=True)
+    factor = np.arange(3.0)
+    loss = ad.tsum(ad.mul(x, factor))  # mul's rule keeps factor for x's grad
+    saved = weakref.ref(factor)
+    del factor
+    assert saved() is not None
+    loss.backward()
+    assert saved() is None
+    np.testing.assert_allclose(x.grad, [0.0, 1.0, 2.0])
+
+
+def test_second_backward_of_a_freed_graph_raises():
+    x = Tensor([3.0], requires_grad=True)
+    y = x * x
+    loss = ad.tsum(y)
+    loss.backward()
+    with pytest.raises(ValueError, match="freed"):
+        loss.backward()
+    # a new graph through a freed node fails the same way
+    with pytest.raises(ValueError, match="freed"):
+        ad.tsum(y * 2.0).backward()
+    np.testing.assert_allclose(x.grad, [6.0])
 
 
 def test_reused_node_gets_summed_gradient():

@@ -106,6 +106,44 @@ def test_hist_reports_masses(pipeline, capsys):
     assert "mass_middle" in out and "mass_high_extreme" in out
 
 
+def test_eval_counts_an_unseen_city_as_wrong(pipeline, tmp_path, capsys):
+    lines = (pipeline["data"] / "test.jsonl").read_text().splitlines(True)
+    record = json.loads(lines[0])
+    record["city_label"] = "nowhere"
+    rest = tmp_path / "rest.jsonl"
+    rest.write_text("".join(lines[1:]))
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text(json.dumps(record) + "\n" + "".join(lines[1:]))
+
+    def report(data):
+        assert main(["eval", "--model", str(pipeline["run"]),
+                     "--data", str(data)]) == 0
+        return dict(line.split("\t")
+                    for line in capsys.readouterr().out.splitlines())
+
+    known, with_unseen = report(rest), report(mixed)
+    assert list(with_unseen) == ["accuracy", "unseen_labels"]
+    assert (known["unseen_labels"], with_unseen["unseen_labels"]) == ("0", "1")
+    n = len(lines)
+    assert float(with_unseen["accuracy"]) == pytest.approx(
+        float(known["accuracy"]) * (n - 1) / n, abs=1e-6)
+    # the other commands that read labels still reject it
+    assert main(["hash", "--model", str(pipeline["run"]), "--data", str(mixed),
+                 "--out", str(tmp_path / "codes.bin")]) == 1
+    assert "unknown category 'nowhere'" in capsys.readouterr().err
+
+
+def test_non_finite_loss_fails_with_one_error_line(pipeline, tmp_path, capsys):
+    data = pipeline["data"]
+    assert main(["train", "--train", str(data / "train.jsonl"),
+                 "--dev", str(data / "dev.jsonl"), "--out", str(tmp_path / "run"),
+                 "--synthetic-scale", "--batch-size", "64", "--epochs", "1",
+                 "--learning-rate", "1e300"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: non-finite loss at "
+                                               "epoch 1, batch ")
+
+
 def test_missing_file_fails_cleanly(tmp_path, capsys):
     assert main(["eval", "--model", str(tmp_path / "nope"),
                  "--data", str(tmp_path / "nope.jsonl")]) == 1

@@ -1,4 +1,8 @@
 import math
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -178,6 +182,110 @@ class TestFusedOpsMatchOracle:
             if T > 1 and name.split(".")[1] in ("fwd", "bwd"):
                 assert np.abs(want).max() > 0.0, name
             assert_matches_oracle(got, want)
+
+
+def bilstm_case(T, B, E, H, seed):
+    rng = np.random.default_rng(seed)
+    x = ad.Tensor(rng.standard_normal((T, B, E)), requires_grad=True)
+    weights = [[ad.Tensor(rng.standard_normal(shape) * 0.5, requires_grad=True)
+                for shape in ((E, 4 * H), (H, 4 * H), (4 * H,))]
+               for _ in ("fwd", "bwd")]
+    return x, weights, rng.standard_normal((2, T, B, H))
+
+
+def run_bilstm(x, weights, upstream, cpus, monkeypatch):
+    """Output and gradients (x, then the six weights) of bilstm_sequence
+    with ``cpus`` CPUs, and how many calls went to the worker thread."""
+    submitted = []
+
+    class CountingWorker:
+        def submit(self, fn, *args):
+            submitted.append(fn)
+            return worker.submit(fn, *args)
+
+    worker = ad._worker
+    with monkeypatch.context() as m:
+        m.setattr(ad, "_CPUS", cpus)
+        m.setattr(ad, "_worker", CountingWorker())
+        both = ad.bilstm_sequence(x, *weights)
+        grads = gradients([x, *weights[0], *weights[1]],
+                          ad.tsum(ad.mul(both, upstream)))
+    return both.data, grads, len(submitted)
+
+
+class TestBilstmSequence:
+    # B*H*4H: 384 multiply-adds a step, then exactly the threshold 2**20
+    @pytest.mark.parametrize("T,B,E,H,threaded", [(6, 3, 5, 4, False),
+                                                  (3, 16, 8, 128, True)])
+    def test_equals_two_lstm_sequences_bit_for_bit(self, T, B, E, H, threaded,
+                                                   monkeypatch):
+        x, weights, upstream = bilstm_case(T, B, E, H, seed=H)
+        both, got, submitted = run_bilstm(x, weights, upstream, 2, monkeypatch)
+        assert submitted == (2 if threaded else 0)  # forward and backward
+        fwd, bwd = (ad.lstm_sequence(x, *weights[d], reverse=d == 1)
+                    for d in (0, 1))
+        np.testing.assert_array_equal(both, np.stack([fwd.data, bwd.data]))
+        want = gradients([x, *weights[0], *weights[1]], ad.add(
+            ad.tsum(ad.mul(fwd, upstream[0])), ad.tsum(ad.mul(bwd, upstream[1]))))
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    def test_worker_and_serial_runs_are_identical(self, monkeypatch):
+        x, weights, upstream = bilstm_case(4, 32, 6, 128, seed=1)
+        threaded = run_bilstm(x, weights, upstream, 2, monkeypatch)
+        serial = run_bilstm(x, weights, upstream, 1, monkeypatch)
+        assert (threaded[2], serial[2]) == (2, 0)
+        np.testing.assert_array_equal(threaded[0], serial[0])
+        for a, b in zip(threaded[1], serial[1]):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("batch,hidden,cpus,threaded", [
+        (32, 200, 2, True),    # paper-scale training step: 5.1 M
+        (8, 200, 2, True),     # paper-scale dev eval: 1.3 M
+        (32, 200, 1, False),   # one CPU
+        (128, 16, 2, False),   # synthetic-scale training step: 131 k
+        (512, 16, 2, False),   # synthetic-scale eval batch: 524 k
+    ])
+    def test_worker_runs_the_reverse_direction_of_large_steps(
+            self, batch, hidden, cpus, threaded, monkeypatch):
+        monkeypatch.setattr(ad, "_CPUS", cpus)
+        main = threading.current_thread().name
+        with np.errstate(over="raise"):
+            seen = ad._per_direction(
+                lambda d: (threading.current_thread().name, np.geterr()["over"]),
+                batch, hidden)
+        assert seen[0] == (main, "raise")
+        assert (seen[1][0] != main) == threaded
+        assert seen[1][1] == "raise"  # the caller's error handling, either way
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_its_own_worker(self, monkeypatch):
+        monkeypatch.setattr(ad, "_CPUS", 2)
+        ad._per_direction(lambda d: d, 32, 200)  # the worker thread is up
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = int(ad._per_direction(lambda d: d, 32, 200) != [0, 1])
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        done, status = os.waitpid(pid, os.WNOHANG)
+        while not done:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child waited on its parent's worker")
+            time.sleep(0.01)
+            done, status = os.waitpid(pid, os.WNOHANG)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_hidden_sizes_must_match(self):
+        x, weights, _ = bilstm_case(2, 1, 3, 4, seed=0)
+        narrow = [ad.Tensor(np.zeros(shape))
+                  for shape in ((3, 8), (2, 8), (8,))]
+        with pytest.raises(ValueError, match="hidden sizes 4 and 2"):
+            ad.bilstm_sequence(x, weights[0], narrow)
 
 
 def graph_size(out):

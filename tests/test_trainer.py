@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import geotweet.trainer as trainer_mod
+from geotweet import autodiff as ad
 from geotweet.model import GeoModel, batch_arrays
 from geotweet.trainer import (SyntheticConfig, TrainConfig, evaluate_accuracy,
                               generate_synthetic, synthetic_model_config,
@@ -211,3 +212,32 @@ def test_batch_size_must_be_positive(tiny_corpus, tiny_encoded):
     with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
         train(model, tiny_encoded["train"], tiny_encoded["dev"],
               TrainConfig(batch_size=0))
+
+
+def test_non_finite_loss_stops_training(tiny_corpus, tiny_encoded):
+    model = build_model(tiny_corpus, tiny_encoded["config"], 0)
+    # the first Adam step moves every weight by about 1e300
+    with pytest.raises(ValueError,
+                       match=r"^non-finite loss at epoch 1, batch 2$"):
+        train(model, tiny_encoded["train"], tiny_encoded["dev"],
+              TrainConfig(batch_size=64, epochs=2, learning_rate=1e300))
+
+
+def test_non_finite_gradient_stops_training(tiny_corpus, tiny_encoded,
+                                            monkeypatch):
+    model = build_model(tiny_corpus, tiny_encoded["config"], 0)
+    original = model.loss
+    bias = model.params["fuse.bout"]
+
+    def loss(batch, **kwargs):
+        total, probs, r = original(batch, **kwargs)
+        # a finite term whose gradient, -1e-150 / bias**2, overflows
+        bias.data[0] = 1e-200
+        term = ad.tsum(ad.div(1e-150, bias[0:1]))
+        return ad.add(total, term), probs, r
+
+    monkeypatch.setattr(model, "loss", loss)
+    with pytest.raises(ValueError, match=r"^non-finite gradient of fuse.bout "
+                                         r"at epoch 1, batch 1$"):
+        train(model, tiny_encoded["train"], tiny_encoded["dev"],
+              TrainConfig(batch_size=64, epochs=1))
