@@ -64,7 +64,12 @@ def load_archive(path):
             (ndim,) = struct.unpack("<I", read_exact(f, 4, path))
             shape = struct.unpack(f"<{ndim}Q", read_exact(f, 8 * ndim, path))
             n = math.prod(shape)  # exact, where an int64 product could wrap
-            data = np.frombuffer(read_exact(f, 8 * n, path),
-                                 dtype="<f8").reshape(shape)
+            data = np.frombuffer(read_exact(f, 8 * n, path), dtype="<f8")
+            try:
+                # with a zero dimension, a shape numpy cannot build passes
+                # the size check
+                data = data.reshape(shape)
+            except ValueError as e:
+                raise ValueError(f"{path}: tensor {name!r}: {e}") from None
             out[name] = data.astype(np.float64)
         return out

@@ -1,6 +1,7 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
-All values are float64 numpy arrays. Every op records a backward rule;
+Values are numpy arrays of one compute dtype, float64 unless a
+``compute_dtype`` context sets another. Every op records a backward rule;
 calling ``backward`` on a scalar populates ``grad`` on every reachable
 tensor with ``requires_grad`` set. Gradients accumulate until zeroed.
 ``backward`` frees the graph as it goes, so each forward gets one backward.
@@ -10,15 +11,37 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
+
+# The dtype every new Tensor takes. Ops build their outputs through Tensor
+# and size their own buffers from their inputs, so one value here sets the
+# dtype of a whole forward and backward.
+_compute_dtype = np.dtype(np.float64)
+
+
+@contextmanager
+def compute_dtype(dtype):
+    """Build Tensors in ``dtype`` inside the block, then restore the previous
+    dtype.
+
+    The setting is one module-level value, not per thread: the bi-LSTM
+    worker thread runs only raw numpy and never builds a Tensor.
+    """
+    global _compute_dtype
+    previous, _compute_dtype = _compute_dtype, np.dtype(dtype)
+    try:
+        yield
+    finally:
+        _compute_dtype = previous
 
 
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=_compute_dtype)
         self.requires_grad = requires_grad
         self.grad = None
         self._parents = ()
@@ -362,8 +385,8 @@ def _lstm_forward(x, Wx, Wh, b, reverse, hs):
     H = Wh.shape[0]
     # pre-activations, overwritten step by step with the gate activations
     acts = (x.reshape(T * B, E) @ Wx + b).reshape(T, B, 4 * H)
-    cells = np.empty((T, B, H))
-    h = c = np.zeros((B, H))
+    cells = np.empty((T, B, H), dtype=x.dtype)
+    h = c = np.zeros((B, H), dtype=x.dtype)
     for t in _lstm_steps(T, reverse):
         z = acts[t]
         z += h @ Wh
@@ -388,7 +411,7 @@ def _lstm_backward(grad_h, x, Wx, Wh, hs, acts, cells, reverse):
     steps = _lstm_steps(T, reverse)
     dz = np.empty_like(acts)
     Wh_T = Wh.T
-    zero = np.zeros((B, H))
+    zero = np.zeros((B, H), dtype=x.dtype)
     dh_next = dc_next = zero
     for n in reversed(range(T)):
         t = steps[n]
@@ -426,7 +449,7 @@ def lstm_sequence(x, Wx, Wh, b, reverse=False):
     x, Wx, Wh, b = (as_tensor(t) for t in (x, Wx, Wh, b))
     _check_lstm(x, Wx, Wh, b, "lstm_sequence")
     T, B, _ = x.shape
-    hs = np.empty((T, B, Wh.shape[0]))
+    hs = np.empty((T, B, Wh.shape[0]), dtype=x.data.dtype)
     saved = _lstm_forward(x.data, Wx.data, Wh.data, b.data, reverse, hs)
     return _make(hs, (x, Wx, Wh, b), lambda g: _lstm_backward(
         g, x.data, Wx.data, Wh.data, hs, *saved, reverse))
@@ -494,7 +517,7 @@ def bilstm_sequence(x, fwd_weights, bwd_weights):
     if weights[1][1].shape[0] != H:
         raise ValueError(f"bilstm_sequence: hidden sizes {H} and "
                          f"{weights[1][1].shape[0]} differ")
-    hs = np.empty((2, T, B, H))
+    hs = np.empty((2, T, B, H), dtype=x.data.dtype)
     raw = [[w.data for w in ws] for ws in weights]
     saved = _per_direction(
         lambda d: _lstm_forward(x.data, *raw[d], d == 1, hs[d]), B, H)
@@ -549,7 +572,7 @@ def dropout(a, keep_prob, rng, train):
         return a
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError(f"dropout: keep_prob must be in (0,1], got {keep_prob}")
-    mask = (rng.random(a.shape) < keep_prob) / keep_prob
+    mask = ((rng.random(a.shape) < keep_prob) / keep_prob).astype(a.data.dtype)
     return _make(a.data * mask, (a,), lambda g: (g * mask,))
 
 
@@ -558,7 +581,7 @@ def gaussian_noise(a, sigma, rng):
     a = as_tensor(a)
     if sigma == 0.0:
         return a
-    noise = rng.normal(0.0, sigma, a.shape)
+    noise = rng.normal(0.0, sigma, a.shape).astype(a.data.dtype)
     return _make(a.data + noise, (a,), lambda g: (g,))
 
 

@@ -16,16 +16,18 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import corpus as corpus_mod
 from . import hashing
 from .archive import FORMAT_VERSION
-from .model import (EVAL_BATCH_SIZE, FEATURES, MESSAGE_ONLY, VOCAB_SIZES,
-                    GeoModel, ModelConfig, batch_arrays, iter_batches,
-                    load_checkpoint, save_checkpoint)
+from .model import (COMPUTE_DTYPE, EVAL_BATCH_SIZE, FEATURES, MESSAGE_ONLY,
+                    VOCAB_SIZES, GeoModel, ModelConfig, batch_arrays,
+                    iter_batches, load_checkpoint, save_checkpoint)
 from .rbf_net import bin_weight_profile
 from .text_net import top_attended_spans
-from .trainer import (SyntheticConfig, TrainConfig, ablate, evaluate_accuracy,
-                      generate_synthetic, synthetic_model_config, train)
+from .trainer import (SyntheticConfig, TrainConfig, TrainingStopped, ablate,
+                      evaluate_accuracy, generate_synthetic,
+                      synthetic_model_config, train)
 
 MODEL_FILE = "model.gtpa"
 # in the order of build_vocabularies and of VOCAB_SIZES
@@ -201,10 +203,16 @@ def cmd_train(args):
     vocabs, train_ex, dev_ex, test_ex = _training_splits(args, model_config)
     rng = np.random.default_rng(args.seed)
     model = GeoModel(model_config, *map(len, vocabs), rng)
-    report = train(model, train_ex, dev_ex, _train_config(args))
+    out = Path(args.out)
+    try:
+        report = train(model, train_ex, dev_ex, _train_config(args))
+    except TrainingStopped as e:
+        # the report of the epochs before the stop, and no checkpoint
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "report.json").write_text(e.report.to_json(), encoding="utf-8")
+        raise
     if args.test:
         report.test_accuracy = evaluate_accuracy(model, test_ex)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for vocab, name in zip(vocabs, VOCAB_FILES):
         vocab.save(out / name)
@@ -278,7 +286,8 @@ def cmd_time_profile(args):
         return 2
     arrays = batch_arrays(examples)
     net = model.nets[args.feature]
-    acts = net.forward(arrays[feature.column]).data
+    with ad.compute_dtype(COMPUTE_DTYPE):
+        acts = net.forward(arrays[feature.column]).data
     mu = net.params[f"{net.prefix}.mu"].data
     sigma = net.params[f"{net.prefix}.sigma"].data
     lines = ["city\tbin_index\tmu\tsigma\tmean_weight\texcluded"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple
@@ -51,6 +52,11 @@ FEATURES = {
 
 MESSAGE_ONLY = "message-only"
 TWEET_USER = "tweet-user"
+
+# The dtype GeoModel builds its parameters in and runs forward, loss and
+# backward in. The engine's own default stays float64; checkpoints store
+# float64, which holds every float32 exactly.
+COMPUTE_DTYPE = np.float32
 
 CHECKPOINT_META_VERSION = 1
 # GeoModel attributes and checkpoint keys sized by the three vocabularies
@@ -107,9 +113,20 @@ class ModelConfig:
         return cls(feature_set=MESSAGE_ONLY, **overrides)
 
 
-class GeoModel:
-    """Assembles the active subnetworks and the fusion classifier."""
+def _in_compute_dtype(method):
+    """Run ``method`` with the engine computing in COMPUTE_DTYPE."""
+    @functools.wraps(method)
+    def run(*args, **kwargs):
+        with ad.compute_dtype(COMPUTE_DTYPE):
+            return method(*args, **kwargs)
+    return run
 
+
+class GeoModel:
+    """Assembles the active subnetworks and the fusion classifier; its
+    parameters and every node of its graphs are COMPUTE_DTYPE arrays."""
+
+    @_in_compute_dtype
     def __init__(self, config, char_vocab_size, n_timezones, n_classes, rng):
         self.config = config
         self.char_vocab_size = char_vocab_size
@@ -131,6 +148,7 @@ class GeoModel:
                                        n_classes)
         self.params.update(self.fusion.params)
 
+    @_in_compute_dtype
     def forward(self, batch, train=False, rng=None):
         """Returns (probs, r, attention) for a batch-array dict."""
         vectors = []
@@ -149,6 +167,7 @@ class GeoModel:
         probs = self.fusion.classify(r)
         return probs, r, attention
 
+    @_in_compute_dtype
     def loss(self, batch, train=False, rng=None):
         probs, r, _ = self.forward(batch, train=train, rng=rng)
         total = ad.cross_entropy(probs, batch["label_id"])
@@ -229,6 +248,13 @@ def load_checkpoint(path):
     except (ValueError, TypeError, OverflowError) as e:
         raise ValueError(f"{meta_path}: {e}") from None
     arrays = load_archive(path)
+    for name, p in model.params.items():
+        # checked before the cast, which would turn them into inf silently
+        values = arrays.get(name)
+        limit = np.finfo(p.data.dtype).max
+        if values is not None and not (np.abs(values) <= limit).all():
+            raise ValueError(f"{path}: parameter {name!r} has values outside "
+                             f"the {p.data.dtype} range")
     try:
         model.load_param_arrays(arrays)
     except ValueError as e:

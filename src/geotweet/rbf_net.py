@@ -29,7 +29,7 @@ class RbfNetwork:
         """Activations for a batch of scalars; u is a (batch,) array."""
         mu = self.params[f"{self.prefix}.mu"]
         sigma = self.params[f"{self.prefix}.sigma"]
-        u_col = Tensor(np.asarray(u, dtype=np.float64).reshape(-1, 1))
+        u_col = Tensor(np.reshape(u, (-1, 1)))
         diff = ad.sub(u_col, mu)
         var2 = ad.mul(ad.mul(sigma, sigma), 2.0)
         return ad.exp(ad.div(ad.mul(ad.mul(diff, diff), -1.0), var2))

@@ -31,6 +31,7 @@ class TrainReport:
     revert_epochs: list = field(default_factory=list)
     test_accuracy: float | None = None
     wall_clock_seconds: float = 0.0
+    stopped: str | None = None  # why training stopped early, if it did
 
     def to_text(self):
         lines = ["epoch\tdev_accuracy\treverted"]
@@ -42,6 +43,15 @@ class TrainReport:
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2) + "\n"
+
+
+class TrainingStopped(ValueError):
+    """A non-finite loss or gradient stopped training; ``report`` holds the
+    epochs completed before it, with ``stopped`` set to the message."""
+
+    def __init__(self, message, report):
+        super().__init__(message)
+        self.report = report
 
 
 def evaluate_accuracy(model, examples_or_arrays, unseen=0):
@@ -67,8 +77,8 @@ def train(model, train_examples, dev_examples, config):
     After each epoch the model is scored on dev; if accuracy fell below the
     previously accepted epoch's, parameters and optimizer moments are
     restored from the last accepted snapshot. A non-finite loss or
-    parameter gradient stops training with a ValueError naming the epoch
-    and batch.
+    parameter gradient stops training with a TrainingStopped error naming
+    the epoch and batch.
     """
     if not train_examples or not dev_examples:
         raise ValueError("train and dev splits must be non-empty")
@@ -84,6 +94,12 @@ def train(model, train_examples, dev_examples, config):
     best_accuracy = -1.0
     best_params = None
     best_opt = None
+
+    def stop(message):
+        report.stopped = message
+        report.wall_clock_seconds = time.perf_counter() - start
+        return TrainingStopped(message, report)
+
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         batches = iter_batches(train_arrays, config.batch_size, order)
@@ -91,11 +107,11 @@ def train(model, train_examples, dev_examples, config):
             loss, _, _ = model.loss(batch, train=True, rng=rng)
             where = f"at epoch {epoch}, batch {number}"
             if not np.isfinite(loss.data):
-                raise ValueError(f"non-finite loss {where}")
+                raise stop(f"non-finite loss {where}")
             loss.backward()
             for name, p in model.params.items():
                 if p.grad is not None and not np.isfinite(p.grad).all():
-                    raise ValueError(f"non-finite gradient of {name} {where}")
+                    raise stop(f"non-finite gradient of {name} {where}")
             optimizer.step()
             model.clamp()
         accuracy = evaluate_accuracy(model, dev_arrays)

@@ -55,6 +55,18 @@ def tiny_corpus():
     }
 
 
+def graph_nodes(root):
+    """Every tensor reachable from ``root`` through the graph."""
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
 def encode_all(records, corpus, text_max_len, loc_max_len):
     return [C.encode_example(r, corpus["char_vocab"], corpus["tz_vocab"],
                              corpus["label_vocab"], text_max_len, loc_max_len)

@@ -64,3 +64,15 @@ def test_huge_shape_is_a_truncation(tmp_path, dims):
                      + struct.pack(f"<I{len(dims)}Q", len(dims), *dims))
     with pytest.raises(ValueError, match=f"{path}: truncated"):
         load_archive(path)
+
+
+@pytest.mark.parametrize("dims", [
+    (0, 2**63),  # no elements, but a dimension beyond what numpy indexes
+    (0,) + (1,) * 70,  # more dimensions than numpy allows
+])
+def test_empty_tensor_with_an_impossible_shape_is_reported(tmp_path, dims):
+    path = tmp_path / "params.gtpa"
+    path.write_bytes(b"GTPA" + struct.pack("<III", 1, 1, 1) + b"w"
+                     + struct.pack(f"<I{len(dims)}Q", len(dims), *dims))
+    with pytest.raises(ValueError, match=f"^{path}: tensor 'w': "):
+        load_archive(path)

@@ -1,11 +1,15 @@
 import json
 import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from geotweet.cli import main, read_config_file
 from geotweet import hashing as H
+from geotweet.rbf_net import RbfNetwork
+
+from conftest import graph_nodes
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +41,11 @@ def test_train_writes_artifacts(pipeline):
 def test_run_config_records_seed(pipeline):
     resolved = json.loads((pipeline["run"] / "run_config.json").read_text())
     assert resolved["seed"] == 5
+
+
+def test_report_of_a_full_run_records_no_stop(pipeline):
+    report = json.loads((pipeline["run"] / "report.json").read_text())
+    assert report["stopped"] is None and len(report["dev_accuracy"]) == 3
 
 
 def test_eval_is_deterministic(pipeline, capsys):
@@ -90,12 +99,25 @@ def test_attn_reports_spans(pipeline, capsys):
     assert len(lines) == 1 + 2 * 60
 
 
-def test_time_profile_emits_all_bins(pipeline, capsys):
+def test_time_profile_emits_all_bins(pipeline, capsys, monkeypatch):
+    outputs = []
+    forward = RbfNetwork.forward
+
+    def spy(net, u):
+        outputs.append(forward(net, u))
+        return outputs[-1]
+
+    monkeypatch.setattr(RbfNetwork, "forward", spy)
     assert main(["time-profile", "--model", str(pipeline["run"]),
                  "--data", str(pipeline["data"] / "test.jsonl")]) == 0
     lines = capsys.readouterr().out.splitlines()
     fields = lines[1].split("\t")
     assert len(fields) == 6 and fields[5] in ("0", "1")
+    # the activations and every node behind them are in the model's dtype
+    (acts,) = outputs
+    nodes = graph_nodes(acts)
+    assert Counter(str(n.data.dtype) for n in nodes) == {"float32": len(nodes)}
+    assert len(nodes) > 5
 
 
 def test_hist_reports_masses(pipeline, capsys):
@@ -142,6 +164,11 @@ def test_non_finite_loss_fails_with_one_error_line(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: non-finite loss at "
                                                "epoch 1, batch ")
+    # the report of the stopped run, and no checkpoint
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["stopped"] == err[0].removeprefix("error: ")
+    assert report["dev_accuracy"] == [] and report["test_accuracy"] is None
+    assert [p.name for p in (tmp_path / "run").iterdir()] == ["report.json"]
 
 
 def test_missing_file_fails_cleanly(tmp_path, capsys):

@@ -1,15 +1,19 @@
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geotweet.model as model_mod
+from geotweet.archive import load_archive, save_archive
 from geotweet.model import (FEATURES, GeoModel, ModelConfig, batch_arrays,
                             load_checkpoint, save_checkpoint)
+from geotweet.optim import Adam
 from geotweet.trainer import synthetic_model_config
 
-from conftest import encode_all
+from conftest import encode_all, graph_nodes
 
 
 def test_message_only_uses_wider_text_output():
@@ -59,6 +63,10 @@ def test_checkpoint_roundtrip(tiny_corpus, tmp_path):
     a, _, _ = model.forward(batch, train=False)
     b, _, _ = restored.forward(batch, train=False)
     np.testing.assert_array_equal(a.data, b.data)
+    # float32 -> float64 on disk -> float32 is exact
+    for name, p in model.params.items():
+        assert restored.params[name].data.dtype == np.float32
+        np.testing.assert_array_equal(restored.params[name].data, p.data)
 
 
 def test_checkpoint_dimension_mismatch_detected(tiny_corpus, tmp_path):
@@ -171,3 +179,106 @@ def test_non_utf8_tensor_name_is_a_missing_parameter(checkpoint):
             f"{checkpoint} does not match {checkpoint}.json: checkpoint "
             "missing parameter")):
         load_checkpoint(checkpoint)
+
+
+def test_float64_archive_loads_rounded_to_nearest(checkpoint):
+    rng = np.random.default_rng(0)
+    # float64 values between float32 neighbours, as older checkpoints hold
+    wide = {name: values + rng.uniform(-1e-3, 1e-3, values.shape)
+            for name, values in load_archive(checkpoint).items()}
+    save_archive(checkpoint, wide)
+    restored, _ = load_checkpoint(checkpoint)
+    inexact = 0
+    for name, values in wide.items():
+        got = restored.params[name].data
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, values.astype(np.float32))
+        ulp = np.spacing(np.abs(got)).astype(np.float64)
+        assert (np.abs(got - values) <= ulp / 2).all()
+        inexact += int((got != values).sum())
+    assert inexact > 0
+
+
+@pytest.mark.parametrize("value", [1e39, np.nan])
+def test_value_outside_float32_range_is_rejected(checkpoint, value):
+    arrays = load_archive(checkpoint)
+    arrays["text.Wg"][1, 2] = value
+    save_archive(checkpoint, arrays)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{checkpoint}: parameter 'text.Wg' has values outside the "
+            "float32 range") + "$"):
+        load_checkpoint(checkpoint)
+
+
+def _dtypes(arrays):
+    return Counter(str(a.dtype) for a in arrays)
+
+
+def _tweet_user_model(corpus, config, seed):
+    return GeoModel(config, len(corpus["char_vocab"]), len(corpus["tz_vocab"]),
+                    len(corpus["label_vocab"]), np.random.default_rng(seed))
+
+
+def _batch(corpus, config, n):
+    return batch_arrays(encode_all(corpus["train"][:n], corpus,
+                                   config.text_max_len, config.loc_max_len))
+
+
+def test_training_step_and_eval_forward_are_float32(tiny_corpus):
+    cfg = synthetic_model_config(dropout=0.2, noise_sigma=0.1,
+                                 extrema_alpha=0.1)
+    model = _tweet_user_model(tiny_corpus, cfg, 0)
+    batch = _batch(tiny_corpus, cfg, 16)
+    loss, _, _ = model.loss(batch, train=True, rng=np.random.default_rng(0))
+    nodes = graph_nodes(loss)
+    seen = []  # each gradient a rule receives, then each one it returns
+    for node in nodes:
+        if node._backward is not None:
+            def recorded(g, rule=node._backward):
+                grads = rule(g)
+                seen.extend([g, *(pg for pg in grads if pg is not None)])
+                return grads
+            node._backward = recorded
+    loss.backward()
+    params = list(model.params.values())
+    grads = [p.grad for p in params]
+    optimizer = Adam(model.params)
+    optimizer.step()
+    moments = [*optimizer.first_moment.values(),
+               *optimizer.second_moment.values()]
+    rules = sum(node._backward is not None for node in nodes)
+    assert rules > 50 and len(seen) > 2 * rules
+    for arrays in ([n.data for n in nodes], seen, [p.data for p in params],
+                   grads, moments):
+        assert _dtypes(arrays) == {"float32": len(arrays)}
+    probs, r, attention = model.forward(batch, train=False)
+    nodes = graph_nodes(probs) + graph_nodes(r)
+    assert _dtypes([n.data for n in nodes] + [attention]) == {
+        "float32": len(nodes) + 1}
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"noise_sigma": 0.1, "extrema_alpha": 0.1}], ids=["plain", "hashing"])
+def test_float32_losses_agree_with_float64(tiny_corpus, overrides,
+                                           monkeypatch):
+    cfg = synthetic_model_config(**overrides)
+    batch = _batch(tiny_corpus, cfg, 64)
+
+    def losses(dtype):
+        monkeypatch.setattr(model_mod, "COMPUTE_DTYPE", dtype)
+        model = _tweet_user_model(tiny_corpus, cfg, 3)
+        assert model.params["text.Wg"].data.dtype == dtype
+        optimizer = Adam(model.params)
+        rng = np.random.default_rng(3)
+        out = []
+        for _ in range(5):
+            loss, _, _ = model.loss(batch, train=True, rng=rng)
+            assert loss.data.dtype == dtype
+            out.append(float(loss.data))
+            loss.backward()
+            optimizer.step()
+            model.clamp()
+        return out
+
+    np.testing.assert_allclose(losses(np.float32), losses(np.float64),
+                               rtol=1e-4)

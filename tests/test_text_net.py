@@ -231,13 +231,17 @@ class TestBilstmSequence:
             np.testing.assert_array_equal(a, b)
 
     def test_worker_and_serial_runs_are_identical(self, monkeypatch):
-        x, weights, upstream = bilstm_case(4, 32, 6, 128, seed=1)
-        threaded = run_bilstm(x, weights, upstream, 2, monkeypatch)
-        serial = run_bilstm(x, weights, upstream, 1, monkeypatch)
-        assert (threaded[2], serial[2]) == (2, 0)
-        np.testing.assert_array_equal(threaded[0], serial[0])
-        for a, b in zip(threaded[1], serial[1]):
-            np.testing.assert_array_equal(a, b)
+        for dtype in (np.float64, np.float32):
+            with ad.compute_dtype(dtype):
+                x, weights, upstream = bilstm_case(4, 32, 6, 128, seed=1)
+                threaded = run_bilstm(x, weights, upstream, 2, monkeypatch)
+                serial = run_bilstm(x, weights, upstream, 1, monkeypatch)
+            assert (threaded[2], serial[2]) == (2, 0)
+            assert threaded[0].dtype == dtype
+            np.testing.assert_array_equal(threaded[0], serial[0])
+            for a, b in zip(threaded[1], serial[1]):
+                assert a.dtype == dtype
+                np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("batch,hidden,cpus,threaded", [
         (32, 200, 2, True),    # paper-scale training step: 5.1 M

@@ -231,9 +231,9 @@ def test_non_finite_gradient_stops_training(tiny_corpus, tiny_encoded,
 
     def loss(batch, **kwargs):
         total, probs, r = original(batch, **kwargs)
-        # a finite term whose gradient, -1e-150 / bias**2, overflows
-        bias.data[0] = 1e-200
-        term = ad.tsum(ad.div(1e-150, bias[0:1]))
+        # a finite term whose gradient, -1e-20 / bias**2, overflows float32
+        bias.data[0] = 1e-30
+        term = ad.tsum(ad.div(1e-20, bias[0:1]))
         return ad.add(total, term), probs, r
 
     monkeypatch.setattr(model, "loss", loss)
