@@ -102,33 +102,9 @@ class Tensor:
                 else:
                     grads[key] = pg
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
+    # operator sugar: ``*`` and basic slicing
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return take(self, key)
@@ -277,12 +253,6 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def sigmoid(a):
-    a = as_tensor(a)
-    y = _sigmoid(a.data)
-    return _make(y, (a,), lambda g: (g * y * (1.0 - y),))
-
-
 def relu(a):
     a = as_tensor(a)
     mask = a.data > 0
@@ -315,34 +285,11 @@ def softmax(a):
     return _make(y, (a,), backward)
 
 
-def maximum(a, b):
-    """Elementwise maximum of two same-shape tensors; ties route grad to ``a``."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ValueError(f"maximum: shapes differ {a.shape} vs {b.shape}")
-    mask = a.data >= b.data
-    return _make(
-        np.maximum(a.data, b.data),
-        (a, b),
-        lambda g: (g * mask, g * ~mask),
-    )
-
-
-def maximum_list(tensors):
-    """Elementwise maximum across a list of same-shape tensors."""
-    if not tensors:
-        raise ValueError("maximum_list: empty list")
-    out = tensors[0]
-    for t in tensors[1:]:
-        out = maximum(out, t)
-    return out
-
-
 def window_max(a, P):
     """Elementwise max over each length-``P`` window along axis 0: T-P+1 rows.
 
-    The gradient of each output goes to the first maximum in its window,
-    as a chain of ``maximum`` calls would route it.
+    The gradient of each output goes to the first maximum in its window.
+    With ``P`` equal to the length it is a max-reduce over axis 0.
     """
     a = as_tensor(a)
     T = a.shape[0]
@@ -379,8 +326,14 @@ def _lstm_steps(T, reverse):
 
 
 def _lstm_forward(x, Wx, Wh, b, reverse, hs):
-    """One LSTM direction over raw arrays: writes the hidden states into
-    ``hs`` and returns the gate activations and cells that backward reads."""
+    """One LSTM direction over a raw (T, batch, E) input from a zero state:
+    writes the (T, batch, H) hidden states into ``hs`` and returns the gate
+    activations and cells that backward reads.
+
+    The 4H gate columns are input, forget, cell candidate, output. With
+    ``reverse`` the steps run from T-1 down to 0, so state t has read
+    positions t..T-1. The input projection of all steps is one GEMM.
+    """
     T, B, E = x.shape
     H = Wh.shape[0]
     # pre-activations, overwritten step by step with the gate activations
@@ -401,7 +354,8 @@ def _lstm_forward(x, Wx, Wh, b, reverse, hs):
 
 
 def _lstm_backward(grad_h, x, Wx, Wh, hs, acts, cells, reverse):
-    """BPTT of one ``_lstm_forward`` direction: (dx, dWx, dWh, db).
+    """BPTT of one ``_lstm_forward`` direction in one loop, then one GEMM
+    each for dx, dWx and dWh: (dx, dWx, dWh, db).
 
     The gate derivatives are formed one step at a time, so besides the
     saved arrays only the (T, batch, 4H) pre-activation gradient is held.
@@ -435,24 +389,6 @@ def _lstm_backward(grad_h, x, Wx, Wh, hs, acts, cells, reverse):
     return ((dz2d @ Wx.T).reshape(T, B, E), x.reshape(T * B, E).T @ dz2d,
             hs[earlier].reshape(-1, H).T @ dz[later].reshape(-1, 4 * H),
             dz2d.sum(axis=0))
-
-
-def lstm_sequence(x, Wx, Wh, b, reverse=False):
-    """LSTM over a (T, batch, E) input from a zero state; returns the
-    (T, batch, H) hidden states.
-
-    The 4H gate columns are input, forget, cell candidate, output. With
-    ``reverse`` the steps run from T-1 down to 0, so state t has read
-    positions t..T-1. The input projection of all steps is one GEMM, and
-    backward runs BPTT in one loop, then one GEMM each for dx, dWx and dWh.
-    """
-    x, Wx, Wh, b = (as_tensor(t) for t in (x, Wx, Wh, b))
-    _check_lstm(x, Wx, Wh, b, "lstm_sequence")
-    T, B, _ = x.shape
-    hs = np.empty((T, B, Wh.shape[0]), dtype=x.data.dtype)
-    saved = _lstm_forward(x.data, Wx.data, Wh.data, b.data, reverse, hs)
-    return _make(hs, (x, Wx, Wh, b), lambda g: _lstm_backward(
-        g, x.data, Wx.data, Wh.data, hs, *saved, reverse))
 
 
 # Multiply-adds of one recurrent step, batch x H x 4H, from which
@@ -499,10 +435,10 @@ def _per_direction(fn, batch, hidden):
 def bilstm_sequence(x, fwd_weights, bwd_weights):
     """Both directions of a bidirectional LSTM over a (T, batch, E) input.
 
-    ``fwd_weights`` and ``bwd_weights`` are (Wx, Wh, b) triples as
-    ``lstm_sequence`` takes them. Returns a (2, T, batch, H) tensor: the
-    forward states, then the reverse states, each equal bit for bit to
-    ``lstm_sequence``'s. The directions share only the input, so when a
+    ``fwd_weights`` and ``bwd_weights`` are (Wx, Wh, b) triples, of shapes
+    (E, 4H), (H, 4H) and (4H,). Returns a (2, T, batch, H) tensor: the
+    forward states, then the reverse states, as ``_lstm_forward`` runs
+    them. The directions share only the input, so when a
     recurrent step is large the reverse one runs on a worker thread, in
     forward and in backward; numpy releases the interpreter lock inside
     its array loops and BLAS calls. The input gradient is the forward
@@ -531,21 +467,42 @@ def bilstm_sequence(x, fwd_weights, bwd_weights):
     return _make(hs, (x, *weights[0], *weights[1]), backward)
 
 
-def amax(a, axis):
-    """Max-reduce over one axis; ties route grad to the first maximum."""
-    a = as_tensor(a)
-    y = a.data.max(axis=axis)
-    idx = a.data.argmax(axis=axis)
+def context_projection(xs, hs, W, b):
+    """Pre-activation of [h_fwd(t-1) ; x_t ; h_bwd(t+1)] @ W + b at every t.
+
+    ``xs`` is (T, batch, E) and ``hs`` the (2, T, batch, H) states of
+    ``bilstm_sequence``; the contexts beyond either end are zero. Returns
+    (T, batch, O). Each row block of the (2H+E, O) ``W`` multiplies its
+    array unshifted, and the two context products are added one position
+    apart, so no shifted or concatenated copy is made in either pass.
+    """
+    xs, hs, W, b = (as_tensor(t) for t in (xs, hs, W, b))
+    T, B, E = xs.shape
+    H = hs.shape[-1]
+    O = W.shape[1]
+    if hs.shape != (2, T, B, H) or W.shape[0] != 2 * H + E or b.shape != (O,):
+        raise ValueError(f"context_projection: inputs {xs.shape}, {hs.shape} "
+                         f"do not fit weights {W.shape}, {b.shape}")
+    W_fwd, W_x, W_bwd = W.data[:H], W.data[H:H + E], W.data[H + E:]
+    # forward states 0..T-2 are left contexts of 1..T-1, reverse states
+    # 1..T-1 right contexts of 0..T-2; contiguous slabs, so no copy
+    h_fwd = hs.data[0, :-1].reshape(-1, H)
+    h_bwd = hs.data[1, 1:].reshape(-1, H)
+    x2d = xs.data.reshape(T * B, E)
+    out = (x2d @ W_x + b.data).reshape(T, B, O)
+    out[1:] += (h_fwd @ W_fwd).reshape(T - 1, B, O)
+    out[:-1] += (h_bwd @ W_bwd).reshape(T - 1, B, O)
 
     def backward(g):
-        out = np.zeros_like(a.data)
-        grid = np.indices(idx.shape)
-        key = list(grid)
-        key.insert(axis if axis >= 0 else a.data.ndim + axis, idx)
-        out[tuple(key)] = g
-        return (out,)
+        g2d = g.reshape(T * B, O)
+        g_next, g_prev = g[1:].reshape(-1, O), g[:-1].reshape(-1, O)
+        dhs = np.zeros(hs.shape, dtype=hs.data.dtype)  # C order: slabs are views
+        np.matmul(g_next, W_fwd.T, out=dhs[0, :-1].reshape(-1, H))
+        np.matmul(g_prev, W_bwd.T, out=dhs[1, 1:].reshape(-1, H))
+        dW = np.concatenate([h_fwd.T @ g_next, x2d.T @ g2d, h_bwd.T @ g_prev])
+        return (g2d @ W_x.T).reshape(T, B, E), dhs, dW, g2d.sum(axis=0)
 
-    return _make(y, (a,), backward)
+    return _make(out, (xs, hs, W, b), backward)
 
 
 def embedding(ids, table):
@@ -609,30 +566,31 @@ def tmean(a, axis=None):
     return _make(a.data.mean(axis=axis), (a,), backward)
 
 
-LOG_PROB_FLOOR = 1e-12
 
 
-def cross_entropy(probs, label_ids):
-    """Mean negative log-probability of the labels.
+def cross_entropy(logits, label_ids):
+    """Mean softmax cross-entropy of a batch x K ``logits`` tensor against
+    integer labels.
 
-    ``probs`` is a batch x K tensor whose finite rows must sum to 1 within
-    1e-6; a row with a non-finite value makes the loss non-finite.
-    Probabilities are floored at 1e-12 before the log.
+    Each row's loss is logsumexp(row) - row[label], formed after subtracting
+    the row maximum, so it stays exact for any finite logits. A NaN or +inf
+    logit, or -inf at the label, makes the loss non-finite. The gradient is
+    (softmax - onehot)/n.
     """
-    probs = as_tensor(probs)
+    logits = as_tensor(logits)
     labels = np.asarray(label_ids)
-    n, k = probs.shape
-    sums = probs.data.sum(axis=-1)
-    if not np.allclose(sums[np.isfinite(sums)], 1.0, atol=1e-6):
-        raise ValueError("cross_entropy: rows must sum to 1 within 1e-6")
+    n, k = logits.shape
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"cross_entropy: label out of range for {k} classes")
     rows = np.arange(n)
-    p = np.maximum(probs.data[rows, labels], LOG_PROB_FLOOR)
+    z = logits.data - logits.data.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    sums = e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        out = np.zeros_like(probs.data)
-        out[rows, labels] = -g / (n * p)
-        return (out,)
+        grad = e / sums
+        grad[rows, labels] -= 1.0
+        return (grad * (g / n),)
 
-    return _make(np.array(-np.log(p).mean()), (probs,), backward)
+    return _make(np.array((np.log(sums[:, 0]) - z[rows, labels]).mean()),
+                 (logits,), backward)

@@ -206,29 +206,45 @@ def encode_example(record, char_vocab, timezone_vocab, label_vocab,
     )
 
 
-def _parse_timestamp(value, field, line_no=None):
-    where = f" (line {line_no})" if line_no is not None else ""
-    if isinstance(value, (int, float)):
-        return datetime.fromtimestamp(value, tz=timezone.utc)
-    if isinstance(value, str):
-        try:
+def _field(obj, name, kind, types, default=None):
+    """obj[name], or ``default`` when absent, if it is one of ``types``
+    (never a bool); else a ValueError naming the field."""
+    value = obj.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"field {name!r} must be {kind}, got {json.dumps(value)}")
+    return value
+
+
+def _timestamp(obj, name):
+    """A required field of ISO-8601 text or epoch seconds, as a UTC-aware
+    datetime."""
+    if name not in obj:
+        raise ValueError(f"missing field {name!r}")
+    value = _field(obj, name, "an ISO-8601 string or epoch seconds", (str, int, float))
+    try:
+        if isinstance(value, str):
             ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
-        except ValueError:
-            raise ValueError(f"unparseable timestamp in field {field!r}{where}: {value!r}") from None
-        return ts if ts.tzinfo else ts.replace(tzinfo=timezone.utc)
-    raise ValueError(f"unparseable timestamp in field {field!r}{where}: {value!r}")
+            return ts if ts.tzinfo else ts.replace(tzinfo=timezone.utc)
+        return datetime.fromtimestamp(value, tz=timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise ValueError(f"field {name!r} is not a valid timestamp: "
+                         f"{json.dumps(value)}") from None
 
 
-def record_from_dict(obj, line_no=None):
+def record_from_dict(obj):
+    """The TweetRecord of one decoded JSONL line; a fault raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"not a JSON object: {json.dumps(obj)}")
     return TweetRecord(
-        text=obj.get("text", ""),
-        created_at=_parse_timestamp(obj["created_at"], "created_at", line_no),
-        utc_offset_seconds=obj.get("utc_offset"),
-        timezone_name=obj.get("timezone"),
-        user_location=obj.get("user_location") or "",
-        account_created_at=_parse_timestamp(
-            obj["account_created_at"], "account_created_at", line_no),
-        city_label=obj.get("city_label", ""),
+        text=_field(obj, "text", "a string", str, ""),
+        created_at=_timestamp(obj, "created_at"),
+        utc_offset_seconds=_field(obj, "utc_offset", "an integer or null",
+                                  (int, type(None))),
+        timezone_name=_field(obj, "timezone", "a string or null", (str, type(None))),
+        user_location=_field(obj, "user_location", "a string or null",
+                             (str, type(None))) or "",
+        account_created_at=_timestamp(obj, "account_created_at"),
+        city_label=_field(obj, "city_label", "a string", str, ""),
     )
 
 
@@ -252,13 +268,11 @@ def read_jsonl(path):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                records.append(record_from_dict(json.loads(line)))
             except json.JSONDecodeError as e:
-                raise ValueError(f"{path}: malformed JSON on line {i}: {e}") from None
-            try:
-                records.append(record_from_dict(obj, line_no=i))
-            except KeyError as e:
-                raise ValueError(f"{path}: line {i} missing field {e}") from None
+                raise ValueError(f"{path}: line {i}: malformed JSON: {e}") from None
+            except ValueError as e:
+                raise ValueError(f"{path}: line {i}: {e}") from None
     return records
 
 

@@ -1,4 +1,4 @@
-"""Feature fusion, penultimate representation and softmax classifier."""
+"""Feature fusion, penultimate representation and the classifier's logits."""
 
 from __future__ import annotations
 
@@ -41,14 +41,14 @@ class FusionClassifier:
                               self.params[f"{self.prefix}.br"]))
 
     def classify(self, r):
-        logits = ad.add(ad.matmul(r, self.params[f"{self.prefix}.Wout"]),
-                        self.params[f"{self.prefix}.bout"])
-        return ad.softmax(logits)
+        """Class logits, batch x K."""
+        return ad.add(ad.matmul(r, self.params[f"{self.prefix}.Wout"]),
+                      self.params[f"{self.prefix}.bout"])
 
 
-def predict_labels(probs):
+def predict_labels(logits):
     """Argmax predictions with lowest-index tie-break."""
-    return np.argmax(np.asarray(probs), axis=-1)
+    return np.argmax(np.asarray(logits), axis=-1)
 
 
 def extrema_loss(r, alpha):

@@ -36,13 +36,6 @@ def binarize_sign(r):
     return (np.asarray(r) > 0).astype(np.uint8)
 
 
-def hamming(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape[-1] != b.shape[-1]:
-        raise ValueError(f"code widths differ: {a.shape[-1]} vs {b.shape[-1]}")
-    return int(np.count_nonzero(a != b))
-
-
 def retrieve(query_bits, index):
     """Index ids ranked by ascending Hamming distance, ties by ascending id."""
     if len(index) == 0:
@@ -108,13 +101,6 @@ def encode_code_set(model, examples):
     return CodeSet(bits=binarize_sign(reps),
                    ids=np.arange(len(labels), dtype=np.int64),
                    labels=labels.astype(np.int64))
-
-
-def map_eval(model, dev_examples, test_examples):
-    """Binarize both partitions and compute retrieval MAP."""
-    dev = encode_code_set(model, dev_examples)
-    test = encode_code_set(model, test_examples)
-    return map_from_codes(test, dev)
 
 
 class LshModel:

@@ -32,14 +32,16 @@ class LocConvNetwork:
         batch, T = ids.shape
         if T < self.span:
             raise ValueError(f"sequence length {T} shorter than span {self.span}")
-        emb = ad.embedding(ids, self.params[f"{self.prefix}.emb"])
+        # time-major, as the text network runs: (T, batch, E)
+        emb = ad.embedding(ids.T, self.params[f"{self.prefix}.emb"])
         spans = T - self.span + 1
         windows = ad.concat(
-            [emb[:, q:q + spans, :] for q in range(self.span)], axis=2)
-        flat = ad.reshape(windows, (batch * spans, self.span * self.emb_size))
+            [emb[q:q + spans] for q in range(self.span)], axis=2)
+        flat = ad.reshape(windows, (spans * batch, self.span * self.emb_size))
         g = ad.relu(ad.add(ad.matmul(flat, self.params[f"{self.prefix}.Wg"]),
                            self.params[f"{self.prefix}.bg"]))
-        return ad.amax(ad.reshape(g, (batch, spans, self.out_size)), axis=1)
+        pooled = ad.window_max(ad.reshape(g, (spans, batch, self.out_size)), spans)
+        return ad.reshape(pooled, (batch, self.out_size))
 
 
 class TimezoneEmbedding:

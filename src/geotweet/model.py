@@ -150,7 +150,8 @@ class GeoModel:
 
     @_in_compute_dtype
     def forward(self, batch, train=False, rng=None):
-        """Returns (probs, r, attention) for a batch-array dict."""
+        """Returns (logits, r, attention) for a batch-array dict: the class
+        logits, the penultimate layer and the text attention weights."""
         vectors = []
         attention = None
         for feat in self.features:
@@ -164,16 +165,15 @@ class GeoModel:
                                  dropout_keep=1.0 - cfg.dropout,
                                  train=train, rng=rng)
         r = self.fusion.penultimate(fused)
-        probs = self.fusion.classify(r)
-        return probs, r, attention
+        return self.fusion.classify(r), r, attention
 
     @_in_compute_dtype
     def loss(self, batch, train=False, rng=None):
-        probs, r, _ = self.forward(batch, train=train, rng=rng)
-        total = ad.cross_entropy(probs, batch["label_id"])
+        logits, r, _ = self.forward(batch, train=train, rng=rng)
+        total = ad.cross_entropy(logits, batch["label_id"])
         if self.config.extrema_alpha > 0.0:
             total = ad.add(total, extrema_loss(r, self.config.extrema_alpha))
-        return total, probs, r
+        return total, logits, r
 
     def clamp(self):
         """Post-step parameter constraints (RBF width floors)."""

@@ -57,23 +57,17 @@ class TextNetwork:
         return ad.embedding(np.asarray(text_ids).T, self._p("emb"))
 
     def bilstm_contexts(self, xs):
-        """Forward and backward (T, batch, H) hidden states over embedded chars."""
-        hs = ad.bilstm_sequence(xs, *(
+        """The (2, T, batch, H) forward then backward hidden states over
+        embedded chars."""
+        return ad.bilstm_sequence(xs, *(
             [self._p(f"{d}.{w}") for w in ("Wx", "Wh", "b")] for d in ("fwd", "bwd")))
-        return hs[0], hs[1]
 
-    def contextual_projection(self, xs, fwd, bwd):
+    def contextual_projection(self, xs, hs):
         """ReLU projection of [h_fwd[t-1] ; x_t ; h_bwd[t+1]] for every position.
 
         Out-of-range contexts are zero vectors. Returns a (T, batch, O) tensor.
         """
-        T, batch, E = xs.shape
-        zero = ad.Tensor(np.zeros((1, batch, self.hidden)))
-        stacked = ad.concat([ad.concat([zero, fwd[:-1]], axis=0), xs,
-                             ad.concat([bwd[1:], zero], axis=0)], axis=2)
-        flat = ad.reshape(stacked, (T * batch, 3 * E))
-        proj = ad.relu(ad.add(ad.matmul(flat, self._p("Wg")), self._p("bg")))
-        return ad.reshape(proj, (T, batch, self.out_size))
+        return ad.relu(ad.context_projection(xs, hs, self._p("Wg"), self._p("bg")))
 
     def windowed_max_pool(self, g_seq, window=None):
         """Elementwise max over each length-P window; yields T-P+1 span vectors."""
@@ -92,8 +86,7 @@ class TextNetwork:
 
     def forward(self, text_ids):
         xs = self.char_vectors(text_ids)
-        fwd, bwd = self.bilstm_contexts(xs)
-        g_seq = self.contextual_projection(xs, fwd, bwd)
+        g_seq = self.contextual_projection(xs, self.bilstm_contexts(xs))
         pooled = self.windowed_max_pool(g_seq)
         return self.attention_pool(pooled)
 

@@ -64,8 +64,8 @@ def evaluate_accuracy(model, examples_or_arrays, unseen=0):
         raise ValueError("cannot evaluate on an empty set")
     correct = 0
     for batch in iter_batches(arrays, EVAL_BATCH_SIZE):
-        probs, _, _ = model.forward(batch, train=False)
-        correct += int((predict_labels(probs.data) == batch["label_id"]).sum())
+        logits, _, _ = model.forward(batch, train=False)
+        correct += int((predict_labels(logits.data) == batch["label_id"]).sum())
     return correct / n
 
 

@@ -1,0 +1,130 @@
+"""Reference ops and compositions the tests compare the program against.
+
+The program never calls any of these. Each one is either a small op that
+only gradient checks and oracles use (``maximum``, ``sigmoid``,
+``lstm_sequence``, ``amax``), a brute-force reference for the retrieval code
+(``hamming``, ``map_eval``), or the chain of graph nodes that a fused
+engine op replaced, kept so that the fused op can be checked against it.
+"""
+
+import numpy as np
+
+from geotweet import autodiff as ad
+from geotweet import hashing as H
+from geotweet.autodiff import (_check_lstm, _lstm_backward, _lstm_forward, _make,
+                               _sigmoid, as_tensor)
+
+
+def sigmoid(a):
+    a = as_tensor(a)
+    y = _sigmoid(a.data)
+    return _make(y, (a,), lambda g: (g * y * (1.0 - y),))
+
+
+def maximum(a, b):
+    """Elementwise maximum of two same-shape tensors; ties route grad to ``a``."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.shape != b.shape:
+        raise ValueError(f"maximum: shapes differ {a.shape} vs {b.shape}")
+    mask = a.data >= b.data
+    return _make(
+        np.maximum(a.data, b.data),
+        (a, b),
+        lambda g: (g * mask, g * ~mask),
+    )
+
+
+def maximum_list(tensors):
+    """Elementwise maximum across a list of same-shape tensors."""
+    if not tensors:
+        raise ValueError("maximum_list: empty list")
+    out = tensors[0]
+    for t in tensors[1:]:
+        out = maximum(out, t)
+    return out
+
+
+def amax(a, axis):
+    """Max-reduce over one axis; ties route grad to the first maximum."""
+    a = as_tensor(a)
+    y = a.data.max(axis=axis)
+    idx = a.data.argmax(axis=axis)
+
+    def backward(g):
+        out = np.zeros_like(a.data)
+        key = list(np.indices(idx.shape))
+        key.insert(axis if axis >= 0 else a.data.ndim + axis, idx)
+        out[tuple(key)] = g
+        return (out,)
+
+    return _make(y, (a,), backward)
+
+
+def lstm_sequence(x, Wx, Wh, b, reverse=False):
+    """One LSTM direction over a (T, batch, E) input: the (T, batch, H)
+    hidden states, run by the same private loops as ``bilstm_sequence``."""
+    x, Wx, Wh, b = (as_tensor(t) for t in (x, Wx, Wh, b))
+    _check_lstm(x, Wx, Wh, b, "lstm_sequence")
+    T, B, _ = x.shape
+    hs = np.empty((T, B, Wh.shape[0]), dtype=x.data.dtype)
+    saved = _lstm_forward(x.data, Wx.data, Wh.data, b.data, reverse, hs)
+    return _make(hs, (x, Wx, Wh, b), lambda g: _lstm_backward(
+        g, x.data, Wx.data, Wh.data, hs, *saved, reverse))
+
+
+def chained_context_projection(xs, hs, W, b):
+    """``ad.context_projection`` as a chain of take, concat, matmul and add
+    nodes: the halves and their shifted slices are copied into one
+    (T, batch, 2H+E) array that one matmul projects."""
+    T, batch, _ = xs.shape
+    fwd, bwd = hs[0], hs[1]
+    zero = ad.Tensor(np.zeros((1, batch, hs.shape[-1])))
+    stacked = ad.concat([ad.concat([zero, fwd[:-1]], axis=0), xs,
+                         ad.concat([bwd[1:], zero], axis=0)], axis=2)
+    flat = ad.reshape(stacked, (T * batch, stacked.shape[-1]))
+    return ad.reshape(ad.add(ad.matmul(flat, W), b), (T, batch, W.shape[1]))
+
+
+def probs_cross_entropy(probs, label_ids, floor=1e-12):
+    """Mean negative log-probability of the labels, each probability floored
+    at ``floor``: the loss on softmax outputs that ``ad.cross_entropy`` on
+    logits replaced."""
+    probs = as_tensor(probs)
+    labels = np.asarray(label_ids)
+    n = probs.shape[0]
+    rows = np.arange(n)
+    p = np.maximum(probs.data[rows, labels], floor)
+
+    def backward(g):
+        out = np.zeros_like(probs.data)
+        out[rows, labels] = -g / (n * p)
+        return (out,)
+
+    return _make(np.array(-np.log(p).mean()), (probs,), backward)
+
+
+def batch_major_loc_forward(net, location_ids):
+    """``LocConvNetwork.forward`` run batch-major and pooled with ``amax``."""
+    p = {name.split(".")[-1]: t for name, t in net.params.items()}
+    ids = np.asarray(location_ids)
+    batch, T = ids.shape
+    emb = ad.embedding(ids, p["emb"])
+    spans = T - net.span + 1
+    windows = ad.concat([emb[:, q:q + spans, :] for q in range(net.span)], axis=2)
+    flat = ad.reshape(windows, (batch * spans, net.span * net.emb_size))
+    g = ad.relu(ad.add(ad.matmul(flat, p["Wg"]), p["bg"]))
+    return amax(ad.reshape(g, (batch, spans, net.out_size)), axis=1)
+
+
+def hamming(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"code widths differ: {a.shape[-1]} vs {b.shape[-1]}")
+    return int(np.count_nonzero(a != b))
+
+
+def map_eval(model, dev_examples, test_examples):
+    """Binarize both partitions and compute retrieval MAP."""
+    dev = H.encode_code_set(model, dev_examples)
+    test = H.encode_code_set(model, test_examples)
+    return H.map_from_codes(test, dev)

@@ -15,7 +15,7 @@ from geotweet import autodiff as ad
 from geotweet import corpus as C
 from geotweet import hashing as H
 from geotweet.autodiff import Tensor
-from geotweet.fusion import FusionClassifier, extrema_loss
+from geotweet.fusion import FusionClassifier, extrema_loss, predict_labels
 from geotweet.loc_net import LocConvNetwork
 from geotweet.model import GeoModel, batch_arrays
 from geotweet.rbf_net import RbfNetwork
@@ -25,6 +25,7 @@ from geotweet.trainer import (SyntheticConfig, TrainConfig, ablate,
                               synthetic_model_config, train)
 
 from conftest import finite_difference_check
+from oracles import hamming, lstm_sequence, maximum_list, sigmoid
 
 GRAD_TOL = 1e-4
 TRAIN_CONFIG = TrainConfig(batch_size=128, epochs=10, learning_rate=0.002,
@@ -111,13 +112,13 @@ def test_criterion_1_gradient_integrity():
     for trial in range(20):
         m, k, n = dims(), dims(), dims()
         check(lambda a, b: ad.tsum(ad.matmul(a, b)), [(m, k), (k, n)], trial)
-        check(lambda a, b: ad.tsum(ad.sigmoid(ad.add(a, b))),
+        check(lambda a, b: ad.tsum(sigmoid(ad.add(a, b))),
               [(m, n), (n,)], trial)
         check(lambda a, b: ad.tsum(ad.tanh(ad.concat([a, b], axis=1))),
               [(m, k), (m, n)], trial)
         check(lambda a: ad.tsum(ad.mul(ad.softmax(a), ad.softmax(a))),
               [(m, n + 1)], trial)
-        check(lambda a, b, c: ad.tsum(ad.maximum_list([a, b, c])),
+        check(lambda a, b, c: ad.tsum(maximum_list([a, b, c])),
               [(m, n)] * 3, trial)
         check(lambda a: ad.tmean(ad.relu(a)), [(m, n)], trial)
         check(lambda a: ad.tsum(ad.tmean(ad.exp(a), axis=0)), [(m, n)], trial)
@@ -149,7 +150,7 @@ def test_criterion_1_gradient_integrity():
         labels = rng.integers(0, 4, size=3)
         finite_difference_check(
             {"l": logits},
-            lambda: ad.cross_entropy(ad.softmax(logits), labels),
+            lambda: ad.cross_entropy(logits, labels),
             rel_tol=GRAD_TOL, max_coords=3, seed=trial)
 
     # subnetworks
@@ -159,8 +160,7 @@ def test_criterion_1_gradient_integrity():
 
         def bilstm_proj_loss():
             xs = net.char_vectors(ids)
-            fwd, bwd = net.bilstm_contexts(xs)
-            g = net.contextual_projection(xs, fwd, bwd)
+            g = net.contextual_projection(xs, net.bilstm_contexts(xs))
             return ad.tsum(ad.tanh(g))
 
         def attention_loss():
@@ -208,7 +208,7 @@ def test_criterion_1_gradient_integrity():
               [(T, batch, H)], trial)
         for reverse in (False, True):
             check(lambda x, wx, wh, b: ad.tsum(ad.tanh(
-                      ad.lstm_sequence(x, wx, wh, b, reverse=reverse))),
+                      lstm_sequence(x, wx, wh, b, reverse=reverse))),
                   [(T, batch, E), (E, 4 * H), (H, 4 * H), (4 * H,)], trial)
 
     # the bidirectional op, after the checks above so that their draws are unchanged
@@ -217,6 +217,14 @@ def test_criterion_1_gradient_integrity():
         check(lambda x, *w: ad.tsum(ad.tanh(
                   ad.bilstm_sequence(x, w[:3], w[3:]))),
               [(T, batch, E)] + [(E, 4 * H), (H, 4 * H), (4 * H,)] * 2, trial)
+
+    # the fused context projection, after the checks above so that their
+    # draws are unchanged
+    for trial in range(20):
+        T, batch, E, H, O = dims(1, 6), dims(), dims(), dims(), dims()
+        check(lambda xs, hs, w, b: ad.tsum(ad.tanh(
+                  ad.context_projection(xs, hs, w, b))),
+              [(T, batch, E), (2, T, batch, H), (2 * H + E, O), (O,)], trial)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"gradient checks took {elapsed:.1f}s"
@@ -288,6 +296,28 @@ def test_criterion_5_binarization_behavior(metadata_corpus, plain_model,
           f"{hash_frac:.3f}; accuracy {base_acc:.3f} -> {hash_acc:.3f}")
 
 
+def test_logit_argmax_is_softmax_argmax(metadata_corpus, plain_model,
+                                        noise_model):
+    """Predictions take the argmax of the logits. On the trained models that
+    is a class of largest float32 softmax probability in every row, and the
+    softmax row's own argmax unless rounding ties two classes there."""
+    arrays = batch_arrays(metadata_corpus["test"])
+    rows = np.arange(len(arrays["label_id"]))
+    ties = 0
+    for model, _ in (plain_model, noise_model):
+        logits = model.forward(arrays, train=False)[0].data
+        probs = ad.softmax(logits).data
+        top = probs.max(axis=1)
+        by_logits = predict_labels(logits)
+        np.testing.assert_array_equal(probs[rows, by_logits], top)
+        tied = (probs == top[:, None]).sum(axis=1) > 1
+        np.testing.assert_array_equal(by_logits[~tied],
+                                      predict_labels(probs)[~tied])
+        ties += int(tied.sum())
+    print(f"\nlogit argmax = softmax argmax on 2 x {len(rows)} test rows; "
+          f"{ties} rows with a float32 softmax tie")
+
+
 def test_criterion_6_retrieval_oracles():
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -300,7 +330,7 @@ def test_criterion_6_retrieval_oracles():
         query = rng.integers(0, 2, width).astype(np.uint8)
         got = list(H.retrieve(query, dev))
         expected = sorted(range(n),
-                          key=lambda i: (H.hamming(query, dev.bits[i]), i))
+                          key=lambda i: (hamming(query, dev.bits[i]), i))
         assert got == expected
 
         label = int(rng.integers(0, n_labels))

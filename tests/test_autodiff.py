@@ -9,6 +9,7 @@ from geotweet.autodiff import Tensor
 from geotweet.optim import Adam
 
 from conftest import finite_difference_check
+from oracles import amax, maximum, maximum_list, probs_cross_entropy, sigmoid
 
 
 def make(shape, rng, scale=1.0):
@@ -28,7 +29,7 @@ def test_softmax_rows_sum_to_one():
 
 
 def test_elementwise_max():
-    out = ad.maximum_list([Tensor([1.0, 5.0]), Tensor([3.0, 2.0])])
+    out = maximum_list([Tensor([1.0, 5.0]), Tensor([3.0, 2.0])])
     np.testing.assert_allclose(out.data, [3.0, 5.0])
 
 
@@ -137,7 +138,7 @@ class TestGradChecks:
             1, [(12,)])
 
     def test_tanh_sigmoid_relu_exp_abs(self):
-        self.check(lambda a: ad.tsum(ad.tanh(ad.sigmoid(ad.exp(a * 0.3)))),
+        self.check(lambda a: ad.tsum(ad.tanh(sigmoid(ad.exp(a * 0.3)))),
                    1, [(4, 4)])
         # keep relu/abs away from their kinks
         rng = np.random.default_rng(3)
@@ -151,8 +152,8 @@ class TestGradChecks:
                    1, [(3, 5)])
 
     def test_maximum_and_amax(self):
-        self.check(lambda a, b: ad.tsum(ad.maximum(a, b)), 2, [(4, 3), (4, 3)])
-        self.check(lambda a: ad.tsum(ad.amax(a, axis=1)), 1, [(3, 6)])
+        self.check(lambda a, b: ad.tsum(maximum(a, b)), 2, [(4, 3), (4, 3)])
+        self.check(lambda a: ad.tsum(amax(a, axis=1)), 1, [(3, 6)])
 
     def test_sum_mean_axes(self):
         self.check(lambda a: ad.tsum(ad.tanh(ad.tmean(a, axis=0))), 1, [(4, 3)])
@@ -173,7 +174,7 @@ class TestGradChecks:
         labels = rng.integers(0, 5, size=4)
         finite_difference_check(
             {"logits": logits},
-            lambda: ad.cross_entropy(ad.softmax(logits), labels))
+            lambda: ad.cross_entropy(logits, labels))
 
 
 def test_embedding_id_out_of_range():
@@ -202,30 +203,63 @@ def test_dropout_identity_at_eval():
 
 
 def test_cross_entropy_uniform():
-    probs = Tensor(np.full((1, 4), 0.25))
-    loss = ad.cross_entropy(probs, [2])
+    logits = Tensor(np.full((1, 4), 3.0))
+    loss = ad.cross_entropy(logits, [2])
     assert abs(float(loss.data) - math.log(4)) < 1e-12
 
 
 def test_cross_entropy_one_hot_correct():
-    probs = Tensor([[0.0, 1.0, 0.0]])
-    assert float(ad.cross_entropy(probs, [1]).data) == 0.0
+    logits = Tensor([[0.0, 1e4, 0.0]])
+    assert float(ad.cross_entropy(logits, [1]).data) == 0.0
 
 
 def test_cross_entropy_batch_mean():
-    probs = Tensor([[0.5, 0.5], [0.5, 0.5]])
-    loss = ad.cross_entropy(probs, [0, 1])
+    logits = Tensor([[0.0, 0.0], [-2.0, -2.0]])
+    loss = ad.cross_entropy(logits, [0, 1])
     assert abs(float(loss.data) - math.log(2)) < 1e-12
 
 
-def test_cross_entropy_rejects_unnormalized_rows():
-    with pytest.raises(ValueError, match="sum to 1"):
-        ad.cross_entropy(Tensor([[0.9, 0.3]]), [0])
+def test_cross_entropy_rejects_out_of_range_label():
+    for label in (-1, 3):
+        with pytest.raises(ValueError, match="label out of range for 3 classes"):
+            ad.cross_entropy(Tensor(np.zeros((2, 3))), [0, label])
 
 
-def test_cross_entropy_clamps_zero_probability():
-    loss = ad.cross_entropy(Tensor([[1.0, 0.0]]), [1])
-    assert float(loss.data) == pytest.approx(-math.log(1e-12))
+@pytest.mark.parametrize("seed", range(5))
+def test_cross_entropy_matches_softmax_then_log(seed):
+    rng = np.random.default_rng(seed)
+    logits = make((6, 5), rng, scale=3.0)
+    labels = rng.integers(0, 5, size=6)
+    fused = ad.cross_entropy(logits, labels)
+    chain = probs_cross_entropy(ad.softmax(logits), labels)
+    np.testing.assert_allclose(fused.data, chain.data, rtol=1e-10)
+    fused.backward()
+    got, logits.grad = logits.grad, None
+    chain.backward()
+    np.testing.assert_allclose(got, logits.grad, rtol=1e-10, atol=1e-12)
+
+
+def test_cross_entropy_is_exact_for_a_large_logit_gap():
+    logits = Tensor([[0.0, 1e4], [1e4, 0.0]], requires_grad=True)
+    labels = [0, 0]
+    # the softmax of the first row rounds to [0, 1]; a floor on that
+    # probability capped its loss at -log(1e-12)
+    capped = probs_cross_entropy(ad.softmax(logits), labels)
+    assert float(capped.data) == pytest.approx(-math.log(1e-12) / 2)
+    loss = ad.cross_entropy(logits, labels)
+    assert float(loss.data) == 5e3
+    loss.backward()
+    np.testing.assert_array_equal(logits.grad, [[-0.5, 0.5], [0.0, 0.0]])
+
+
+def test_cross_entropy_of_non_finite_logits_is_non_finite():
+    with np.errstate(invalid="ignore"):
+        for row in ([0.0, np.inf], [0.0, np.nan], [-np.inf, 0.0]):
+            loss = ad.cross_entropy(Tensor([row, [1.0, 2.0]]), [0, 1])
+            assert not np.isfinite(loss.data), row
+    # a class the logits rule out entirely costs nothing
+    loss = ad.cross_entropy(Tensor([[0.0, -np.inf]]), [0])
+    assert float(loss.data) == 0.0
 
 
 class TestAdam:

@@ -10,6 +10,7 @@ from geotweet import hashing as H
 from geotweet.rbf_net import RbfNetwork
 
 from conftest import graph_nodes
+from oracles import map_eval
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +78,7 @@ def test_hash_then_retrieve_matches_in_process_map(pipeline, capsys):
                             model.config)
     test_ex = encode_records(C.read_jsonl(data / "test.jsonl"), cv, tv, lv,
                              model.config)
-    expected, _ = H.map_eval(model, dev_ex, test_ex)
+    expected, _ = map_eval(model, dev_ex, test_ex)
     assert reported == pytest.approx(expected, abs=5e-7)
 
 
@@ -183,6 +184,31 @@ def test_malformed_jsonl_reports_line(pipeline, tmp_path, capsys):
     assert main(["eval", "--model", str(pipeline["run"]),
                  "--data", str(bad)]) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, fault", [
+    ([1, 2], "not a JSON object: [1, 2]"),
+    ("just a string", 'not a JSON object: "just a string"'),
+    ({"text": 5}, "field 'text' must be a string, got 5"),
+    ({"utc_offset": "abc"}, "field 'utc_offset' must be an integer or null, "
+                            'got "abc"'),
+    ({"utc_offset": True}, "field 'utc_offset' must be an integer or null, got true"),
+    ({"created_at": 1e20}, "field 'created_at' is not a valid timestamp: 1e+20"),
+    ({"created_at": True}, "field 'created_at' must be an ISO-8601 string or "
+                           "epoch seconds, got true"),
+    ({"timezone": 7}, "field 'timezone' must be a string or null, got 7"),
+], ids=["array", "string", "text", "offset-text", "offset-bool", "time-range",
+        "time-bool", "timezone"])
+def test_malformed_record_fails_with_one_error_line(pipeline, tmp_path, capsys,
+                                                    change, fault):
+    first, *rest = (pipeline["data"] / "test.jsonl").read_text().splitlines(True)
+    record = ({**json.loads(first), **change} if isinstance(change, dict)
+              else change)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(record) + "\n" + "".join(rest), encoding="utf-8")
+    assert main(["eval", "--model", str(pipeline["run"]),
+                 "--data", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: line 1: {fault}\n"
 
 
 def test_config_file_precedence(tmp_path):

@@ -67,9 +67,10 @@ class TestClassify:
         fusion = make_fusion(K=3)
         fusion.params["fuse.Wout"].data[...] = 0.0
         fusion.params["fuse.bout"].data[...] = 0.0
-        probs = fusion.classify(Tensor(np.random.default_rng(0)
-                                       .standard_normal((2, 4))))
-        np.testing.assert_allclose(probs.data, 1 / 3)
+        logits = fusion.classify(Tensor(np.random.default_rng(0)
+                                        .standard_normal((2, 4))))
+        np.testing.assert_array_equal(logits.data, 0.0)
+        np.testing.assert_allclose(ad.softmax(logits).data, 1 / 3)
 
     def test_shift_invariance(self):
         logits = np.random.default_rng(1).standard_normal((3, 5))
@@ -78,8 +79,8 @@ class TestClassify:
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     def test_argmax_tie_breaks_low_index(self):
-        probs = np.array([[0.4, 0.4, 0.2]])
-        assert predict_labels(probs)[0] == 0
+        logits = np.array([[0.4, 0.4, 0.2]])
+        assert predict_labels(logits)[0] == 0
 
 
 class TestExtremaLoss:
@@ -162,8 +163,8 @@ def test_plain_mode_reduces_exactly(tiny_corpus):
                          len(tiny_corpus["tz_vocab"]),
                          len(tiny_corpus["label_vocab"]),
                          np.random.default_rng(77))
-        probs, r, _ = model.forward(batch, train=False)
-        return probs.data, r.data
+        logits, r, _ = model.forward(batch, train=False)
+        return logits.data, r.data
 
     p0, r0 = outputs(mc0)
     p1, r1 = outputs(synthetic_model_config(noise_sigma=0.1,

@@ -5,6 +5,7 @@ from geotweet import autodiff as ad
 from geotweet.loc_net import LocConvNetwork, TimezoneEmbedding
 
 from conftest import finite_difference_check
+from oracles import amax, batch_major_loc_forward
 
 
 def make_net(vocab=7, emb=3, span=2, out=4, seed=0):
@@ -50,11 +51,48 @@ def test_pooling_is_max_over_spans():
 
 def test_max_is_order_free_across_spans():
     rng = np.random.default_rng(4)
-    acts = ad.Tensor(rng.standard_normal((1, 5, 3)))
-    pooled = ad.amax(acts, axis=1)
+    acts = ad.Tensor(rng.standard_normal((5, 1, 3)))
+    pooled = ad.window_max(acts, 5)
     perm = rng.permutation(5)
-    shuffled = ad.amax(ad.Tensor(acts.data[:, perm, :]), axis=1)
+    shuffled = ad.window_max(ad.Tensor(acts.data[perm]), 5)
     np.testing.assert_allclose(pooled.data, shuffled.data)
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_full_window_max_equals_amax_bit_for_bit(ties):
+    # the location pooling: one window over all spans of a (spans, batch, O) array
+    rng = np.random.default_rng(8)
+    shape = (6, 4, 5)
+    values = (rng.integers(0, 2, size=shape).astype(float) if ties
+              else rng.standard_normal(shape))
+    upstream = rng.standard_normal((4, 5))
+    acts = ad.Tensor(values, requires_grad=True)
+    pooled = ad.reshape(ad.window_max(acts, 6), (4, 5))
+    ad.tsum(ad.mul(pooled, upstream)).backward()
+    batch_major = ad.Tensor(values.transpose(1, 0, 2).copy(), requires_grad=True)
+    oracle = amax(batch_major, axis=1)
+    ad.tsum(ad.mul(oracle, upstream)).backward()
+    np.testing.assert_array_equal(pooled.data, oracle.data)
+    np.testing.assert_array_equal(acts.grad, batch_major.grad.transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("T,span", [(5, 2), (4, 4), (20, 3)])
+def test_forward_matches_batch_major_amax_path(T, span):
+    net = make_net(span=span, seed=T)
+    ids = np.random.default_rng(T).integers(0, 7, size=(3, T))
+    params = list(net.params.values())
+
+    def run(forward):
+        out = forward(ids)
+        for p in params:
+            p.grad = None
+        ad.tsum(ad.tanh(out)).backward()
+        return [out.data] + [p.grad for p in params]
+
+    for got, want in zip(run(net.forward),
+                         run(lambda i: batch_major_loc_forward(net, i))):
+        np.testing.assert_allclose(got, want, rtol=1e-10,
+                                   atol=1e-10 * np.abs(want).max())
 
 
 def test_monotone_in_span_activations():

@@ -11,6 +11,7 @@ from geotweet.archive import load_archive, save_archive
 from geotweet.model import (FEATURES, GeoModel, ModelConfig, batch_arrays,
                             load_checkpoint, save_checkpoint)
 from geotweet.optim import Adam
+from geotweet.text_net import TextNetwork
 from geotweet.trainer import synthetic_model_config
 
 from conftest import encode_all, graph_nodes
@@ -251,10 +252,44 @@ def test_training_step_and_eval_forward_are_float32(tiny_corpus):
     for arrays in ([n.data for n in nodes], seen, [p.data for p in params],
                    grads, moments):
         assert _dtypes(arrays) == {"float32": len(arrays)}
-    probs, r, attention = model.forward(batch, train=False)
-    nodes = graph_nodes(probs) + graph_nodes(r)
+    logits, r, attention = model.forward(batch, train=False)
+    nodes = graph_nodes(logits) + graph_nodes(r)
     assert _dtypes([n.data for n in nodes] + [attention]) == {
         "float32": len(nodes) + 1}
+
+
+def _ops(nodes):
+    """Graph nodes counted by op: the function that made each node's rule."""
+    return Counter(node._backward.__qualname__.split(".")[0]
+                   for node in nodes if node._backward is not None)
+
+
+def test_training_step_graph_has_one_op_per_job(tiny_corpus, monkeypatch):
+    cfg = synthetic_model_config()
+    model = _tweet_user_model(tiny_corpus, cfg, 0)
+    text_outputs = []
+    text_forward = TextNetwork.forward
+
+    def spy(net, text_ids):
+        text_outputs.append(text_forward(net, text_ids))
+        return text_outputs[-1]
+
+    monkeypatch.setattr(TextNetwork, "forward", spy)
+    loss, _, _ = model.loss(_batch(tiny_corpus, cfg, 16), train=True,
+                            rng=np.random.default_rng(0))
+    step = _ops(graph_nodes(loss))
+    (features, _), = text_outputs
+    text = _ops(graph_nodes(features))
+    # the text branch feeds its bi-LSTM states straight into one projection op
+    assert text["take"] == text["concat"] == 0, text
+    assert text["bilstm_sequence"] == text["context_projection"] == 1
+    # the attention's softmax is the only one: the loss takes logits
+    assert step["softmax"] == text["softmax"] == 1
+    assert step["cross_entropy"] == 1
+    # text and location pool with the same op
+    assert "amax" not in step and step["window_max"] == 2
+    print(f"\ntraining step graph: {sum(step.values())} nodes "
+          f"({sum(text.values())} in the text branch)")
 
 
 @pytest.mark.parametrize("overrides", [

@@ -11,6 +11,7 @@ from geotweet import autodiff as ad
 from geotweet.text_net import TextNetwork, top_attended_spans
 
 from conftest import finite_difference_check
+from oracles import chained_context_projection, lstm_sequence, maximum_list, sigmoid
 
 
 def make_net(vocab_size=9, emb=3, out=4, window=3, attn=None, seed=0):
@@ -50,10 +51,10 @@ def scalar_lstm_reference(xs, Wx, Wh, b, hidden):
 
 def _lstm_step(x_t, h, c, Wx, Wh, b, hidden):
     gates = ad.add(ad.add(ad.matmul(x_t, Wx), ad.matmul(h, Wh)), b)
-    i = ad.sigmoid(gates[:, 0 * hidden:1 * hidden])
-    f = ad.sigmoid(gates[:, 1 * hidden:2 * hidden])
+    i = sigmoid(gates[:, 0 * hidden:1 * hidden])
+    f = sigmoid(gates[:, 1 * hidden:2 * hidden])
     g = ad.tanh(gates[:, 2 * hidden:3 * hidden])
-    o = ad.sigmoid(gates[:, 3 * hidden:4 * hidden])
+    o = sigmoid(gates[:, 3 * hidden:4 * hidden])
     c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
     h_new = ad.mul(o, ad.tanh(c_new))
     return h_new, c_new
@@ -72,7 +73,7 @@ def unfused_lstm(xs, Wx, Wh, b, reverse):
 
 def unfused_window_max(a, P):
     spans = a.shape[0] - P + 1
-    return ad.maximum_list([a[k:k + spans] for k in range(P)])
+    return maximum_list([a[k:k + spans] for k in range(P)])
 
 
 def unfused_forward(net, text_ids):
@@ -125,7 +126,7 @@ class TestFusedOpsMatchOracle:
         weights = [ad.Tensor(rng.standard_normal(shape) * 0.5, requires_grad=True)
                    for shape in ((E, 4 * H), (H, 4 * H), (4 * H,))]
         upstream = rng.standard_normal((T, B, H))
-        fused = ad.lstm_sequence(x, *weights, reverse=reverse)
+        fused = lstm_sequence(x, *weights, reverse=reverse)
         oracle = unfused_lstm([x[t] for t in range(T)], *weights, reverse)
         assert fused.shape == (T, B, H)
         assert_matches_oracle(fused.data, [h.data for h in oracle])
@@ -222,7 +223,7 @@ class TestBilstmSequence:
         x, weights, upstream = bilstm_case(T, B, E, H, seed=H)
         both, got, submitted = run_bilstm(x, weights, upstream, 2, monkeypatch)
         assert submitted == (2 if threaded else 0)  # forward and backward
-        fwd, bwd = (ad.lstm_sequence(x, *weights[d], reverse=d == 1)
+        fwd, bwd = (lstm_sequence(x, *weights[d], reverse=d == 1)
                     for d in (0, 1))
         np.testing.assert_array_equal(both, np.stack([fwd.data, bwd.data]))
         want = gradients([x, *weights[0], *weights[1]], ad.add(
@@ -316,8 +317,8 @@ class TestBilstm:
     def test_single_position(self):
         net = make_net()
         ids = np.array([[2]])
-        fwd, bwd = net.bilstm_contexts(net.char_vectors(ids))
-        assert fwd.shape == bwd.shape == (1, 1, net.hidden)
+        hs = net.bilstm_contexts(net.char_vectors(ids))
+        assert hs.shape == (2, 1, 1, net.hidden)
 
     def test_zero_weights_give_zero_states(self):
         net = make_net()
@@ -325,16 +326,15 @@ class TestBilstm:
             if "fwd" in name or "bwd" in name:
                 p.data[...] = 0.0
         ids = np.array([[2, 3, 4]])
-        fwd, bwd = net.bilstm_contexts(net.char_vectors(ids))
-        assert fwd.shape == bwd.shape == (3, 1, net.hidden)
-        np.testing.assert_allclose(fwd.data, 0.0)
-        np.testing.assert_allclose(bwd.data, 0.0)
+        hs = net.bilstm_contexts(net.char_vectors(ids))
+        assert hs.shape == (2, 3, 1, net.hidden)
+        np.testing.assert_allclose(hs.data, 0.0)
 
     def test_matches_scalar_reference(self):
         net = make_net(seed=4)
         ids = np.array([[2, 5, 3, 7]])
         xs = net.char_vectors(ids)
-        fwd, _ = net.bilstm_contexts(xs)
+        fwd = net.bilstm_contexts(xs).data[0]
         ref = scalar_lstm_reference(
             xs.data[:, 0].tolist(),
             net.params["text.fwd.Wx"].data.tolist(),
@@ -343,13 +343,13 @@ class TestBilstm:
             net.hidden)
         assert fwd.shape[0] == len(ref) == 4
         for t in range(4):
-            np.testing.assert_allclose(fwd.data[t, 0], ref[t], atol=1e-12)
+            np.testing.assert_allclose(fwd[t, 0], ref[t], atol=1e-12)
 
     def test_backward_direction_matches_reversed_reference(self):
         net = make_net(seed=5)
         ids = np.array([[2, 5, 3]])
         xs = net.char_vectors(ids)
-        _, bwd = net.bilstm_contexts(xs)
+        bwd = net.bilstm_contexts(xs).data[1]
         ref = scalar_lstm_reference(
             xs.data[::-1, 0].tolist(),
             net.params["text.bwd.Wx"].data.tolist(),
@@ -360,7 +360,7 @@ class TestBilstm:
         T = xs.shape[0]
         assert bwd.shape[0] == len(ref) == 3
         for t in range(T):
-            np.testing.assert_allclose(bwd.data[t, 0], ref[T - 1 - t],
+            np.testing.assert_allclose(bwd[t, 0], ref[T - 1 - t],
                                        atol=1e-12)
 
     def test_forget_bias_initialized_to_one(self):
@@ -381,8 +381,7 @@ class TestContextualProjection:
         net.params["text.bg"].data[...] = 0.0
         ids = np.array([[2, 3, 4, 5]])
         xs = net.char_vectors(ids)
-        fwd, bwd = net.bilstm_contexts(xs)
-        g = net.contextual_projection(xs, fwd, bwd)
+        g = net.contextual_projection(xs, net.bilstm_contexts(xs))
         np.testing.assert_allclose(g.data, 0.0)
 
     def test_boundary_contexts_are_zero(self):
@@ -393,9 +392,47 @@ class TestContextualProjection:
             net.params[f"text.{name}"].data[...] = 0.0
         ids = np.array([[2, 3, 2]])
         xs = net.char_vectors(ids)
-        fwd, bwd = net.bilstm_contexts(xs)
-        g = net.contextual_projection(xs, fwd, bwd)
+        g = net.contextual_projection(xs, net.bilstm_contexts(xs))
         np.testing.assert_allclose(g.data[0], g.data[2], atol=1e-12)
+
+
+class TestContextProjectionOp:
+    @pytest.mark.parametrize("T", [1, 2, 7])
+    def test_matches_the_take_concat_matmul_chain(self, T):
+        rng = np.random.default_rng(T)
+        B, E, H, O = 3, 4, 5, 6
+        inputs = [ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+                  for shape in ((T, B, E), (2, T, B, H), (2 * H + E, O), (O,))]
+        upstream = rng.standard_normal((T, B, O))
+        fused = ad.context_projection(*inputs)
+        chain = chained_context_projection(*inputs)
+        assert fused.shape == (T, B, O)
+        assert_matches_oracle(fused.data, chain.data)
+        for got, want in zip(gradients(inputs, ad.tsum(ad.mul(fused, upstream))),
+                             gradients(inputs, ad.tsum(ad.mul(chain, upstream)))):
+            assert_matches_oracle(got, want)
+
+    def test_ends_get_no_context_gradient(self):
+        rng = np.random.default_rng(0)
+        xs = ad.Tensor(rng.standard_normal((4, 2, 3)))
+        hs = ad.Tensor(rng.standard_normal((2, 4, 2, 5)), requires_grad=True)
+        W, b = ad.Tensor(rng.standard_normal((13, 6))), ad.Tensor(np.zeros(6))
+        ad.tsum(ad.context_projection(xs, hs, W, b)).backward()
+        # the last forward state and the first backward one are nobody's context
+        np.testing.assert_array_equal(hs.grad[0, -1], 0.0)
+        np.testing.assert_array_equal(hs.grad[1, 0], 0.0)
+        assert (hs.grad[0, :-1] != 0).all() and (hs.grad[1, 1:] != 0).all()
+
+    @pytest.mark.parametrize("hs_shape,w_shape,b_shape", [
+        ((2, 3, 2, 4), (12, 5), (5,)),   # W rows are not 2H + E
+        ((2, 4, 2, 5), (13, 5), (5,)),   # states of another length
+        ((1, 3, 2, 5), (13, 5), (5,)),   # one direction only
+        ((2, 3, 2, 5), (13, 5), (4,)),   # bias width is not O
+    ])
+    def test_shape_mismatch_rejected(self, hs_shape, w_shape, b_shape):
+        with pytest.raises(ValueError, match="context_projection"):
+            ad.context_projection(np.zeros((3, 2, 3)), np.zeros(hs_shape),
+                                  np.zeros(w_shape), np.zeros(b_shape))
 
 
 class TestWindowedMaxPool:

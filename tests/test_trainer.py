@@ -34,8 +34,8 @@ class TestEvaluateAccuracy:
     def test_all_correct(self, tiny_corpus, tiny_encoded):
         model = build_model(tiny_corpus, tiny_encoded["config"], 0)
         arrays = batch_arrays(tiny_encoded["test"][:10])
-        probs, _, _ = model.forward(arrays, train=False)
-        arrays["label_id"] = probs.data.argmax(axis=1)
+        logits, _, _ = model.forward(arrays, train=False)
+        arrays["label_id"] = logits.data.argmax(axis=1)
         assert evaluate_accuracy(model, arrays) == 1.0
 
     def test_zero_output_weights_predict_class_zero(self, tiny_corpus,
@@ -230,11 +230,11 @@ def test_non_finite_gradient_stops_training(tiny_corpus, tiny_encoded,
     bias = model.params["fuse.bout"]
 
     def loss(batch, **kwargs):
-        total, probs, r = original(batch, **kwargs)
+        total, logits, r = original(batch, **kwargs)
         # a finite term whose gradient, -1e-20 / bias**2, overflows float32
         bias.data[0] = 1e-30
         term = ad.tsum(ad.div(1e-20, bias[0:1]))
-        return ad.add(total, term), probs, r
+        return ad.add(total, term), logits, r
 
     monkeypatch.setattr(model, "loss", loss)
     with pytest.raises(ValueError, match=r"^non-finite gradient of fuse.bout "
