@@ -235,11 +235,15 @@ def record_from_dict(obj):
     """The TweetRecord of one decoded JSONL line; a fault raises ValueError."""
     if not isinstance(obj, dict):
         raise ValueError(f"not a JSON object: {json.dumps(obj)}")
+    offset = _field(obj, "utc_offset", "an integer or null", (int, type(None)))
+    try:
+        float(offset or 0)  # normalize_utc_offset divides it as a float
+    except OverflowError:
+        raise ValueError(f"field 'utc_offset' is out of range: {offset}") from None
     return TweetRecord(
         text=_field(obj, "text", "a string", str, ""),
         created_at=_timestamp(obj, "created_at"),
-        utc_offset_seconds=_field(obj, "utc_offset", "an integer or null",
-                                  (int, type(None))),
+        utc_offset_seconds=offset,
         timezone_name=_field(obj, "timezone", "a string or null", (str, type(None))),
         user_location=_field(obj, "user_location", "a string or null",
                              (str, type(None))) or "",

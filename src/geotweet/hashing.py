@@ -51,19 +51,16 @@ def retrieve(query_bits, index):
 
 def average_precision(ranking, relevant):
     """Mean of precision values at the ranks of relevant items (full ranking)."""
-    if not relevant:
+    relevant = np.unique(list(relevant))
+    if len(relevant) == 0:
         raise ValueError("average precision needs a non-empty relevant set")
-    relevant = set(relevant)
-    missing = relevant.difference(ranking)
-    if missing:
-        raise ValueError(f"relevant ids not in the ranking: {sorted(missing)[:5]}")
-    hits = 0
-    total = 0.0
-    for rank, item in enumerate(ranking, start=1):
-        if item in relevant:
-            hits += 1
-            total += hits / rank
-    return total / len(relevant)
+    missing = relevant[~np.isin(relevant, ranking)]
+    if len(missing):
+        raise ValueError(f"relevant ids not in the ranking: {missing[:5].tolist()}")
+    hit_ranks = np.flatnonzero(np.isin(ranking, relevant)) + 1
+    precisions = np.arange(1, len(hit_ranks) + 1) / hit_ranks
+    # cumsum, not sum: it adds in rank order, so the result equals a per-item loop's
+    return float(np.cumsum(precisions)[-1]) / len(relevant)
 
 
 def map_from_codes(test, dev):
@@ -72,20 +69,12 @@ def map_from_codes(test, dev):
     Test codes with no same-label dev tweet are excluded; their count is
     reported alongside the MAP.
     """
-    by_label = {}
-    for i, lab in zip(dev.ids, dev.labels):
-        by_label.setdefault(int(lab), set()).add(int(i))
     aps = []
-    excluded = 0
     for bits, lab in zip(test.bits, test.labels):
-        relevant = by_label.get(int(lab))
-        if not relevant:
-            excluded += 1
-            continue
-        ranking = retrieve(bits, dev)
-        aps.append(average_precision(ranking, relevant))
-    mean_ap = float(np.mean(aps)) if aps else 0.0
-    return mean_ap, excluded
+        relevant = dev.ids[dev.labels == lab]
+        if len(relevant):
+            aps.append(average_precision(retrieve(bits, dev), relevant))
+    return (float(np.mean(aps)) if aps else 0.0), len(test) - len(aps)
 
 
 def compute_representations(model, examples):
@@ -168,16 +157,19 @@ def extreme_fraction(representations, threshold=0.9):
     return float(np.count_nonzero(values >= threshold) / max(1, values.size))
 
 
+def _record(width):
+    """A ``.codes`` record: id, label, and the code packed MSB-first."""
+    return np.dtype([("id", "<u8"), ("label", "<u8"), ("bits", "u1", ((width + 7) // 8,))])
+
+
 def save_codes(path, codes):
-    """Packed code file: header (magic, version, width, count), then per
-    record (id, label, bits packed MSB-first, little-endian integers)."""
-    width = codes.width
+    """Header (magic, version, width, count), then one little-endian ``_record`` per code."""
+    rows = np.empty(len(codes), dtype=_record(codes.width))
+    rows["id"], rows["label"] = codes.ids, codes.labels
+    rows["bits"] = np.packbits(codes.bits, axis=1)
     with open(path, "wb") as f:
-        f.write(CODE_MAGIC)
-        f.write(struct.pack("<IIQ", CODE_FORMAT_VERSION, width, len(codes)))
-        for bits, rid, lab in zip(codes.bits, codes.ids, codes.labels):
-            f.write(struct.pack("<QQ", int(rid), int(lab)))
-            f.write(np.packbits(bits).tobytes())
+        f.write(CODE_MAGIC + struct.pack("<IIQ", CODE_FORMAT_VERSION, codes.width, len(codes)))
+        f.write(rows.tobytes())
 
 
 def load_codes(path):
@@ -187,12 +179,14 @@ def load_codes(path):
         version, width, count = struct.unpack("<IIQ", read_exact(f, 16, path))
         if version != CODE_FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported code file version {version}")
-        record = np.dtype([("id", "<u8"), ("label", "<u8"),
-                           ("bits", "u1", ((width + 7) // 8,))])
+        record = _record(width)
         rows = np.frombuffer(read_exact(f, count * record.itemsize, path),
                              dtype=record)
         if f.read(1):
             raise ValueError(f"{path}: data after the last of {count} records")
+    ids, counts = np.unique(rows["id"], return_counts=True)
+    if (counts > 1).any():
+        raise ValueError(f"{path}: repeated id {ids[counts > 1][0]}")
     return CodeSet(bits=np.unpackbits(rows["bits"], axis=1)[:, :width],
                    ids=rows["id"].astype(np.int64),
                    labels=rows["label"].astype(np.int64))

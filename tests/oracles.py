@@ -2,10 +2,14 @@
 
 The program never calls any of these. Each one is either a small op that
 only gradient checks and oracles use (``maximum``, ``sigmoid``,
-``lstm_sequence``, ``amax``), a brute-force reference for the retrieval code
-(``hamming``, ``map_eval``), or the chain of graph nodes that a fused
-engine op replaced, kept so that the fused op can be checked against it.
+``lstm_sequence``, ``amax``), a brute-force or per-item reference for the
+retrieval and code-file code (``hamming``, ``average_precision``,
+``map_from_codes``, ``map_eval``, ``save_codes``), or the chain of graph
+nodes that a fused engine op replaced, kept so that the fused op can be
+checked against it.
 """
+
+import struct
 
 import numpy as np
 
@@ -128,3 +132,46 @@ def map_eval(model, dev_examples, test_examples):
     dev = H.encode_code_set(model, dev_examples)
     test = H.encode_code_set(model, test_examples)
     return H.map_from_codes(test, dev)
+
+
+def average_precision(ranking, relevant):
+    """Per-item loop over the ranking: precision at each relevant rank."""
+    if not relevant:
+        raise ValueError("average precision needs a non-empty relevant set")
+    relevant = set(relevant)
+    missing = relevant.difference(ranking)
+    if missing:
+        raise ValueError(f"relevant ids not in the ranking: {sorted(missing)[:5]}")
+    hits = 0
+    total = 0.0
+    for rank, item in enumerate(ranking, start=1):
+        if item in relevant:
+            hits += 1
+            total += hits / rank
+    return total / len(relevant)
+
+
+def map_from_codes(test, dev):
+    """MAP over a dict of same-label id sets, one ``retrieve`` per query."""
+    by_label = {}
+    for i, lab in zip(dev.ids, dev.labels):
+        by_label.setdefault(int(lab), set()).add(int(i))
+    aps = []
+    excluded = 0
+    for bits, lab in zip(test.bits, test.labels):
+        relevant = by_label.get(int(lab))
+        if not relevant:
+            excluded += 1
+            continue
+        aps.append(average_precision(H.retrieve(bits, dev), relevant))
+    return (float(np.mean(aps)) if aps else 0.0), excluded
+
+
+def save_codes(path, codes):
+    """``.codes`` writer that packs the header and each record by itself."""
+    with open(path, "wb") as f:
+        f.write(H.CODE_MAGIC)
+        f.write(struct.pack("<IIQ", H.CODE_FORMAT_VERSION, codes.width, len(codes)))
+        for bits, rid, lab in zip(codes.bits, codes.ids, codes.labels):
+            f.write(struct.pack("<QQ", int(rid), int(lab)))
+            f.write(np.packbits(bits).tobytes())

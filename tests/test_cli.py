@@ -193,12 +193,13 @@ def test_malformed_jsonl_reports_line(pipeline, tmp_path, capsys):
     ({"utc_offset": "abc"}, "field 'utc_offset' must be an integer or null, "
                             'got "abc"'),
     ({"utc_offset": True}, "field 'utc_offset' must be an integer or null, got true"),
+    ({"utc_offset": 10**400}, f"field 'utc_offset' is out of range: {10**400}"),
     ({"created_at": 1e20}, "field 'created_at' is not a valid timestamp: 1e+20"),
     ({"created_at": True}, "field 'created_at' must be an ISO-8601 string or "
                            "epoch seconds, got true"),
     ({"timezone": 7}, "field 'timezone' must be a string or null, got 7"),
-], ids=["array", "string", "text", "offset-text", "offset-bool", "time-range",
-        "time-bool", "timezone"])
+], ids=["array", "string", "text", "offset-text", "offset-bool", "offset-range",
+        "time-range", "time-bool", "timezone"])
 def test_malformed_record_fails_with_one_error_line(pipeline, tmp_path, capsys,
                                                     change, fault):
     first, *rest = (pipeline["data"] / "test.jsonl").read_text().splitlines(True)
@@ -363,6 +364,15 @@ def test_truncated_code_file_fails_with_one_error_line(pipeline, tmp_path,
                  "--dev-codes", str(dev_codes)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {cut}: truncated")
+
+
+def test_repeated_code_id_fails_with_one_error_line(tmp_path, capsys):
+    codes = tmp_path / "dup.codes"
+    H.save_codes(codes, H.CodeSet(bits=np.array([[1], [0], [1]], dtype=np.uint8),
+                                  ids=np.array([0, 0, 1]), labels=np.zeros(3, dtype=np.int64)))
+    assert main(["retrieve", "--test-codes", str(codes),
+                 "--dev-codes", str(codes)]) == 1
+    assert capsys.readouterr().err == f"error: {codes}: repeated id 0\n"
 
 
 def test_train_message_only_defaults(tmp_path, pipeline):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from geotweet import hashing as H
 
+import oracles
 from oracles import hamming
 
 
@@ -107,6 +108,18 @@ class TestAveragePrecision:
         base = H.average_precision(ranking, {"a"})
         assert base == H.average_precision(["a", "z", "y", "x"], {"a"})
 
+    def test_matches_per_item_loop(self):
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            ranking = rng.permutation(rng.choice(500, rng.integers(1, 60), replace=False))
+            relevant = rng.choice(ranking, rng.integers(1, len(ranking) + 1), replace=False)
+            assert H.average_precision(ranking, relevant) == pytest.approx(
+                oracles.average_precision(list(ranking), set(relevant)), abs=1e-12)
+
+    def test_missing_ids_listed_in_order(self):
+        with pytest.raises(ValueError, match=r"not in the ranking: \[3, 7\]"):
+            H.average_precision([1, 2], [7, 1, 3])
+
 
 class TestMap:
     def test_self_retrieval_distinct_labels(self):
@@ -136,6 +149,20 @@ class TestMap:
                 aps.append(H.average_precision(list(H.retrieve(bits, dev)),
                                                relevant))
         assert mean_ap == pytest.approx(np.mean(aps))
+
+    def test_matches_oracle_composition(self):
+        # few bits give many distance ties; ids are shuffled and not
+        # contiguous, and labels 5..7 occur only among the queries
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            n, m, w = rng.integers(1, 50), rng.integers(1, 25), rng.integers(1, 5)
+            dev = code_set(rng.integers(0, 2, (n, w)), labels=rng.integers(0, 5, n),
+                           ids=rng.permutation(rng.choice(10_000, n, replace=False)))
+            test = code_set(rng.integers(0, 2, (m, w)), labels=rng.integers(0, 8, m))
+            mean_ap, excluded = H.map_from_codes(test, dev)
+            want_ap, want_excluded = oracles.map_from_codes(test, dev)
+            assert excluded == want_excluded
+            assert mean_ap == pytest.approx(want_ap, abs=1e-12)
 
 
 class TestLsh:
@@ -216,6 +243,23 @@ class TestCodeFile:
         H.save_codes(path, code_set([[1, 0, 1], [0, 1, 1]], labels=[3, 4]))
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(ValueError, match=f"{path}: data after the last of 2"):
+            H.load_codes(path)
+
+    @pytest.mark.parametrize("n, width", [(5, 1), (5, 7), (5, 8), (5, 9), (5, 64),
+                                          (5, 100), (0, 9)])
+    def test_bytes_match_per_record_writer(self, tmp_path, n, width):
+        rng = np.random.default_rng(width)
+        codes = code_set(rng.integers(0, 2, (n, width)), labels=rng.integers(0, 2**40, n),
+                         ids=rng.permutation(rng.choice(2**40, n, replace=False)))
+        H.save_codes(tmp_path / "got.codes", codes)
+        oracles.save_codes(tmp_path / "want.codes", codes)
+        assert ((tmp_path / "got.codes").read_bytes()
+                == (tmp_path / "want.codes").read_bytes())
+
+    def test_repeated_id_is_reported(self, tmp_path):
+        path = tmp_path / "codes.bin"
+        H.save_codes(path, code_set([[1], [0], [1]], ids=[4, 9, 4]))
+        with pytest.raises(ValueError, match=f"{path}: repeated id 4"):
             H.load_codes(path)
 
     def test_rejects_non_code_file(self, tmp_path):
