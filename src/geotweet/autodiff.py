@@ -102,10 +102,7 @@ class Tensor:
                 else:
                     grads[key] = pg
 
-    # operator sugar: ``*`` and basic slicing
-    def __mul__(self, other):
-        return mul(self, other)
-
+    # operator sugar: basic slicing
     def __getitem__(self, key):
         return take(self, key)
 
@@ -153,42 +150,6 @@ def add(a, b):
     )
 
 
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "sub")
-    return _make(
-        a.data - b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)),
-    )
-
-
-def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "mul")
-    return _make(
-        a.data * b.data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g * b.data, a.shape),
-            _unbroadcast(g * a.data, b.shape),
-        ),
-    )
-
-
-def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "div")
-    return _make(
-        a.data / b.data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-        ),
-    )
-
-
 def _check_broadcast(a, b, op):
     try:
         np.broadcast_shapes(a.shape, b.shape)
@@ -225,12 +186,6 @@ def reshape(a, shape):
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
-def transpose(a, axes):
-    a = as_tensor(a)
-    inverse = tuple(np.argsort(axes))
-    return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
-
-
 def take(a, key):
     """Basic slicing/indexing with gradient scatter."""
     a = as_tensor(a)
@@ -259,30 +214,22 @@ def relu(a):
     return _make(a.data * mask, (a,), lambda g: (g * mask,))
 
 
-def exp(a):
-    a = as_tensor(a)
-    y = np.exp(a.data)
-    return _make(y, (a,), lambda g: (g * y,))
+def rbf(u, mu, sigma):
+    """Gaussian bin activations exp(-(u - mu)^2 / 2 sigma^2) of a (batch,)
+    array ``u`` against (bins,) means and widths: (batch, bins).
 
-
-def absolute(a):
-    a = as_tensor(a)
-    s = np.sign(a.data)
-    return _make(np.abs(a.data), (a,), lambda g: (g * s,))
-
-
-def softmax(a):
-    """Softmax over the last axis."""
-    a = as_tensor(a)
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    ``u`` is data, so only ``mu`` and ``sigma`` get gradients.
+    """
+    mu, sigma = as_tensor(mu), as_tensor(sigma)
+    d = np.asarray(u, dtype=_compute_dtype).reshape(-1, 1) - mu.data
+    var = sigma.data * sigma.data
+    y = np.exp(-(d * d) / (2 * var))
 
     def backward(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return ((g - dot) * y,)
+        g_mu = g * y * d / var
+        return g_mu.sum(axis=0), (g_mu * d).sum(axis=0) / sigma.data
 
-    return _make(y, (a,), backward)
+    return _make(y, (mu, sigma), backward)
 
 
 def window_max(a, P):
@@ -505,6 +452,38 @@ def context_projection(xs, hs, W, b):
     return _make(out, (xs, hs, W, b), backward)
 
 
+def attention_pool(spans, Wv, bv, v):
+    """Attention-weighted mean over the S spans of a (S, batch, O) tensor.
+
+    Span s of example b scores tanh(spans[s, b] @ Wv + bv) @ v, the scores
+    of each example are softmaxed over its spans, and the result is the
+    (batch, O) weighted mean. Also returns the (batch, S) weights, as a
+    Tensor outside the graph: no loss reads them.
+    """
+    spans, Wv, bv, v = (as_tensor(t) for t in (spans, Wv, bv, v))
+    S, B, O = spans.shape
+    A = bv.shape[0]
+    if Wv.shape != (O, A) or v.shape != (A, 1):
+        raise ValueError(f"attention_pool: spans {spans.shape} do not fit "
+                         f"weights {Wv.shape}, {bv.shape}, {v.shape}")
+    flat = spans.data.reshape(S * B, O)
+    hidden = np.tanh(flat @ Wv.data + bv.data)
+    scores = (hidden @ v.data).reshape(S, B)
+    e = np.exp(scores - scores.max(axis=0))
+    w = e / e.sum(axis=0)
+
+    def backward(g):
+        g_w = (spans.data * g).sum(axis=2)
+        g_scores = ((g_w - (g_w * w).sum(axis=0)) * w).reshape(S * B, 1)
+        g_pre = (g_scores @ v.data.T) * (1.0 - hidden * hidden)
+        g_spans = w[:, :, None] * g + (g_pre @ Wv.data.T).reshape(S, B, O)
+        return g_spans, flat.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g_scores
+
+    pooled = _make((w[:, :, None] * spans.data).sum(axis=0), (spans, Wv, bv, v),
+                   backward)
+    return pooled, Tensor(w.T)
+
+
 def embedding(ids, table):
     """Look up rows of ``table`` for an integer id array."""
     table = as_tensor(table)
@@ -542,30 +521,17 @@ def gaussian_noise(a, sigma, rng):
     return _make(a.data + noise, (a,), lambda g: (g,))
 
 
-def tsum(a, axis=None):
-    a = as_tensor(a)
-    if axis is None:
-        return _make(np.array(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
+def extrema_penalty(r, alpha):
+    """alpha * mean |(r - 1)(r + 1)| over every element of ``r``: zero when
+    each is -1 or +1, and its gradient pushes each toward the nearer one."""
+    r = as_tensor(r)
+    gap = (r.data - 1.0) * (r.data + 1.0)
+    alpha = gap.dtype.type(alpha)
 
     def backward(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
+        return (np.sign(gap) * (2.0 * r.data) * (g * alpha / gap.size),)
 
-    return _make(a.data.sum(axis=axis), (a,), backward)
-
-
-def tmean(a, axis=None):
-    a = as_tensor(a)
-    if axis is None:
-        n = a.data.size
-        return _make(np.array(a.data.mean()), (a,), lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
-    n = a.shape[axis]
-
-    def backward(g):
-        return (np.broadcast_to(np.expand_dims(g, axis) / n, a.shape).copy(),)
-
-    return _make(a.data.mean(axis=axis), (a,), backward)
-
-
+    return _make(np.array(np.abs(gap).mean() * alpha), (r,), backward)
 
 
 def cross_entropy(logits, label_ids):

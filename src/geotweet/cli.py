@@ -115,10 +115,20 @@ def model_config_from_args(args):
         removed_features=tuple(args.remove_feature or ()), **overrides)
 
 
-def encode_records(records, char_vocab, tz_vocab, label_vocab, config):
-    return [corpus_mod.encode_example(r, char_vocab, tz_vocab, label_vocab,
-                                      config.text_max_len, config.loc_max_len)
-            for r in records]
+def encode_records(records, char_vocab, tz_vocab, label_vocab, config,
+                   data="records", labels="the label vocabulary"):
+    """Encoded examples; a city that ``label_vocab`` lacks is an error naming
+    the ``data`` file, the record and where the ``labels`` came from."""
+    examples = []
+    for i, r in enumerate(records, start=1):
+        try:
+            examples.append(corpus_mod.encode_example(
+                r, char_vocab, tz_vocab, label_vocab, config.text_max_len,
+                config.loc_max_len))
+        except KeyError as e:
+            raise ValueError(f"{data}: record {i}: {e.args[0]} "
+                             f"(not in {labels})") from None
+    return examples
 
 
 def load_model_dir(model_dir):
@@ -136,8 +146,9 @@ def _model_and_data(args):
     """--model's model and vocabularies, --data's records and examples."""
     model, _, *vocabs = load_model_dir(args.model)
     records = corpus_mod.read_jsonl(args.data)
-    return model, vocabs, records, encode_records(records, *vocabs,
-                                                  model.config)
+    return model, vocabs, records, encode_records(
+        records, *vocabs, model.config, args.data,
+        Path(args.model) / "labels.txt")
 
 
 def _training_splits(args, config):
@@ -149,8 +160,11 @@ def _training_splits(args, config):
     test_records = corpus_mod.read_jsonl(args.test) if args.test else None
     vocabs = corpus_mod.build_vocabularies(train_records, args.min_char_count)
     return vocabs, *(None if records is None
-                     else encode_records(records, *vocabs, config)
-                     for records in (train_records, dev_records, test_records))
+                     else encode_records(records, *vocabs, config, data,
+                                         f"the cities of {args.train}")
+                     for records, data in ((train_records, args.train),
+                                           (dev_records, args.dev),
+                                           (test_records, args.test)))
 
 
 def _write_report(args, report, filename):

@@ -277,6 +277,8 @@ def read_jsonl(path):
                 raise ValueError(f"{path}: line {i}: malformed JSON: {e}") from None
             except ValueError as e:
                 raise ValueError(f"{path}: line {i}: {e}") from None
+    if not records:
+        raise ValueError(f"{path}: no records")
     return records
 
 

@@ -53,7 +53,4 @@ def predict_labels(logits):
 
 def extrema_loss(r, alpha):
     """Penalty alpha * mean |(r_i - 1)(r_i + 1)| pushing elements toward +-1."""
-    if alpha == 0.0:
-        return ad.Tensor(0.0)
-    gap = ad.absolute(ad.mul(ad.sub(r, 1.0), ad.add(r, 1.0)))
-    return ad.mul(ad.tmean(gap), alpha)
+    return ad.extrema_penalty(r, alpha)

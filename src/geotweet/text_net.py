@@ -75,14 +75,7 @@ class TextNetwork:
 
     def attention_pool(self, pooled):
         """Softmax-weighted mean of span vectors; also returns the weights."""
-        spans, batch, O = pooled.shape
-        flat = ad.reshape(pooled, (spans * batch, O))
-        hidden = ad.tanh(ad.add(ad.matmul(flat, self._p("Wv")), self._p("bv")))
-        scores = ad.reshape(ad.matmul(hidden, self._p("v")), (spans, batch))
-        weights = ad.softmax(ad.transpose(scores, (1, 0)))  # (batch, spans)
-        spans_bso = ad.transpose(pooled, (1, 0, 2))
-        weighted = ad.mul(ad.reshape(weights, (batch, spans, 1)), spans_bso)
-        return ad.tsum(weighted, axis=1), weights
+        return ad.attention_pool(pooled, self._p("Wv"), self._p("bv"), self._p("v"))
 
     def forward(self, text_ids):
         xs = self.char_vectors(text_ids)

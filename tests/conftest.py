@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,15 +8,19 @@ from geotweet.trainer import SyntheticConfig, generate_synthetic
 
 
 def finite_difference_check(params, loss_fn, rel_tol=1e-4, h=1e-5,
-                            max_coords=6, seed=0):
+                            max_coords=6, seed=0, ops=None):
     """Compare analytic grads of loss_fn() against central differences.
 
     ``params`` is a name -> Tensor dict; loss_fn rebuilds the graph from the
-    current parameter values and returns a scalar Tensor.
+    current parameter values and returns a scalar Tensor. When ``ops`` is a
+    set, the ops of the graph that is backpropagated are added to it.
     """
     for p in params.values():
         p.grad = None
-    loss_fn().backward()
+    loss = loss_fn()
+    if ops is not None:
+        ops.update(op_counts(graph_nodes(loss)))
+    loss.backward()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for name, p in params.items():
@@ -65,6 +71,31 @@ def graph_nodes(root):
             nodes.append(node)
             stack.extend(node._parents)
     return nodes
+
+
+def assert_matches_oracle(actual, expected):
+    """Equal within 1e-10 of the oracle's largest magnitude."""
+    expected = np.asarray(expected)
+    np.testing.assert_allclose(actual, expected, rtol=1e-10,
+                               atol=1e-10 * np.abs(expected).max())
+
+
+def gradients(tensors, loss):
+    for t in tensors:
+        t.grad = None
+    loss.backward()
+    # a tensor the loss does not reach has no gradient: zero
+    grads = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+             for t in tensors]
+    for t in tensors:
+        t.grad = None
+    return grads
+
+
+def op_counts(nodes):
+    """Graph nodes counted by op: the function that made each node's rule."""
+    return Counter(node._backward.__qualname__.split(".")[0]
+                   for node in nodes if node._backward is not None)
 
 
 def encode_all(records, corpus, text_max_len, loc_max_len):

@@ -1,8 +1,9 @@
 """Reference ops and compositions the tests compare the program against.
 
 The program never calls any of these. Each one is either a small op that
-only gradient checks and oracles use (``maximum``, ``sigmoid``,
-``lstm_sequence``, ``amax``), a brute-force or per-item reference for the
+only gradient checks and oracles use (``sub``, ``mul``, ``div``, ``exp``,
+``absolute``, ``softmax``, ``transpose``, ``tsum``, ``tmean``, ``maximum``,
+``sigmoid``, ``lstm_sequence``, ``amax``), a brute-force or per-item reference for the
 retrieval and code-file code (``hamming``, ``average_precision``,
 ``map_from_codes``, ``map_eval``, ``save_codes``), or the chain of graph
 nodes that a fused engine op replaced, kept so that the fused op can be
@@ -15,8 +16,101 @@ import numpy as np
 
 from geotweet import autodiff as ad
 from geotweet import hashing as H
-from geotweet.autodiff import (_check_lstm, _lstm_backward, _lstm_forward, _make,
-                               _sigmoid, as_tensor)
+from geotweet.autodiff import (_check_broadcast, _check_lstm, _lstm_backward,
+                               _lstm_forward, _make, _sigmoid, _unbroadcast,
+                               as_tensor)
+
+
+def sub(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    _check_broadcast(a, b, "sub")
+    return _make(
+        a.data - b.data,
+        (a, b),
+        lambda g: (_unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)),
+    )
+
+
+def mul(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    _check_broadcast(a, b, "mul")
+    return _make(
+        a.data * b.data,
+        (a, b),
+        lambda g: (
+            _unbroadcast(g * b.data, a.shape),
+            _unbroadcast(g * a.data, b.shape),
+        ),
+    )
+
+
+def div(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    _check_broadcast(a, b, "div")
+    return _make(
+        a.data / b.data,
+        (a, b),
+        lambda g: (
+            _unbroadcast(g / b.data, a.shape),
+            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+        ),
+    )
+
+
+def exp(a):
+    a = as_tensor(a)
+    y = np.exp(a.data)
+    return _make(y, (a,), lambda g: (g * y,))
+
+
+def absolute(a):
+    a = as_tensor(a)
+    s = np.sign(a.data)
+    return _make(np.abs(a.data), (a,), lambda g: (g * s,))
+
+
+def softmax(a):
+    """Softmax over the last axis."""
+    a = as_tensor(a)
+    z = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    y = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        return ((g - dot) * y,)
+
+    return _make(y, (a,), backward)
+
+
+def transpose(a, axes):
+    a = as_tensor(a)
+    inverse = tuple(np.argsort(axes))
+    return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
+
+
+def tsum(a, axis=None):
+    a = as_tensor(a)
+    if axis is None:
+        return _make(np.array(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
+
+    def backward(g):
+        return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
+
+    return _make(a.data.sum(axis=axis), (a,), backward)
+
+
+def tmean(a, axis=None):
+    a = as_tensor(a)
+    if axis is None:
+        n = a.data.size
+        return _make(np.array(a.data.mean()), (a,), lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
+    n = a.shape[axis]
+
+    def backward(g):
+        return (np.broadcast_to(np.expand_dims(g, axis) / n, a.shape).copy(),)
+
+    return _make(a.data.mean(axis=axis), (a,), backward)
 
 
 def sigmoid(a):
@@ -87,6 +181,31 @@ def chained_context_projection(xs, hs, W, b):
                          ad.concat([bwd[1:], zero], axis=0)], axis=2)
     flat = ad.reshape(stacked, (T * batch, stacked.shape[-1]))
     return ad.reshape(ad.add(ad.matmul(flat, W), b), (T, batch, W.shape[1]))
+
+
+def chained_rbf(u, mu, sigma):
+    """``ad.rbf`` as a chain of sub, mul, div and exp nodes."""
+    diff = sub(ad.Tensor(np.reshape(u, (-1, 1))), mu)
+    var2 = mul(mul(sigma, sigma), 2.0)
+    return exp(div(mul(mul(diff, diff), -1.0), var2))
+
+
+def chained_attention_pool(spans, Wv, bv, v):
+    """``ad.attention_pool`` as a chain of reshape, matmul, add, tanh,
+    transpose, softmax, mul and tsum nodes, batch-major in the middle."""
+    S, batch, O = spans.shape
+    flat = ad.reshape(spans, (S * batch, O))
+    hidden = ad.tanh(ad.add(ad.matmul(flat, Wv), bv))
+    scores = ad.reshape(ad.matmul(hidden, v), (S, batch))
+    weights = softmax(transpose(scores, (1, 0)))  # (batch, S)
+    weighted = mul(ad.reshape(weights, (batch, S, 1)), transpose(spans, (1, 0, 2)))
+    return tsum(weighted, axis=1), weights
+
+
+def chained_extrema_penalty(r, alpha):
+    """``ad.extrema_penalty`` as a chain of sub, add, mul, absolute and
+    tmean nodes."""
+    return mul(tmean(absolute(mul(sub(r, 1.0), ad.add(r, 1.0)))), alpha)
 
 
 def probs_cross_entropy(probs, label_ids, floor=1e-12):

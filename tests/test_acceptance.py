@@ -5,6 +5,8 @@ lines; the heavy end-to-end criteria train on generated corpora and take a
 few minutes total.
 """
 
+import functools
+import inspect
 import time
 from datetime import datetime, timezone
 
@@ -25,7 +27,8 @@ from geotweet.trainer import (SyntheticConfig, TrainConfig, ablate,
                               synthetic_model_config, train)
 
 from conftest import finite_difference_check
-from oracles import hamming, lstm_sequence, maximum_list, sigmoid
+from oracles import (exp, hamming, lstm_sequence, maximum_list, mul, sigmoid,
+                     softmax, tmean, tsum)
 
 GRAD_TOL = 1e-4
 TRAIN_CONFIG = TrainConfig(batch_size=128, epochs=10, learning_rate=0.002,
@@ -97,36 +100,38 @@ def text_signal_corpus():
 def test_criterion_1_gradient_integrity():
     start = time.perf_counter()
     rng = np.random.default_rng(0)
+    checked = set()  # the ops of every graph backpropagated below
+    fd_check = functools.partial(finite_difference_check, ops=checked)
 
     def param(shape, scale=1.0):
         return Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
 
     def check(build, shapes, seed):
         params = {f"p{i}": param(s) for i, s in enumerate(shapes)}
-        finite_difference_check(params, lambda: build(*params.values()),
-                                rel_tol=GRAD_TOL, max_coords=3, seed=seed)
+        fd_check(params, lambda: build(*params.values()),
+                 rel_tol=GRAD_TOL, max_coords=3, seed=seed)
 
     def dims(lo=1, hi=5):
         return int(rng.integers(lo, hi))
 
     for trial in range(20):
         m, k, n = dims(), dims(), dims()
-        check(lambda a, b: ad.tsum(ad.matmul(a, b)), [(m, k), (k, n)], trial)
-        check(lambda a, b: ad.tsum(sigmoid(ad.add(a, b))),
+        check(lambda a, b: tsum(ad.matmul(a, b)), [(m, k), (k, n)], trial)
+        check(lambda a, b: tsum(sigmoid(ad.add(a, b))),
               [(m, n), (n,)], trial)
-        check(lambda a, b: ad.tsum(ad.tanh(ad.concat([a, b], axis=1))),
+        check(lambda a, b: tsum(ad.tanh(ad.concat([a, b], axis=1))),
               [(m, k), (m, n)], trial)
-        check(lambda a: ad.tsum(ad.mul(ad.softmax(a), ad.softmax(a))),
+        check(lambda a: tsum(mul(softmax(a), softmax(a))),
               [(m, n + 1)], trial)
-        check(lambda a, b, c: ad.tsum(maximum_list([a, b, c])),
+        check(lambda a, b, c: tsum(maximum_list([a, b, c])),
               [(m, n)] * 3, trial)
-        check(lambda a: ad.tmean(ad.relu(a)), [(m, n)], trial)
-        check(lambda a: ad.tsum(ad.tmean(ad.exp(a), axis=0)), [(m, n)], trial)
+        check(lambda a: tmean(ad.relu(a)), [(m, n)], trial)
+        check(lambda a: tsum(tmean(exp(a), axis=0)), [(m, n)], trial)
 
         table = param((4, 3))
         ids = rng.integers(0, 4, size=(2, 3))
-        finite_difference_check(
-            {"t": table}, lambda: ad.tsum(ad.tanh(ad.embedding(ids, table))),
+        fd_check(
+            {"t": table}, lambda: tsum(ad.tanh(ad.embedding(ids, table))),
             rel_tol=GRAD_TOL, max_coords=3, seed=trial)
 
         x = param((3, 4))
@@ -135,20 +140,20 @@ def test_criterion_1_gradient_integrity():
         def dropout_loss():
             out = ad.dropout(x, 0.6, np.random.default_rng(mask_seed),
                              train=True)
-            return ad.tsum(ad.tanh(out))
+            return tsum(ad.tanh(out))
 
         def noise_loss():
             out = ad.gaussian_noise(x, 0.3, np.random.default_rng(mask_seed))
-            return ad.tsum(ad.tanh(out))
+            return tsum(ad.tanh(out))
 
-        finite_difference_check({"x": x}, dropout_loss, rel_tol=GRAD_TOL,
-                                max_coords=3, seed=trial)
-        finite_difference_check({"x": x}, noise_loss, rel_tol=GRAD_TOL,
-                                max_coords=3, seed=trial)
+        fd_check({"x": x}, dropout_loss, rel_tol=GRAD_TOL,
+                 max_coords=3, seed=trial)
+        fd_check({"x": x}, noise_loss, rel_tol=GRAD_TOL,
+                 max_coords=3, seed=trial)
 
         logits = param((3, 4))
         labels = rng.integers(0, 4, size=3)
-        finite_difference_check(
+        fd_check(
             {"l": logits},
             lambda: ad.cross_entropy(logits, labels),
             rel_tol=GRAD_TOL, max_coords=3, seed=trial)
@@ -161,31 +166,31 @@ def test_criterion_1_gradient_integrity():
         def bilstm_proj_loss():
             xs = net.char_vectors(ids)
             g = net.contextual_projection(xs, net.bilstm_contexts(xs))
-            return ad.tsum(ad.tanh(g))
+            return tsum(ad.tanh(g))
 
         def attention_loss():
             f, _ = net.forward(ids)
-            return ad.tsum(ad.mul(f, f))
+            return tsum(mul(f, f))
 
         bilstm_params = {k: v for k, v in net.params.items()
                          if k.split(".")[-1] not in ("Wv", "bv", "v")}
-        finite_difference_check(bilstm_params, bilstm_proj_loss,
-                                rel_tol=GRAD_TOL, max_coords=2, seed=trial)
-        finite_difference_check(net.params, attention_loss,
-                                rel_tol=GRAD_TOL, max_coords=2, seed=trial)
+        fd_check(bilstm_params, bilstm_proj_loss,
+                 rel_tol=GRAD_TOL, max_coords=2, seed=trial)
+        fd_check(net.params, attention_loss,
+                 rel_tol=GRAD_TOL, max_coords=2, seed=trial)
 
         rbf = RbfNetwork(4, "time")
         rbf.params["time.mu"].data[...] = rng.uniform(0, 1, 4)
         rbf.params["time.sigma"].data[...] = rng.uniform(0.05, 0.5, 4)
         u = rng.uniform(0, 1, 3)
-        finite_difference_check(
-            rbf.params, lambda: ad.tsum(ad.mul(rbf.forward(u), 2.0)),
+        fd_check(
+            rbf.params, lambda: tsum(mul(rbf.forward(u), 2.0)),
             rel_tol=GRAD_TOL, max_coords=3, seed=trial)
 
         conv = LocConvNetwork(np.random.default_rng(trial), 7, 3, 2, 4)
         loc_ids = rng.integers(0, 7, size=(2, 5))
-        finite_difference_check(
-            conv.params, lambda: ad.tsum(ad.tanh(conv.forward(loc_ids))),
+        fd_check(
+            conv.params, lambda: tsum(ad.tanh(conv.forward(loc_ids))),
             rel_tol=GRAD_TOL, max_coords=3, seed=trial)
 
         fusion = FusionClassifier(np.random.default_rng(trial), 6, 4, 3)
@@ -197,24 +202,24 @@ def test_criterion_1_gradient_integrity():
             return ad.add(ad.cross_entropy(fusion.classify(r), labels),
                           extrema_loss(r, 0.1))
 
-        finite_difference_check(fusion.params, fusion_loss, rel_tol=GRAD_TOL,
-                                max_coords=3, seed=trial)
+        fd_check(fusion.params, fusion_loss, rel_tol=GRAD_TOL,
+                 max_coords=3, seed=trial)
 
     # fused sequence ops, after the checks above so that their draws are unchanged
     for trial in range(20):
         T, batch, E, H = dims(1, 6), dims(), dims(), dims()
         P = int(rng.integers(1, T + 1))
-        check(lambda a: ad.tsum(ad.tanh(ad.window_max(a, P))),
+        check(lambda a: tsum(ad.tanh(ad.window_max(a, P))),
               [(T, batch, H)], trial)
         for reverse in (False, True):
-            check(lambda x, wx, wh, b: ad.tsum(ad.tanh(
+            check(lambda x, wx, wh, b: tsum(ad.tanh(
                       lstm_sequence(x, wx, wh, b, reverse=reverse))),
                   [(T, batch, E), (E, 4 * H), (H, 4 * H), (4 * H,)], trial)
 
     # the bidirectional op, after the checks above so that their draws are unchanged
     for trial in range(20):
         T, batch, E, H = dims(1, 6), dims(), dims(), dims()
-        check(lambda x, *w: ad.tsum(ad.tanh(
+        check(lambda x, *w: tsum(ad.tanh(
                   ad.bilstm_sequence(x, w[:3], w[3:]))),
               [(T, batch, E)] + [(E, 4 * H), (H, 4 * H), (4 * H,)] * 2, trial)
 
@@ -222,13 +227,34 @@ def test_criterion_1_gradient_integrity():
     # draws are unchanged
     for trial in range(20):
         T, batch, E, H, O = dims(1, 6), dims(), dims(), dims(), dims()
-        check(lambda xs, hs, w, b: ad.tsum(ad.tanh(
+        check(lambda xs, hs, w, b: tsum(ad.tanh(
                   ad.context_projection(xs, hs, w, b))),
               [(T, batch, E), (2, T, batch, H), (2 * H + E, O), (O,)], trial)
 
+    # the fused RBF, attention and extrema ops, after the checks above so
+    # that their draws are unchanged
+    for trial in range(20):
+        S, batch, O, A, bins = dims(1, 6), dims(), dims(), dims(), dims()
+        u = rng.uniform(0, 1, batch)
+        mu = param((bins,))
+        sigma = Tensor(rng.uniform(0.3, 1.0, bins), requires_grad=True)
+        fd_check({"mu": mu, "sigma": sigma},
+                 lambda: tsum(ad.tanh(ad.rbf(u, mu, sigma))),
+                 rel_tol=GRAD_TOL, max_coords=3, seed=trial)
+        check(lambda spans, wv, bv, v: tsum(ad.tanh(
+                  ad.attention_pool(spans, wv, bv, v)[0])),
+              [(S, batch, O), (O, A), (A,), (A, 1)], trial)
+        check(lambda r: ad.extrema_penalty(r, 0.3), [(batch, O)], trial)
+
+    # every op the engine offers has been through a check above
+    ops = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
+           if not name.startswith("_") and "_make" in fn.__code__.co_names}
+    missing = sorted(ops - checked)
+    assert not missing, f"ops with no finite-difference check: {missing}"
+
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"gradient checks took {elapsed:.1f}s"
-    print(f"\nACCEPTANCE 1 PASS: gradient integrity "
+    print(f"\nACCEPTANCE 1 PASS: gradient integrity of {len(ops)} ops "
           f"(rel tol {GRAD_TOL}, {elapsed:.1f}s)")
 
 
@@ -306,7 +332,8 @@ def test_logit_argmax_is_softmax_argmax(metadata_corpus, plain_model,
     ties = 0
     for model, _ in (plain_model, noise_model):
         logits = model.forward(arrays, train=False)[0].data
-        probs = ad.softmax(logits).data
+        with ad.compute_dtype(logits.dtype):
+            probs = softmax(logits).data
         top = probs.max(axis=1)
         by_logits = predict_labels(logits)
         np.testing.assert_array_equal(probs[rows, by_logits], top)

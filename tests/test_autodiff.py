@@ -9,7 +9,9 @@ from geotweet.autodiff import Tensor
 from geotweet.optim import Adam
 
 from conftest import finite_difference_check
-from oracles import amax, maximum, maximum_list, probs_cross_entropy, sigmoid
+from oracles import (absolute, amax, div, exp, maximum, maximum_list, mul,
+                     probs_cross_entropy, sigmoid, softmax, sub, tmean,
+                     transpose, tsum)
 
 
 def make(shape, rng, scale=1.0):
@@ -17,13 +19,13 @@ def make(shape, rng, scale=1.0):
 
 
 def test_softmax_symmetry():
-    out = ad.softmax(Tensor([0.0, 0.0]))
+    out = softmax(Tensor([0.0, 0.0]))
     np.testing.assert_allclose(out.data, [0.5, 0.5])
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
-    out = ad.softmax(Tensor(rng.standard_normal((7, 9)) * 5))
+    out = softmax(Tensor(rng.standard_normal((7, 9)) * 5))
     assert (out.data >= 0).all()
     np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -35,7 +37,7 @@ def test_elementwise_max():
 
 def test_tanh_at_origin():
     x = Tensor([0.0], requires_grad=True)
-    y = ad.tsum(ad.tanh(x))
+    y = tsum(ad.tanh(x))
     y.backward()
     assert y.data == 0.0
     np.testing.assert_allclose(x.grad, [1.0])
@@ -51,26 +53,26 @@ def test_shape_mismatch_reports_both_shapes():
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):
-        (x * 2.0).backward()
+        mul(x, 2.0).backward()
 
 
 def test_backward_linear():
     x = Tensor(np.zeros(3), requires_grad=True)
-    ad.tsum(x).backward()
+    tsum(x).backward()
     np.testing.assert_allclose(x.grad, [1.0, 1.0, 1.0])
 
 
 def test_backward_power_rule():
     x = Tensor([2.0], requires_grad=True)
-    ad.tsum(x * x).backward()
+    tsum(mul(x, x)).backward()
     np.testing.assert_allclose(x.grad, [4.0])
 
 
 def test_backward_accumulates_until_zeroed():
     x = Tensor([3.0], requires_grad=True)
-    ad.tsum(x * x).backward()
+    tsum(mul(x, x)).backward()
     once = x.grad.copy()
-    ad.tsum(x * x).backward()
+    tsum(mul(x, x)).backward()
     np.testing.assert_allclose(x.grad, 2 * once)
     x.zero_grad()
     assert x.grad is None
@@ -79,7 +81,7 @@ def test_backward_accumulates_until_zeroed():
 def test_backward_frees_what_rules_saved():
     x = Tensor(np.ones(3), requires_grad=True)
     factor = np.arange(3.0)
-    loss = ad.tsum(ad.mul(x, factor))  # mul's rule keeps factor for x's grad
+    loss = tsum(mul(x, factor))  # mul's rule keeps factor for x's grad
     saved = weakref.ref(factor)
     del factor
     assert saved() is not None
@@ -90,21 +92,21 @@ def test_backward_frees_what_rules_saved():
 
 def test_second_backward_of_a_freed_graph_raises():
     x = Tensor([3.0], requires_grad=True)
-    y = x * x
-    loss = ad.tsum(y)
+    y = mul(x, x)
+    loss = tsum(y)
     loss.backward()
     with pytest.raises(ValueError, match="freed"):
         loss.backward()
     # a new graph through a freed node fails the same way
     with pytest.raises(ValueError, match="freed"):
-        ad.tsum(y * 2.0).backward()
+        tsum(mul(y, 2.0)).backward()
     np.testing.assert_allclose(x.grad, [6.0])
 
 
 def test_reused_node_gets_summed_gradient():
     x = Tensor([1.5], requires_grad=True)
-    y = x * x
-    ad.tsum(ad.add(y, y)).backward()
+    y = mul(x, x)
+    tsum(ad.add(y, y)).backward()
     np.testing.assert_allclose(x.grad, [6.0])
 
 
@@ -117,47 +119,47 @@ class TestGradChecks:
         finite_difference_check(params, lambda: build(*params.values()))
 
     def test_matmul(self):
-        self.check(lambda a, b: ad.tsum(ad.matmul(a, b)), 2, [(3, 4), (4, 2)])
+        self.check(lambda a, b: tsum(ad.matmul(a, b)), 2, [(3, 4), (4, 2)])
 
     def test_add_broadcast(self):
-        self.check(lambda a, b: ad.tsum(ad.tanh(ad.add(a, b))), 2, [(5, 3), (3,)])
+        self.check(lambda a, b: tsum(ad.tanh(ad.add(a, b))), 2, [(5, 3), (3,)])
 
     def test_sub_mul_div(self):
-        self.check(lambda a, b: ad.tsum(ad.div(ad.mul(ad.sub(a, b), a),
-                                               ad.add(ad.mul(b, b), 2.0))),
+        self.check(lambda a, b: tsum(div(mul(sub(a, b), a),
+                                         ad.add(mul(b, b), 2.0))),
                    2, [(4, 3), (3,)])
 
     def test_concat(self):
-        self.check(lambda a, b: ad.tsum(ad.tanh(ad.concat([a, b], axis=1))),
+        self.check(lambda a, b: tsum(ad.tanh(ad.concat([a, b], axis=1))),
                    2, [(2, 3), (2, 4)])
 
     def test_reshape_transpose_take(self):
         self.check(
-            lambda a: ad.tsum(ad.tanh(
-                ad.transpose(ad.reshape(a, (3, 4)), (1, 0))[1:3, :2])),
+            lambda a: tsum(ad.tanh(
+                transpose(ad.reshape(a, (3, 4)), (1, 0))[1:3, :2])),
             1, [(12,)])
 
     def test_tanh_sigmoid_relu_exp_abs(self):
-        self.check(lambda a: ad.tsum(ad.tanh(sigmoid(ad.exp(a * 0.3)))),
+        self.check(lambda a: tsum(ad.tanh(sigmoid(exp(mul(a, 0.3))))),
                    1, [(4, 4)])
         # keep relu/abs away from their kinks
         rng = np.random.default_rng(3)
         x = Tensor(np.sign(rng.standard_normal((5, 5))) *
                    (0.5 + rng.random((5, 5))), requires_grad=True)
         finite_difference_check(
-            {"x": x}, lambda: ad.tsum(ad.add(ad.relu(x), ad.absolute(x))))
+            {"x": x}, lambda: tsum(ad.add(ad.relu(x), absolute(x))))
 
     def test_softmax(self):
-        self.check(lambda a: ad.tsum(ad.mul(ad.softmax(a), ad.softmax(a))),
+        self.check(lambda a: tsum(mul(softmax(a), softmax(a))),
                    1, [(3, 5)])
 
     def test_maximum_and_amax(self):
-        self.check(lambda a, b: ad.tsum(maximum(a, b)), 2, [(4, 3), (4, 3)])
-        self.check(lambda a: ad.tsum(amax(a, axis=1)), 1, [(3, 6)])
+        self.check(lambda a, b: tsum(maximum(a, b)), 2, [(4, 3), (4, 3)])
+        self.check(lambda a: tsum(amax(a, axis=1)), 1, [(3, 6)])
 
     def test_sum_mean_axes(self):
-        self.check(lambda a: ad.tsum(ad.tanh(ad.tmean(a, axis=0))), 1, [(4, 3)])
-        self.check(lambda a: ad.tmean(ad.mul(ad.tsum(a, axis=1), 0.5)),
+        self.check(lambda a: tsum(ad.tanh(tmean(a, axis=0))), 1, [(4, 3)])
+        self.check(lambda a: tmean(mul(tsum(a, axis=1), 0.5)),
                    1, [(4, 3)])
 
     def test_embedding(self):
@@ -166,7 +168,7 @@ class TestGradChecks:
         ids = rng.integers(0, 7, size=(2, 4))
         finite_difference_check(
             {"table": table},
-            lambda: ad.tsum(ad.tanh(ad.embedding(ids, table))))
+            lambda: tsum(ad.tanh(ad.embedding(ids, table))))
 
     def test_cross_entropy(self):
         rng = np.random.default_rng(6)
@@ -185,7 +187,7 @@ def test_embedding_id_out_of_range():
 def test_noise_gradient_passthrough():
     x = Tensor(np.ones(4), requires_grad=True)
     rng = np.random.default_rng(0)
-    ad.tsum(ad.gaussian_noise(x, 0.5, rng)).backward()
+    tsum(ad.gaussian_noise(x, 0.5, rng)).backward()
     np.testing.assert_allclose(x.grad, np.ones(4))
 
 
@@ -231,7 +233,7 @@ def test_cross_entropy_matches_softmax_then_log(seed):
     logits = make((6, 5), rng, scale=3.0)
     labels = rng.integers(0, 5, size=6)
     fused = ad.cross_entropy(logits, labels)
-    chain = probs_cross_entropy(ad.softmax(logits), labels)
+    chain = probs_cross_entropy(softmax(logits), labels)
     np.testing.assert_allclose(fused.data, chain.data, rtol=1e-10)
     fused.backward()
     got, logits.grad = logits.grad, None
@@ -244,7 +246,7 @@ def test_cross_entropy_is_exact_for_a_large_logit_gap():
     labels = [0, 0]
     # the softmax of the first row rounds to [0, 1]; a floor on that
     # probability capped its loss at -log(1e-12)
-    capped = probs_cross_entropy(ad.softmax(logits), labels)
+    capped = probs_cross_entropy(softmax(logits), labels)
     assert float(capped.data) == pytest.approx(-math.log(1e-12) / 2)
     loss = ad.cross_entropy(logits, labels)
     assert float(loss.data) == 5e3
@@ -284,21 +286,21 @@ class TestAdam:
         opt = Adam({"p": p}, learning_rate=0.1)
         values = []
         for _ in range(3):
-            loss = ad.tsum(p * p)
+            loss = tsum(mul(p, p))
             values.append(float(loss.data))
             loss.backward()
             opt.step()
-        assert values[1] < values[0] and float((p * p).data.sum()) < values[1]
+        assert values[1] < values[0] and float((p.data * p.data).sum()) < values[1]
 
     def test_snapshot_restore_roundtrip(self):
         p = Tensor([1.0], requires_grad=True)
         opt = Adam({"p": p}, learning_rate=0.1)
-        loss = ad.tsum(p * p)
+        loss = tsum(mul(p, p))
         loss.backward()
         opt.step()
         snap = opt.snapshot()
         before = p.data.copy()
-        loss = ad.tsum(p * p)
+        loss = tsum(mul(p, p))
         loss.backward()
         opt.step()
         opt.restore(snap)

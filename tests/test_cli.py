@@ -9,7 +9,7 @@ from geotweet.cli import main, read_config_file
 from geotweet import hashing as H
 from geotweet.rbf_net import RbfNetwork
 
-from conftest import graph_nodes
+from conftest import graph_nodes, op_counts
 from oracles import map_eval
 
 
@@ -118,7 +118,7 @@ def test_time_profile_emits_all_bins(pipeline, capsys, monkeypatch):
     (acts,) = outputs
     nodes = graph_nodes(acts)
     assert Counter(str(n.data.dtype) for n in nodes) == {"float32": len(nodes)}
-    assert len(nodes) > 5
+    assert op_counts(nodes) == {"rbf": 1}
 
 
 def test_hist_reports_masses(pipeline, capsys):
@@ -170,6 +170,55 @@ def test_non_finite_loss_fails_with_one_error_line(pipeline, tmp_path, capsys):
     assert report["stopped"] == err[0].removeprefix("error: ")
     assert report["dev_accuracy"] == [] and report["test_accuracy"] is None
     assert [p.name for p in (tmp_path / "run").iterdir()] == ["report.json"]
+
+
+def _train_argv(data, out, **files):
+    """``train`` on the pipeline's splits for one epoch, with ``files``
+    replacing any of --train, --dev and --test."""
+    files = {"train": data / "train.jsonl", "dev": data / "dev.jsonl",
+             "test": data / "test.jsonl", **files}
+    return ["train", *(arg for split, path in files.items()
+                       for arg in (f"--{split}", str(path))),
+            "--out", str(out), "--synthetic-scale", "--epochs", "1"]
+
+
+@pytest.mark.parametrize("command", ["hash", "train"])
+def test_unknown_city_names_the_file_the_record_and_the_labels(
+        pipeline, tmp_path, capsys, command):
+    data, run = pipeline["data"], pipeline["run"]
+    lines = (data / "dev.jsonl").read_text().splitlines(True)
+    record = json.loads(lines[1])
+    record["city_label"] = "nowhere"
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(lines[0] + json.dumps(record) + "\n" + "".join(lines[2:]))
+    if command == "hash":
+        argv = ["hash", "--model", str(run), "--data", str(bad),
+                "--out", str(tmp_path / "codes.bin")]
+        labels = run / "labels.txt"
+    else:
+        argv = _train_argv(data, tmp_path / "run", dev=bad)
+        labels = f"the cities of {data / 'train.jsonl'}"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: record 2: unknown category 'nowhere' (not in {labels})\n")
+
+
+@pytest.mark.parametrize("command", [
+    "eval", "attn", "time-profile", "hash", "lsh", "hist",
+    "train --train", "train --dev", "train --test"])
+def test_data_file_without_records_fails_with_one_error_line(
+        pipeline, tmp_path, capsys, command):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    if command.startswith("train"):
+        argv = _train_argv(pipeline["data"], tmp_path / "run",
+                           **{command.split("--")[1]: empty})
+    else:
+        argv = [command, "--model", str(pipeline["run"]), "--data", str(empty),
+                "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {empty}: no records\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_missing_file_fails_cleanly(tmp_path, capsys):

@@ -5,7 +5,8 @@ from geotweet import autodiff as ad
 from geotweet.autodiff import Tensor
 from geotweet.fusion import FusionClassifier, extrema_loss, predict_labels
 
-from conftest import finite_difference_check
+from conftest import assert_matches_oracle, finite_difference_check, gradients
+from oracles import chained_extrema_penalty, softmax
 
 
 def make_fusion(input_dim=6, R=4, K=3, seed=0):
@@ -70,12 +71,12 @@ class TestClassify:
         logits = fusion.classify(Tensor(np.random.default_rng(0)
                                         .standard_normal((2, 4))))
         np.testing.assert_array_equal(logits.data, 0.0)
-        np.testing.assert_allclose(ad.softmax(logits).data, 1 / 3)
+        np.testing.assert_allclose(softmax(logits).data, 1 / 3)
 
     def test_shift_invariance(self):
         logits = np.random.default_rng(1).standard_normal((3, 5))
-        a = ad.softmax(Tensor(logits))
-        b = ad.softmax(Tensor(logits + 7.0))
+        a = softmax(Tensor(logits))
+        b = softmax(Tensor(logits + 7.0))
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     def test_argmax_tie_breaks_low_index(self):
@@ -116,6 +117,18 @@ class TestExtremaLoss:
         r = Tensor(rng.uniform(-0.9, 0.9, (2, 5)), requires_grad=True)
         finite_difference_check({"r": r}, lambda: extrema_loss(r, 0.1))
 
+
+    def test_op_matches_the_sub_mul_abs_mean_chain(self):
+        rng = np.random.default_rng(5)
+        r = Tensor(rng.uniform(-1.5, 1.5, (3, 4)), requires_grad=True)
+        r.data[0, 0], r.data[1, 2] = 1.0, -1.0
+        fused, chain = extrema_loss(r, 0.3), chained_extrema_penalty(r, 0.3)
+        assert_matches_oracle(fused.data, chain.data)
+        got, = gradients([r], fused)
+        want, = gradients([r], chain)
+        assert_matches_oracle(got, want)
+        # |r| == 1 is the kink, where the gradient is zero
+        assert got[0, 0] == got[1, 2] == 0.0
 
 def test_total_loss_gradient_is_sum_of_parts():
     fusion = make_fusion(seed=5)

@@ -5,7 +5,7 @@ from geotweet import autodiff as ad
 from geotweet.loc_net import LocConvNetwork, TimezoneEmbedding
 
 from conftest import finite_difference_check
-from oracles import amax, batch_major_loc_forward
+from oracles import amax, batch_major_loc_forward, mul, tsum
 
 
 def make_net(vocab=7, emb=3, span=2, out=4, seed=0):
@@ -68,10 +68,10 @@ def test_full_window_max_equals_amax_bit_for_bit(ties):
     upstream = rng.standard_normal((4, 5))
     acts = ad.Tensor(values, requires_grad=True)
     pooled = ad.reshape(ad.window_max(acts, 6), (4, 5))
-    ad.tsum(ad.mul(pooled, upstream)).backward()
+    tsum(mul(pooled, upstream)).backward()
     batch_major = ad.Tensor(values.transpose(1, 0, 2).copy(), requires_grad=True)
     oracle = amax(batch_major, axis=1)
-    ad.tsum(ad.mul(oracle, upstream)).backward()
+    tsum(mul(oracle, upstream)).backward()
     np.testing.assert_array_equal(pooled.data, oracle.data)
     np.testing.assert_array_equal(acts.grad, batch_major.grad.transpose(1, 0, 2))
 
@@ -86,7 +86,7 @@ def test_forward_matches_batch_major_amax_path(T, span):
         out = forward(ids)
         for p in params:
             p.grad = None
-        ad.tsum(ad.tanh(out)).backward()
+        tsum(ad.tanh(out)).backward()
         return [out.data] + [p.grad for p in params]
 
     for got, want in zip(run(net.forward),
@@ -108,7 +108,7 @@ def test_gradient_check():
     net = make_net(seed=6)
     ids = np.random.default_rng(7).integers(0, 7, size=(2, 5))
     finite_difference_check(
-        net.params, lambda: ad.tsum(ad.tanh(net.forward(ids))), max_coords=4)
+        net.params, lambda: tsum(ad.tanh(net.forward(ids))), max_coords=4)
 
 
 class TestTimezoneEmbedding:
@@ -130,7 +130,7 @@ class TestTimezoneEmbedding:
     def test_gradient_touches_one_row(self):
         net = TimezoneEmbedding(np.random.default_rng(0), 5, 3)
         table = net.params["tz.emb"]
-        ad.tsum(net.forward(np.array([1]))).backward()
+        tsum(net.forward(np.array([1]))).backward()
         touched = np.nonzero(np.abs(table.grad).sum(axis=1))[0]
         np.testing.assert_array_equal(touched, [1])
 

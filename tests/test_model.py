@@ -14,7 +14,7 @@ from geotweet.optim import Adam
 from geotweet.text_net import TextNetwork
 from geotweet.trainer import synthetic_model_config
 
-from conftest import encode_all, graph_nodes
+from conftest import encode_all, graph_nodes, op_counts
 
 
 def test_message_only_uses_wider_text_output():
@@ -248,7 +248,9 @@ def test_training_step_and_eval_forward_are_float32(tiny_corpus):
     moments = [*optimizer.first_moment.values(),
                *optimizer.second_moment.values()]
     rules = sum(node._backward is not None for node in nodes)
-    assert rules > 50 and len(seen) > 2 * rules
+    # the synthetic step's 30 nodes, plus noise, the extrema penalty and
+    # the add of the two losses
+    assert rules == 33 and len(seen) > 2 * rules
     for arrays in ([n.data for n in nodes], seen, [p.data for p in params],
                    grads, moments):
         assert _dtypes(arrays) == {"float32": len(arrays)}
@@ -256,12 +258,6 @@ def test_training_step_and_eval_forward_are_float32(tiny_corpus):
     nodes = graph_nodes(logits) + graph_nodes(r)
     assert _dtypes([n.data for n in nodes] + [attention]) == {
         "float32": len(nodes) + 1}
-
-
-def _ops(nodes):
-    """Graph nodes counted by op: the function that made each node's rule."""
-    return Counter(node._backward.__qualname__.split(".")[0]
-                   for node in nodes if node._backward is not None)
 
 
 def test_training_step_graph_has_one_op_per_job(tiny_corpus, monkeypatch):
@@ -277,17 +273,22 @@ def test_training_step_graph_has_one_op_per_job(tiny_corpus, monkeypatch):
     monkeypatch.setattr(TextNetwork, "forward", spy)
     loss, _, _ = model.loss(_batch(tiny_corpus, cfg, 16), train=True,
                             rng=np.random.default_rng(0))
-    step = _ops(graph_nodes(loss))
+    step = op_counts(graph_nodes(loss))
     (features, _), = text_outputs
-    text = _ops(graph_nodes(features))
+    text = op_counts(graph_nodes(features))
     # the text branch feeds its bi-LSTM states straight into one projection op
     assert text["take"] == text["concat"] == 0, text
     assert text["bilstm_sequence"] == text["context_projection"] == 1
-    # the attention's softmax is the only one: the loss takes logits
-    assert step["softmax"] == text["softmax"] == 1
-    assert step["cross_entropy"] == 1
+    # one op each for the attention, the three RBF nets and the loss
+    assert step["attention_pool"] == text["attention_pool"] == 1
+    assert step["rbf"] == 3 and step["cross_entropy"] == 1
     # text and location pool with the same op
     assert "amax" not in step and step["window_max"] == 2
+    # the ops these replaced are test oracles now
+    removed = {"sub", "mul", "div", "exp", "absolute", "softmax", "transpose",
+               "tsum", "tmean"}
+    assert not removed & set(step), step
+    assert sum(step.values()) == 30 and sum(text.values()) == 6, step
     print(f"\ntraining step graph: {sum(step.values())} nodes "
           f"({sum(text.values())} in the text branch)")
 

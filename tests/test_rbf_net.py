@@ -6,7 +6,8 @@ import pytest
 from geotweet import autodiff as ad
 from geotweet.rbf_net import RbfNetwork, bin_weight_profile, SIGMA_FLOOR
 
-from conftest import finite_difference_check
+from conftest import assert_matches_oracle, finite_difference_check, gradients
+from oracles import chained_rbf, mul, tsum
 
 
 def test_activation_peaks_at_mean():
@@ -63,8 +64,27 @@ def test_gradient_check_mu_sigma():
         net.params["time.sigma"].data[...] = rng.uniform(0.05, 0.5, 4)
         u = rng.uniform(0, 1, 3)
         finite_difference_check(
-            net.params, lambda: ad.tsum(ad.mul(net.forward(u), 2.0)),
+            net.params, lambda: tsum(mul(net.forward(u), 2.0)),
             seed=trial)
+
+
+@pytest.mark.parametrize("u_at_mu", [False, True], ids=["random", "u-equals-mu"])
+def test_op_matches_the_sub_mul_div_exp_chain(u_at_mu):
+    rng = np.random.default_rng(5)
+    mu = ad.Tensor(rng.uniform(0, 1, 5), requires_grad=True)
+    sigma = ad.Tensor(rng.uniform(0.05, 0.5, 5), requires_grad=True)
+    u = rng.uniform(0, 1, 4)
+    if u_at_mu:
+        u[:3] = mu.data[[0, 2, 4]]
+    upstream = rng.standard_normal((4, 5))
+    fused, chain = ad.rbf(u, mu, sigma), chained_rbf(u, mu, sigma)
+    assert fused.shape == (4, 5)
+    assert_matches_oracle(fused.data, chain.data)
+    if u_at_mu:
+        np.testing.assert_array_equal(fused.data[[0, 1, 2], [0, 2, 4]], 1.0)
+    for got, want in zip(gradients([mu, sigma], tsum(mul(fused, upstream))),
+                         gradients([mu, sigma], tsum(mul(chain, upstream)))):
+        assert_matches_oracle(got, want)
 
 
 class TestBinWeightProfile:

@@ -10,8 +10,9 @@ import pytest
 from geotweet import autodiff as ad
 from geotweet.text_net import TextNetwork, top_attended_spans
 
-from conftest import finite_difference_check
-from oracles import chained_context_projection, lstm_sequence, maximum_list, sigmoid
+from conftest import assert_matches_oracle, finite_difference_check, gradients
+from oracles import (chained_attention_pool, chained_context_projection,
+                     lstm_sequence, maximum_list, mul, sigmoid, tsum)
 
 
 def make_net(vocab_size=9, emb=3, out=4, window=3, attn=None, seed=0):
@@ -55,8 +56,8 @@ def _lstm_step(x_t, h, c, Wx, Wh, b, hidden):
     f = sigmoid(gates[:, 1 * hidden:2 * hidden])
     g = ad.tanh(gates[:, 2 * hidden:3 * hidden])
     o = sigmoid(gates[:, 3 * hidden:4 * hidden])
-    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_new = ad.mul(o, ad.tanh(c_new))
+    c_new = ad.add(mul(f, c), mul(i, g))
+    h_new = mul(o, ad.tanh(c_new))
     return h_new, c_new
 
 
@@ -97,25 +98,6 @@ def unfused_forward(net, text_ids):
     return net.attention_pool(unfused_window_max(g_seq, net.window))
 
 
-def assert_matches_oracle(actual, expected):
-    """Equal within 1e-10 of the oracle's largest magnitude."""
-    expected = np.asarray(expected)
-    np.testing.assert_allclose(actual, expected, rtol=1e-10,
-                               atol=1e-10 * np.abs(expected).max())
-
-
-def gradients(tensors, loss):
-    for t in tensors:
-        t.grad = None
-    loss.backward()
-    # a tensor the loss does not reach has no gradient: zero
-    grads = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
-             for t in tensors]
-    for t in tensors:
-        t.grad = None
-    return grads
-
-
 class TestFusedOpsMatchOracle:
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("T", [1, 6])
@@ -130,9 +112,9 @@ class TestFusedOpsMatchOracle:
         oracle = unfused_lstm([x[t] for t in range(T)], *weights, reverse)
         assert fused.shape == (T, B, H)
         assert_matches_oracle(fused.data, [h.data for h in oracle])
-        fused_loss = ad.tsum(ad.mul(fused, upstream))
-        oracle_loss = ad.tsum(ad.concat(
-            [ad.mul(h, upstream[t]) for t, h in enumerate(oracle)], axis=0))
+        fused_loss = tsum(mul(fused, upstream))
+        oracle_loss = tsum(ad.concat(
+            [mul(h, upstream[t]) for t, h in enumerate(oracle)], axis=0))
         for got, want in zip(gradients([x, *weights], fused_loss),
                              gradients([x, *weights], oracle_loss)):
             assert_matches_oracle(got, want)
@@ -150,8 +132,8 @@ class TestFusedOpsMatchOracle:
         fused = ad.window_max(a, P)
         oracle = unfused_window_max(a, P)
         np.testing.assert_array_equal(fused.data, oracle.data)
-        got, = gradients([a], ad.tsum(ad.mul(fused, upstream)))
-        want, = gradients([a], ad.tsum(ad.mul(oracle, upstream)))
+        got, = gradients([a], tsum(mul(fused, upstream)))
+        want, = gradients([a], tsum(mul(oracle, upstream)))
         assert_matches_oracle(got, want)
 
     def test_window_max_tie_goes_to_first_maximum(self):
@@ -159,10 +141,28 @@ class TestFusedOpsMatchOracle:
                       requires_grad=True)
         pooled = ad.window_max(a, 2)
         np.testing.assert_array_equal(pooled.data.reshape(-1), [3.0, 3.0, 3.0])
-        ad.tsum(ad.mul(pooled, np.array([1.0, 10.0, 100.0]).reshape(3, 1, 1))
+        tsum(mul(pooled, np.array([1.0, 10.0, 100.0]).reshape(3, 1, 1))
                 ).backward()
         # span 1 covers the tied positions 1 and 2 and routes to position 1
         np.testing.assert_array_equal(a.grad.reshape(-1), [0.0, 11.0, 100.0, 0.0])
+
+    @pytest.mark.parametrize("S", [1, 4, 9])
+    def test_attention_pool(self, S):
+        rng = np.random.default_rng(S)
+        B, O, A = 3, 5, 4
+        inputs = [ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+                  for shape in ((S, B, O), (O, A), (A,), (A, 1))]
+        upstream = rng.standard_normal((B, O))
+        fused, weights = ad.attention_pool(*inputs)
+        chain, chain_weights = chained_attention_pool(*inputs)
+        assert fused.shape == (B, O) and weights.shape == (B, S)
+        assert_matches_oracle(fused.data, chain.data)
+        assert_matches_oracle(weights.data, chain_weights.data)
+        if S == 1:  # one span takes all the weight
+            np.testing.assert_array_equal(weights.data, 1.0)
+        for got, want in zip(gradients(inputs, tsum(mul(fused, upstream))),
+                             gradients(inputs, tsum(mul(chain, upstream)))):
+            assert_matches_oracle(got, want)
 
     @pytest.mark.parametrize("T,P", [(1, 1), (5, 1), (5, 5), (7, 3)])
     def test_network(self, T, P):
@@ -177,8 +177,8 @@ class TestFusedOpsMatchOracle:
         params = list(net.params.values())
         for name, got, want in zip(
                 net.params,
-                gradients(params, ad.tsum(ad.mul(f, upstream))),
-                gradients(params, ad.tsum(ad.mul(f_oracle, upstream)))):
+                gradients(params, tsum(mul(f, upstream))),
+                gradients(params, tsum(mul(f_oracle, upstream)))):
             # at T=1 both contexts are out of range, so the LSTMs get none
             if T > 1 and name.split(".")[1] in ("fwd", "bwd"):
                 assert np.abs(want).max() > 0.0, name
@@ -210,7 +210,7 @@ def run_bilstm(x, weights, upstream, cpus, monkeypatch):
         m.setattr(ad, "_worker", CountingWorker())
         both = ad.bilstm_sequence(x, *weights)
         grads = gradients([x, *weights[0], *weights[1]],
-                          ad.tsum(ad.mul(both, upstream)))
+                          tsum(mul(both, upstream)))
     return both.data, grads, len(submitted)
 
 
@@ -227,7 +227,7 @@ class TestBilstmSequence:
                     for d in (0, 1))
         np.testing.assert_array_equal(both, np.stack([fwd.data, bwd.data]))
         want = gradients([x, *weights[0], *weights[1]], ad.add(
-            ad.tsum(ad.mul(fwd, upstream[0])), ad.tsum(ad.mul(bwd, upstream[1]))))
+            tsum(mul(fwd, upstream[0])), tsum(mul(bwd, upstream[1]))))
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
 
@@ -408,8 +408,8 @@ class TestContextProjectionOp:
         chain = chained_context_projection(*inputs)
         assert fused.shape == (T, B, O)
         assert_matches_oracle(fused.data, chain.data)
-        for got, want in zip(gradients(inputs, ad.tsum(ad.mul(fused, upstream))),
-                             gradients(inputs, ad.tsum(ad.mul(chain, upstream)))):
+        for got, want in zip(gradients(inputs, tsum(mul(fused, upstream))),
+                             gradients(inputs, tsum(mul(chain, upstream)))):
             assert_matches_oracle(got, want)
 
     def test_ends_get_no_context_gradient(self):
@@ -417,7 +417,7 @@ class TestContextProjectionOp:
         xs = ad.Tensor(rng.standard_normal((4, 2, 3)))
         hs = ad.Tensor(rng.standard_normal((2, 4, 2, 5)), requires_grad=True)
         W, b = ad.Tensor(rng.standard_normal((13, 6))), ad.Tensor(np.zeros(6))
-        ad.tsum(ad.context_projection(xs, hs, W, b)).backward()
+        tsum(ad.context_projection(xs, hs, W, b)).backward()
         # the last forward state and the first backward one are nobody's context
         np.testing.assert_array_equal(hs.grad[0, -1], 0.0)
         np.testing.assert_array_equal(hs.grad[1, 0], 0.0)
@@ -497,7 +497,7 @@ def test_full_network_gradient_check():
 
     def loss():
         f, _ = net.forward(ids)
-        return ad.tsum(ad.mul(f, f))
+        return tsum(mul(f, f))
 
     finite_difference_check(net.params, loss, max_coords=3)
 
