@@ -26,8 +26,8 @@ def compute_dtype(dtype):
     """Build Tensors in ``dtype`` inside the block, then restore the previous
     dtype.
 
-    The setting is one module-level value, not per thread: the bi-LSTM
-    worker thread runs only raw numpy and never builds a Tensor.
+    The setting is one module-level value, not per thread: the worker
+    thread of ``_halves`` runs only raw numpy and never builds a Tensor.
     """
     global _compute_dtype
     previous, _compute_dtype = _compute_dtype, np.dtype(dtype)
@@ -232,39 +232,161 @@ def rbf(u, mu, sigma):
     return _make(y, (mu, sigma), backward)
 
 
+# Work, in multiply-adds or comparisons, from which an op runs its two
+# halves on two threads. Measured on 2 vCPUs in float32: every text op at
+# paper scale and batch 32 (37 M for window_max, 1.5 G for the others) ran
+# 1.1-1.9x faster threaded, forward and backward, while at synthetic scale
+# the bi-LSTM's threads mostly traded the interpreter lock over small
+# arrays and its batch-128 step (5.2 M) ran 2x slower. The largest
+# synthetic op, 21 M at batch 512, stays below.
+_THREADED_WORK = 2 ** 25
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+
+
+def _new_worker():
+    """The executor that runs the second half of an op; its thread starts on
+    the first submit."""
+    global _worker
+    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="geotweet-half")
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):
+    # a forked child has no copy of the thread, and would wait on it forever
+    os.register_at_fork(after_in_child=_new_worker)
+
+
+def _halves(fn, work):
+    """[fn(0), fn(1)], with fn(1) on the worker thread while fn(0) runs here
+    when there is a second CPU and ``work`` reaches ``_THREADED_WORK``.
+
+    The two calls must write disjoint memory. Both always run, whatever the
+    CPU count, so an op's result does not depend on where they ran. numpy
+    releases the interpreter lock inside its array loops and BLAS calls.
+    """
+    if _CPUS < 2 or work < _THREADED_WORK:
+        return [fn(0), fn(1)]
+    errors = np.geterr()  # per thread: the worker takes the caller's
+
+    def second():
+        with np.errstate(**errors):
+            return fn(1)
+
+    future = _worker.submit(second)
+    try:
+        first = fn(0)
+    finally:
+        last = future.result()
+    return [first, last]
+
+
+def _half(h, n, unit=1):
+    """Half ``h`` of range(n) as a slice, cut at a multiple of ``unit``."""
+    cut = n // unit // 2 * unit
+    return slice(0, cut) if h == 0 else slice(cut, n)
+
+
 def window_max(a, P):
     """Elementwise max over each length-``P`` window along axis 0: T-P+1 rows.
 
     The gradient of each output goes to the first maximum in its window.
-    With ``P`` equal to the length it is a max-reduce over axis 0.
+    With ``P`` equal to the length it is a max-reduce over axis 0. Both
+    passes run in two halves of the batch axis 1: windows overlap along
+    axis 0, examples do not.
     """
     a = as_tensor(a)
     T = a.shape[0]
     if not 1 <= P <= T:
         raise ValueError(f"pooling window {P} not in 1..{T} (the sequence length)")
     spans = T - P + 1
-    y = a.data[:spans].copy()
-    for k in range(1, P):
-        np.maximum(y, a.data[k:k + spans], out=y)
+    batch = a.shape[1]
+    y = np.empty((spans, *a.shape[1:]), dtype=a.data.dtype)
+    work = y.size * P
+
+    def forward(h):
+        cols = _half(h, batch)
+        x, out = a.data[:, cols], y[:, cols]
+        out[...] = x[:spans]
+        for k in range(1, P):
+            np.maximum(out, x[k:k + spans], out=out)
+
+    _halves(forward, work)
 
     def backward(g):
         out = np.zeros_like(a.data)
-        unrouted = np.ones(y.shape, dtype=bool)
-        for k in range(P):
-            hit = (a.data[k:k + spans] == y) & unrouted
-            out[k:k + spans] += g * hit
-            unrouted ^= hit
+
+        def route(h):
+            cols = _half(h, batch)
+            x, y_h, g_h, out_h = a.data[:, cols], y[:, cols], g[:, cols], out[:, cols]
+            unrouted = np.ones(y_h.shape, dtype=bool)
+            for k in range(P):
+                hit = (x[k:k + spans] == y_h) & unrouted
+                out_h[k:k + spans] += g_h * hit
+                unrouted ^= hit
+
+        _halves(route, work)
         return (out,)
 
     return _make(y, (a,), backward)
 
 
-def _check_lstm(x, Wx, Wh, b, op):
-    T, B, E = x.shape
+def checked_ids(ids, table, op="embedding"):
+    """``ids`` as an integer array, each a row of ``table``, or a ValueError
+    naming ``op``."""
+    ids = np.asarray(ids)
+    rows = table.shape[0]
+    if ids.size and (ids.min() < 0 or ids.max() >= rows):
+        raise ValueError(f"{op}: id out of range for table with {rows} rows")
+    return ids
+
+
+# Rows of a per-position gradient that _Lookup.sum_by_id copies at a time:
+# bounds its temporary array.
+_SUM_ROWS = 2048
+
+
+class _Lookup:
+    """The positions of a checked integer id array grouped by id, for ops
+    that read a table row at every position but are linear in it.
+
+    Such an op works on ``rows``, each table row the ids pick, once and in
+    id order, and ``inv`` maps each position, in C order, to its row. The
+    gradient of ``rows`` is then one sum per id over its positions.
+    """
+
+    def __init__(self, ids, table):
+        self.ids = ids.reshape(-1)
+        counts = np.bincount(self.ids, minlength=table.shape[0])
+        self.present = np.flatnonzero(counts)
+        self.inv = (np.cumsum(counts > 0) - 1)[self.ids]
+        # where each id's positions start and end in ``sum_by_id``'s order
+        self.bounds = [0, *np.cumsum(counts[self.present]).tolist()]
+        self.table = table
+        self.rows = table.data[self.present]
+
+    def sum_by_id(self, g):
+        """The rows of a (positions, width) ``g`` summed per id, in blocks
+        of at most ``_SUM_ROWS`` positions: (len(rows), width)."""
+        order = np.argsort(self.ids, kind="stable")  # positions by id
+        out = np.empty((len(self.present), g.shape[1]), dtype=g.dtype)
+        for k, (lo, hi) in enumerate(zip(self.bounds, self.bounds[1:])):
+            out[k] = sum(g[order[i:min(i + _SUM_ROWS, hi)]].sum(axis=0)
+                         for i in range(lo, hi, _SUM_ROWS))
+        return out
+
+    def scatter(self, d_rows):
+        """The table gradient whose picked rows are ``d_rows``, zero elsewhere."""
+        out = np.zeros_like(self.table.data)
+        out[self.present] = d_rows
+        return out
+
+
+def _check_lstm(E, Wx, Wh, b, op):
     H = Wh.shape[0]
     if Wx.shape != (E, 4 * H) or Wh.shape != (H, 4 * H) or b.shape != (4 * H,):
         raise ValueError(
-            f"{op}: input {x.shape} does not fit weights "
+            f"{op}: input width {E} does not fit weights "
             f"{Wx.shape}, {Wh.shape}, {b.shape}")
 
 
@@ -272,21 +394,20 @@ def _lstm_steps(T, reverse):
     return range(T)[::-1] if reverse else range(T)
 
 
-def _lstm_forward(x, Wx, Wh, b, reverse, hs):
-    """One LSTM direction over a raw (T, batch, E) input from a zero state:
-    writes the (T, batch, H) hidden states into ``hs`` and returns the gate
-    activations and cells that backward reads.
+def _lstm_forward(acts, Wh, reverse, hs):
+    """One LSTM direction from a zero state over the (T, batch, 4H) input
+    pre-activations ``acts``, which it overwrites with the gate activations:
+    writes the (T, batch, H) hidden states into ``hs`` and returns the cells
+    that backward reads.
 
     The 4H gate columns are input, forget, cell candidate, output. With
     ``reverse`` the steps run from T-1 down to 0, so state t has read
-    positions t..T-1. The input projection of all steps is one GEMM.
+    positions t..T-1.
     """
-    T, B, E = x.shape
+    T, B, _ = acts.shape
     H = Wh.shape[0]
-    # pre-activations, overwritten step by step with the gate activations
-    acts = (x.reshape(T * B, E) @ Wx + b).reshape(T, B, 4 * H)
-    cells = np.empty((T, B, H), dtype=x.dtype)
-    h = c = np.zeros((B, H), dtype=x.dtype)
+    cells = np.empty((T, B, H), dtype=acts.dtype)
+    h = c = np.zeros((B, H), dtype=acts.dtype)
     for t in _lstm_steps(T, reverse):
         z = acts[t]
         z += h @ Wh
@@ -297,22 +418,22 @@ def _lstm_forward(x, Wx, Wh, b, reverse, hs):
         h = z[:, 3 * H:] * np.tanh(c)
         cells[t] = c
         hs[t] = h
-    return acts, cells
+    return cells
 
 
-def _lstm_backward(grad_h, x, Wx, Wh, hs, acts, cells, reverse):
+def _lstm_backward(grad_h, Wh, hs, acts, cells, reverse):
     """BPTT of one ``_lstm_forward`` direction in one loop, then one GEMM
-    each for dx, dWx and dWh: (dx, dWx, dWh, db).
+    for dWh: the (T, batch, 4H) pre-activation gradient and dWh.
 
     The gate derivatives are formed one step at a time, so besides the
-    saved arrays only the (T, batch, 4H) pre-activation gradient is held.
+    saved arrays only the pre-activation gradient is held.
     """
-    T, B, E = x.shape
+    T, B, _ = acts.shape
     H = Wh.shape[0]
     steps = _lstm_steps(T, reverse)
     dz = np.empty_like(acts)
     Wh_T = Wh.T
-    zero = np.zeros((B, H), dtype=x.dtype)
+    zero = np.zeros((B, H), dtype=acts.dtype)
     dh_next = dc_next = zero
     for n in reversed(range(T)):
         t = steps[n]
@@ -332,124 +453,132 @@ def _lstm_backward(grad_h, x, Wx, Wh, hs, acts, cells, reverse):
     # each step at ``later`` starts from the state left at ``earlier``
     later, earlier = ((slice(None, -1), slice(1, None)) if reverse
                       else (slice(1, None), slice(None, -1)))
-    dz2d = dz.reshape(T * B, 4 * H)
-    return ((dz2d @ Wx.T).reshape(T, B, E), x.reshape(T * B, E).T @ dz2d,
-            hs[earlier].reshape(-1, H).T @ dz[later].reshape(-1, 4 * H),
-            dz2d.sum(axis=0))
+    return dz, hs[earlier].reshape(-1, H).T @ dz[later].reshape(-1, 4 * H)
 
 
-# Multiply-adds of one recurrent step, batch x H x 4H, from which
-# bilstm_sequence runs its two directions on two threads. Below it the
-# threads mostly trade the interpreter lock over small arrays, which was
-# slower than running the directions one after the other.
-_CONCURRENT_STEP_MACS = 2 ** 20
-_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-         else os.cpu_count() or 1)
-
-
-def _new_worker():
-    """The executor that runs the reverse direction; its thread starts on
-    the first submit."""
-    global _worker
-    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="geotweet-lstm")
-
-
-_new_worker()
-if hasattr(os, "register_at_fork"):
-    # a forked child has no copy of the thread, and would wait on it forever
-    os.register_at_fork(after_in_child=_new_worker)
-
-
-def _per_direction(fn, batch, hidden):
-    """[fn(0), fn(1)], with fn(1) on the worker thread while fn(0) runs here
-    when there is a second CPU and a recurrent step is large enough."""
-    if _CPUS < 2 or batch * hidden * 4 * hidden < _CONCURRENT_STEP_MACS:
-        return [fn(0), fn(1)]
-    errors = np.geterr()  # per thread: the worker takes the caller's
-
-    def reverse():
-        with np.errstate(**errors):
-            return fn(1)
-
-    future = _worker.submit(reverse)
-    try:
-        first = fn(0)
-    finally:
-        second = future.result()
-    return [first, second]
-
-
-def bilstm_sequence(x, fwd_weights, bwd_weights):
-    """Both directions of a bidirectional LSTM over a (T, batch, E) input.
+def bilstm_sequence(ids, table, fwd_weights, bwd_weights):
+    """Both directions of a bidirectional LSTM over the rows of a (V, E)
+    ``table`` that a (T, batch) integer array ``ids`` picks.
 
     ``fwd_weights`` and ``bwd_weights`` are (Wx, Wh, b) triples, of shapes
     (E, 4H), (H, 4H) and (4H,). Returns a (2, T, batch, H) tensor: the
     forward states, then the reverse states, as ``_lstm_forward`` runs
-    them. The directions share only the input, so when a
-    recurrent step is large the reverse one runs on a worker thread, in
-    forward and in backward; numpy releases the interpreter lock inside
-    its array loops and BLAS calls. The input gradient is the forward
-    direction's plus the reverse one's, in that order either way.
+    them. Each direction projects each distinct id once, not every
+    position, and takes its input gradients from one sum per id of its
+    pre-activation gradient. The directions share only the input, so they
+    are the two ``_halves`` of the op, in forward and in backward. The table
+    gradient is the forward direction's plus the reverse one's, in that
+    order either way.
     """
-    x = as_tensor(x)
+    table = as_tensor(table)
     weights = [tuple(as_tensor(w) for w in ws) for ws in (fwd_weights, bwd_weights)]
     for ws in weights:
-        _check_lstm(x, *ws, "bilstm_sequence")
-    T, B, _ = x.shape
+        _check_lstm(table.shape[1], *ws, "bilstm_sequence")
     H = weights[0][1].shape[0]
     if weights[1][1].shape[0] != H:
         raise ValueError(f"bilstm_sequence: hidden sizes {H} and "
                          f"{weights[1][1].shape[0]} differ")
-    hs = np.empty((2, T, B, H), dtype=x.data.dtype)
+    ids = checked_ids(ids, table, "bilstm_sequence")
+    if ids.ndim != 2:
+        raise ValueError(f"bilstm_sequence: ids of shape {ids.shape} are not "
+                         f"(T, batch)")
+    T, B = ids.shape
+    chars = _Lookup(ids, table)
+    hs = np.empty((2, T, B, H), dtype=table.data.dtype)
     raw = [[w.data for w in ws] for ws in weights]
-    saved = _per_direction(
-        lambda d: _lstm_forward(x.data, *raw[d], d == 1, hs[d]), B, H)
+    work = T * B * 4 * H * H  # one direction's recurrent products
+
+    def forward(d):
+        Wx, Wh, b = raw[d]
+        acts = (chars.rows @ Wx + b)[chars.inv].reshape(T, B, 4 * H)
+        return acts, _lstm_forward(acts, Wh, d == 1, hs[d])
+
+    saved = _halves(forward, work)
 
     def backward(g):
-        (dx_f, *dw_f), (dx_b, *dw_b) = _per_direction(
-            lambda d: _lstm_backward(g[d], x.data, raw[d][0], raw[d][1], hs[d],
-                                     *saved[d], d == 1), B, H)
-        return (dx_f + dx_b, *dw_f, *dw_b)
+        def direction(d):
+            Wx, Wh, _ = raw[d]
+            dz, dWh = _lstm_backward(g[d], Wh, hs[d], *saved[d], d == 1)
+            per_id = chars.sum_by_id(dz.reshape(T * B, 4 * H))
+            return per_id @ Wx.T, chars.rows.T @ per_id, dWh, per_id.sum(axis=0)
 
-    return _make(hs, (x, *weights[0], *weights[1]), backward)
+        (d_rows_f, *dw_f), (d_rows_b, *dw_b) = _halves(direction, work)
+        return (chars.scatter(d_rows_f + d_rows_b), *dw_f, *dw_b)
+
+    return _make(hs, (table, *weights[0], *weights[1]), backward)
 
 
-def context_projection(xs, hs, W, b):
-    """Pre-activation of [h_fwd(t-1) ; x_t ; h_bwd(t+1)] @ W + b at every t.
+def context_projection(ids, table, hs, W, b):
+    """Pre-activation of [h_fwd(t-1) ; table[ids_t] ; h_bwd(t+1)] @ W + b at
+    every t.
 
-    ``xs`` is (T, batch, E) and ``hs`` the (2, T, batch, H) states of
+    ``ids`` is the (T, batch) integer array that picks rows of the (V, E)
+    ``table``, and ``hs`` the (2, T, batch, H) states of
     ``bilstm_sequence``; the contexts beyond either end are zero. Returns
     (T, batch, O). Each row block of the (2H+E, O) ``W`` multiplies its
-    array unshifted, and the two context products are added one position
-    apart, so no shifted or concatenated copy is made in either pass.
+    input unshifted: the table block each distinct id once, and the context
+    blocks the states, added one position apart, so no shifted or
+    concatenated copy is made. Both passes run in two ``_halves`` of the
+    T*batch positions.
     """
-    xs, hs, W, b = (as_tensor(t) for t in (xs, hs, W, b))
-    T, B, E = xs.shape
+    table, hs, W, b = (as_tensor(t) for t in (table, hs, W, b))
+    ids = checked_ids(ids, table, "context_projection")
+    E = table.shape[1]
     H = hs.shape[-1]
     O = W.shape[1]
-    if hs.shape != (2, T, B, H) or W.shape[0] != 2 * H + E or b.shape != (O,):
-        raise ValueError(f"context_projection: inputs {xs.shape}, {hs.shape} "
-                         f"do not fit weights {W.shape}, {b.shape}")
+    if (ids.ndim != 2 or hs.shape != (2, *ids.shape, H)
+            or W.shape[0] != 2 * H + E or b.shape != (O,)):
+        raise ValueError(f"context_projection: ids {ids.shape}, table "
+                         f"{table.shape} and states {hs.shape} do not fit "
+                         f"weights {W.shape}, {b.shape}")
+    T, B = ids.shape
+    chars = _Lookup(ids, table)
     W_fwd, W_x, W_bwd = W.data[:H], W.data[H:H + E], W.data[H + E:]
-    # forward states 0..T-2 are left contexts of 1..T-1, reverse states
-    # 1..T-1 right contexts of 0..T-2; contiguous slabs, so no copy
-    h_fwd = hs.data[0, :-1].reshape(-1, H)
-    h_bwd = hs.data[1, 1:].reshape(-1, H)
-    x2d = xs.data.reshape(T * B, E)
-    out = (x2d @ W_x + b.data).reshape(T, B, O)
-    out[1:] += (h_fwd @ W_fwd).reshape(T - 1, B, O)
-    out[:-1] += (h_bwd @ W_bwd).reshape(T - 1, B, O)
+    n = T * B
+    # position r's left context is forward state r - B, its right context
+    # reverse state r + B; both are rows of C-order views
+    h_fwd, h_bwd = hs.data[0].reshape(n, H), hs.data[1].reshape(n, H)
+    work = n * 2 * H * O
+
+    def contexts(h):
+        """The positions of half ``h`` that have a left context and the rows
+        of those states, then the same for the right context."""
+        rows = _half(h, n, B)
+        left = slice(max(rows.start, B), max(rows.start, B, rows.stop))
+        right = slice(rows.start, max(rows.start, min(rows.stop, n - B)))
+        return ((left, slice(left.start - B, left.stop - B)),
+                (right, slice(right.start + B, right.stop + B)))
+
+    proj = chars.rows @ W_x + b.data
+    out = np.empty((n, O), dtype=proj.dtype)
+
+    def forward(h):
+        rows = _half(h, n, B)
+        (left, states_f), (right, states_b) = contexts(h)
+        out[rows] = proj[chars.inv[rows]]
+        out[left] += h_fwd[states_f] @ W_fwd
+        out[right] += h_bwd[states_b] @ W_bwd
+
+    _halves(forward, work)
 
     def backward(g):
-        g2d = g.reshape(T * B, O)
-        g_next, g_prev = g[1:].reshape(-1, O), g[:-1].reshape(-1, O)
+        g2d = g.reshape(n, O)
         dhs = np.zeros(hs.shape, dtype=hs.data.dtype)  # C order: slabs are views
-        np.matmul(g_next, W_fwd.T, out=dhs[0, :-1].reshape(-1, H))
-        np.matmul(g_prev, W_bwd.T, out=dhs[1, 1:].reshape(-1, H))
-        dW = np.concatenate([h_fwd.T @ g_next, x2d.T @ g2d, h_bwd.T @ g_prev])
-        return (g2d @ W_x.T).reshape(T, B, E), dhs, dW, g2d.sum(axis=0)
+        d_fwd, d_bwd = dhs[0].reshape(n, H), dhs[1].reshape(n, H)
 
-    return _make(out, (xs, hs, W, b), backward)
+        def half(h):
+            (left, states_f), (right, states_b) = contexts(h)
+            np.matmul(g2d[left], W_fwd.T, out=d_fwd[states_f])
+            np.matmul(g2d[right], W_bwd.T, out=d_bwd[states_b])
+            return h_fwd[states_f].T @ g2d[left], h_bwd[states_b].T @ g2d[right]
+
+        (dW_fwd0, dW_bwd0), (dW_fwd1, dW_bwd1) = _halves(half, work)
+        per_id = chars.sum_by_id(g2d)
+        dW = np.concatenate([dW_fwd0 + dW_fwd1, chars.rows.T @ per_id,
+                             dW_bwd0 + dW_bwd1])
+        return chars.scatter(per_id @ W_x.T), dhs, dW, per_id.sum(axis=0)
+
+    return _make(out.reshape(T, B, O), (table, hs, W, b), backward)
 
 
 def attention_pool(spans, Wv, bv, v):
@@ -458,7 +587,8 @@ def attention_pool(spans, Wv, bv, v):
     Span s of example b scores tanh(spans[s, b] @ Wv + bv) @ v, the scores
     of each example are softmaxed over its spans, and the result is the
     (batch, O) weighted mean. Also returns the (batch, S) weights, as a
-    Tensor outside the graph: no loss reads them.
+    Tensor outside the graph: no loss reads them. The products run in two
+    ``_halves`` of the S*batch rows, the mean in two halves of the batch.
     """
     spans, Wv, bv, v = (as_tensor(t) for t in (spans, Wv, bv, v))
     S, B, O = spans.shape
@@ -467,36 +597,60 @@ def attention_pool(spans, Wv, bv, v):
         raise ValueError(f"attention_pool: spans {spans.shape} do not fit "
                          f"weights {Wv.shape}, {bv.shape}, {v.shape}")
     flat = spans.data.reshape(S * B, O)
-    hidden = np.tanh(flat @ Wv.data + bv.data)
-    scores = (hidden @ v.data).reshape(S, B)
+    hidden = np.empty((S * B, A), dtype=flat.dtype)
+    scores = np.empty((S * B, 1), dtype=flat.dtype)
+    work = S * B * O * A
+
+    def score(h):
+        rows = _half(h, S * B, B)
+        np.tanh(flat[rows] @ Wv.data + bv.data, out=hidden[rows])
+        np.matmul(hidden[rows], v.data, out=scores[rows])
+
+    _halves(score, work)
+    scores = scores.reshape(S, B)
     e = np.exp(scores - scores.max(axis=0))
     w = e / e.sum(axis=0)
+    pooled = np.empty((B, O), dtype=flat.dtype)
+
+    def pool(h):
+        cols = _half(h, B)
+        (w[:, cols, None] * spans.data[:, cols]).sum(axis=0, out=pooled[cols])
+
+    _halves(pool, work)
 
     def backward(g):
-        g_w = (spans.data * g).sum(axis=2)
-        g_scores = ((g_w - (g_w * w).sum(axis=0)) * w).reshape(S * B, 1)
-        g_pre = (g_scores @ v.data.T) * (1.0 - hidden * hidden)
-        g_spans = w[:, :, None] * g + (g_pre @ Wv.data.T).reshape(S, B, O)
-        return g_spans, flat.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g_scores
+        g_w = np.empty((S, B), dtype=g.dtype)
 
-    pooled = _make((w[:, :, None] * spans.data).sum(axis=0), (spans, Wv, bv, v),
-                   backward)
-    return pooled, Tensor(w.T)
+        def weight_grad(h):
+            cols = _half(h, B)
+            (spans.data[:, cols] * g[cols]).sum(axis=2, out=g_w[:, cols])
+
+        _halves(weight_grad, work)
+        g_scores = ((g_w - (g_w * w).sum(axis=0)) * w).reshape(S * B, 1)
+        g_spans = np.empty_like(spans.data)
+
+        def half(h):
+            rows, part = _half(h, S * B, B), _half(h, S)  # the same spans
+            g_pre = (g_scores[rows] @ v.data.T) * (1.0 - hidden[rows] * hidden[rows])
+            np.matmul(g_pre, Wv.data.T, out=g_spans.reshape(S * B, O)[rows])
+            g_spans[part] += w[part, :, None] * g
+            return (flat[rows].T @ g_pre, g_pre.sum(axis=0),
+                    hidden[rows].T @ g_scores[rows])
+
+        first, second = _halves(half, work)
+        return (g_spans, *(p0 + p1 for p0, p1 in zip(first, second)))
+
+    return _make(pooled, (spans, Wv, bv, v), backward), Tensor(w.T)
 
 
 def embedding(ids, table):
     """Look up rows of ``table`` for an integer id array."""
     table = as_tensor(table)
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ValueError(
-            f"embedding: id out of range for table with {table.shape[0]} rows"
-        )
+    ids = checked_ids(ids, table)
 
     def backward(g):
-        out = np.zeros_like(table.data)
-        np.add.at(out, ids.reshape(-1), g.reshape(-1, table.shape[1]))
-        return (out,)
+        lookup = _Lookup(ids, table)
+        return (lookup.scatter(lookup.sum_by_id(g.reshape(-1, table.shape[1]))),)
 
     return _make(table.data[ids], (table,), backward)
 

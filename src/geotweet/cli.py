@@ -151,20 +151,32 @@ def _model_and_data(args):
         Path(args.model) / "labels.txt")
 
 
+def _known(records, label_vocab):
+    """The records whose city ``label_vocab`` has, and how many others there
+    are: the model has no class for their city, so scoring counts them as
+    wrong."""
+    known = [r for r in records if r.city_label in label_vocab.name_to_id]
+    return known, len(records) - len(known)
+
+
 def _training_splits(args, config):
-    """Vocabularies of the filtered train split, then the encoded train, dev
-    and test splits; test is None without --test."""
+    """Vocabularies of the filtered train split, the encoded train split,
+    then the encoded dev and test splits, each with its count of records
+    whose city the train split lacks; test is (None, None) without --test."""
     train_records = corpus_mod.filter_training(
         corpus_mod.read_jsonl(args.train))
     dev_records = corpus_mod.read_jsonl(args.dev)
     test_records = corpus_mod.read_jsonl(args.test) if args.test else None
     vocabs = corpus_mod.build_vocabularies(train_records, args.min_char_count)
-    return vocabs, *(None if records is None
-                     else encode_records(records, *vocabs, config, data,
-                                         f"the cities of {args.train}")
-                     for records, data in ((train_records, args.train),
-                                           (dev_records, args.dev),
-                                           (test_records, args.test)))
+
+    def encode(records, data):
+        if records is None:
+            return None, None
+        known, unseen = _known(records, vocabs[2])
+        return encode_records(known, *vocabs, config, data), unseen
+
+    return (vocabs, encode_records(train_records, *vocabs, config, args.train),
+            encode(dev_records, args.dev), encode(test_records, args.test))
 
 
 def _write_report(args, report, filename):
@@ -214,19 +226,22 @@ def cmd_synth(args):
 
 def cmd_train(args):
     model_config = model_config_from_args(args)
-    vocabs, train_ex, dev_ex, test_ex = _training_splits(args, model_config)
+    vocabs, train_ex, (dev_ex, dev_unseen), (test_ex, test_unseen) = (
+        _training_splits(args, model_config))
     rng = np.random.default_rng(args.seed)
     model = GeoModel(model_config, *map(len, vocabs), rng)
     out = Path(args.out)
     try:
-        report = train(model, train_ex, dev_ex, _train_config(args))
+        report = train(model, train_ex, dev_ex, _train_config(args), dev_unseen)
     except TrainingStopped as e:
         # the report of the epochs before the stop, and no checkpoint
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(e.report.to_json(), encoding="utf-8")
         raise
     if args.test:
-        report.test_accuracy = evaluate_accuracy(model, test_ex)
+        report.test_accuracy = evaluate_accuracy(model, test_ex,
+                                                 unseen=test_unseen)
+        report.test_unseen_labels = test_unseen
     out.mkdir(parents=True, exist_ok=True)
     for vocab, name in zip(vocabs, VOCAB_FILES):
         vocab.save(out / name)
@@ -239,10 +254,7 @@ def cmd_train(args):
 def cmd_eval(args):
     model, _, *vocabs = load_model_dir(args.model)
     records = corpus_mod.read_jsonl(args.data)
-    # the model has no class for a city missing from labels.txt: such a
-    # record counts as wrong
-    known = [r for r in records if r.city_label in vocabs[2].name_to_id]
-    unseen = len(records) - len(known)
+    known, unseen = _known(records, vocabs[2])
     accuracy = evaluate_accuracy(
         model, encode_records(known, *vocabs, model.config), unseen=unseen)
     _write_report(args, f"accuracy\t{accuracy:.6f}\nunseen_labels\t{unseen}\n",
@@ -255,13 +267,15 @@ def cmd_ablate(args):
     if base_config.feature_set != "tweet-user":
         print("ablate requires --feature-set tweet-user", file=sys.stderr)
         return 2
-    vocabs, train_ex, dev_ex, test_ex = _training_splits(args, base_config)
+    vocabs, train_ex, (dev_ex, dev_unseen), (test_ex, test_unseen) = (
+        _training_splits(args, base_config))
 
     def build(cfg, seed):
         return GeoModel(cfg, *map(len, vocabs), np.random.default_rng(seed))
 
     splits = map(batch_arrays, (train_ex, dev_ex, test_ex))
-    baseline, deltas = ablate(build, *splits, base_config, _train_config(args))
+    baseline, deltas = ablate(build, *splits, base_config, _train_config(args),
+                              dev_unseen=dev_unseen, test_unseen=test_unseen)
     lines = [f"all_features\t{baseline:.6f}\t-"]
     for feat, delta in deltas.items():
         lines.append(f"-{feat}\t{baseline + delta:.6f}\t{delta:+.6f}")

@@ -53,21 +53,24 @@ class TextNetwork:
         return self.params[f"{self.prefix}.{name}"]
 
     def char_vectors(self, text_ids):
-        """Embedded characters, (T, batch, E); text_ids is a (batch, T) int array."""
-        return ad.embedding(np.asarray(text_ids).T, self._p("emb"))
+        """The (T, batch) time-major char ids of a (batch, T) int array,
+        checked against the embedding table."""
+        return ad.checked_ids(np.asarray(text_ids).T, self._p("emb"))
 
-    def bilstm_contexts(self, xs):
-        """The (2, T, batch, H) forward then backward hidden states over
-        embedded chars."""
-        return ad.bilstm_sequence(xs, *(
+    def bilstm_contexts(self, ids):
+        """The (2, T, batch, H) forward then backward hidden states over the
+        embedded chars of time-major ``ids``."""
+        return ad.bilstm_sequence(ids, self._p("emb"), *(
             [self._p(f"{d}.{w}") for w in ("Wx", "Wh", "b")] for d in ("fwd", "bwd")))
 
-    def contextual_projection(self, xs, hs):
-        """ReLU projection of [h_fwd[t-1] ; x_t ; h_bwd[t+1]] for every position.
+    def contextual_projection(self, ids, hs):
+        """ReLU projection of [h_fwd[t-1] ; x_t ; h_bwd[t+1]] for every
+        position, where x_t embeds char ``ids[t]``.
 
         Out-of-range contexts are zero vectors. Returns a (T, batch, O) tensor.
         """
-        return ad.relu(ad.context_projection(xs, hs, self._p("Wg"), self._p("bg")))
+        return ad.relu(ad.context_projection(ids, self._p("emb"), hs,
+                                             self._p("Wg"), self._p("bg")))
 
     def windowed_max_pool(self, g_seq, window=None):
         """Elementwise max over each length-P window; yields T-P+1 span vectors."""
@@ -78,8 +81,8 @@ class TextNetwork:
         return ad.attention_pool(pooled, self._p("Wv"), self._p("bv"), self._p("v"))
 
     def forward(self, text_ids):
-        xs = self.char_vectors(text_ids)
-        g_seq = self.contextual_projection(xs, self.bilstm_contexts(xs))
+        ids = self.char_vectors(text_ids)
+        g_seq = self.contextual_projection(ids, self.bilstm_contexts(ids))
         pooled = self.windowed_max_pool(g_seq)
         return self.attention_pool(pooled)
 

@@ -30,6 +30,9 @@ class TrainReport:
     dev_accuracy: list = field(default_factory=list)
     revert_epochs: list = field(default_factory=list)
     test_accuracy: float | None = None
+    # records scored as wrong because the training split lacks their city
+    dev_unseen_labels: int = 0
+    test_unseen_labels: int | None = None
     wall_clock_seconds: float = 0.0
     stopped: str | None = None  # why training stopped early, if it did
 
@@ -71,16 +74,17 @@ def evaluate_accuracy(model, examples_or_arrays, unseen=0):
 
 # numpy's overflow warnings would only repeat the non-finite check's error
 @np.errstate(all="ignore")
-def train(model, train_examples, dev_examples, config):
+def train(model, train_examples, dev_examples, config, dev_unseen=0):
     """Train for exactly config.epochs epochs with the epoch-revert rule.
 
-    After each epoch the model is scored on dev; if accuracy fell below the
-    previously accepted epoch's, parameters and optimizer moments are
-    restored from the last accepted snapshot. A non-finite loss or
-    parameter gradient stops training with a TrainingStopped error naming
-    the epoch and batch.
+    After each epoch the model is scored on dev, where ``dev_unseen`` more
+    examples, whose labels the model has no class for, count as wrong; if
+    accuracy fell below the previously accepted epoch's, parameters and
+    optimizer moments are restored from the last accepted snapshot. A
+    non-finite loss or parameter gradient stops training with a
+    TrainingStopped error naming the epoch and batch.
     """
-    if not train_examples or not dev_examples:
+    if not train_examples or not (dev_examples or dev_unseen):
         raise ValueError("train and dev splits must be non-empty")
     if config.batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {config.batch_size}")
@@ -90,7 +94,7 @@ def train(model, train_examples, dev_examples, config):
     dev_arrays = as_arrays(dev_examples)
     n = len(train_arrays["label_id"])
     optimizer = Adam(model.params, learning_rate=config.learning_rate)
-    report = TrainReport()
+    report = TrainReport(dev_unseen_labels=dev_unseen)
     best_accuracy = -1.0
     best_params = None
     best_opt = None
@@ -114,7 +118,7 @@ def train(model, train_examples, dev_examples, config):
                     raise stop(f"non-finite gradient of {name} {where}")
             optimizer.step()
             model.clamp()
-        accuracy = evaluate_accuracy(model, dev_arrays)
+        accuracy = evaluate_accuracy(model, dev_arrays, unseen=dev_unseen)
         report.dev_accuracy.append(accuracy)
         if accuracy < best_accuracy:
             model.load_param_arrays(best_params)
@@ -129,12 +133,15 @@ def train(model, train_examples, dev_examples, config):
 
 
 def ablate(build_model, train_examples, dev_examples, test_examples,
-           model_config, train_config, features=None):
+           model_config, train_config, features=None, dev_unseen=0,
+           test_unseen=0):
     """Retrain once per removed feature; report accuracy deltas vs all features.
 
     ``build_model`` is a callable (ModelConfig, seed) -> GeoModel so the
     caller controls vocabulary sizes. Every run reuses the same seed.
     ``features`` restricts which features get ablated (default: all active).
+    ``dev_unseen`` and ``test_unseen`` more examples of each split, whose
+    labels the model has no class for, count as wrong.
     """
     if model_config.feature_set != "tweet-user":
         raise ValueError("ablation requires the tweet-user feature set")
@@ -147,8 +154,8 @@ def ablate(build_model, train_examples, dev_examples, test_examples,
 
     def run(cfg):
         model = build_model(cfg, train_config.seed)
-        train(model, train_examples, dev_examples, train_config)
-        return evaluate_accuracy(model, test_examples)
+        train(model, train_examples, dev_examples, train_config, dev_unseen)
+        return evaluate_accuracy(model, test_examples, unseen=test_unseen)
 
     baseline = run(model_config)
     deltas = {}

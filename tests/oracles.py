@@ -3,7 +3,9 @@
 The program never calls any of these. Each one is either a small op that
 only gradient checks and oracles use (``sub``, ``mul``, ``div``, ``exp``,
 ``absolute``, ``softmax``, ``transpose``, ``tsum``, ``tmean``, ``maximum``,
-``sigmoid``, ``lstm_sequence``, ``amax``), a brute-force or per-item reference for the
+``sigmoid``, ``lstm_sequence``, ``amax``), an op as the engine ran it
+before a rewrite (``bilstm_sequence`` and ``context_projection`` over an
+embedded input), a brute-force or per-item reference for the
 retrieval and code-file code (``hamming``, ``average_precision``,
 ``map_from_codes``, ``map_eval``, ``save_codes``), or the chain of graph
 nodes that a fused engine op replaced, kept so that the fused op can be
@@ -158,16 +160,99 @@ def amax(a, axis):
     return _make(y, (a,), backward)
 
 
+def _x_lstm_forward(x, Wx, Wh, b, reverse, hs):
+    """One LSTM direction over an embedded (T, batch, E) input: the input
+    projection of all steps is one GEMM, then the engine's recurrence."""
+    T, B, E = x.shape
+    acts = (x.reshape(T * B, E) @ Wx + b).reshape(T, B, -1)
+    return acts, _lstm_forward(acts, Wh, reverse, hs)
+
+
+def _x_lstm_backward(grad_h, x, Wx, Wh, hs, acts, cells, reverse):
+    """The engine's BPTT of one ``_x_lstm_forward`` direction, then one GEMM
+    each for dx and dWx: (dx, dWx, dWh, db)."""
+    T, B, E = x.shape
+    dz, dWh = _lstm_backward(grad_h, Wh, hs, acts, cells, reverse)
+    dz2d = dz.reshape(T * B, -1)
+    return ((dz2d @ Wx.T).reshape(T, B, E), x.reshape(T * B, E).T @ dz2d,
+            dWh, dz2d.sum(axis=0))
+
+
+def _per_direction(fn, batch, hidden):
+    """[fn(0), fn(1)], one after the other."""
+    return [fn(0), fn(1)]
+
+
 def lstm_sequence(x, Wx, Wh, b, reverse=False):
     """One LSTM direction over a (T, batch, E) input: the (T, batch, H)
     hidden states, run by the same private loops as ``bilstm_sequence``."""
     x, Wx, Wh, b = (as_tensor(t) for t in (x, Wx, Wh, b))
-    _check_lstm(x, Wx, Wh, b, "lstm_sequence")
+    _check_lstm(x.shape[-1], Wx, Wh, b, "lstm_sequence")
     T, B, _ = x.shape
     hs = np.empty((T, B, Wh.shape[0]), dtype=x.data.dtype)
-    saved = _lstm_forward(x.data, Wx.data, Wh.data, b.data, reverse, hs)
-    return _make(hs, (x, Wx, Wh, b), lambda g: _lstm_backward(
+    saved = _x_lstm_forward(x.data, Wx.data, Wh.data, b.data, reverse, hs)
+    return _make(hs, (x, Wx, Wh, b), lambda g: _x_lstm_backward(
         g, x.data, Wx.data, Wh.data, hs, *saved, reverse))
+
+
+def bilstm_sequence(x, fwd_weights, bwd_weights):
+    """``ad.bilstm_sequence`` over an embedded (T, batch, E) input ``x`` in
+    place of ids and a table: one GEMM per direction projects every
+    position, and the directions run one after the other."""
+    x = as_tensor(x)
+    weights = [tuple(as_tensor(w) for w in ws) for ws in (fwd_weights, bwd_weights)]
+    for ws in weights:
+        _check_lstm(x.shape[-1], *ws, "bilstm_sequence")
+    T, B, _ = x.shape
+    H = weights[0][1].shape[0]
+    if weights[1][1].shape[0] != H:
+        raise ValueError(f"bilstm_sequence: hidden sizes {H} and "
+                         f"{weights[1][1].shape[0]} differ")
+    hs = np.empty((2, T, B, H), dtype=x.data.dtype)
+    raw = [[w.data for w in ws] for ws in weights]
+    saved = _per_direction(
+        lambda d: _x_lstm_forward(x.data, *raw[d], d == 1, hs[d]), B, H)
+
+    def backward(g):
+        (dx_f, *dw_f), (dx_b, *dw_b) = _per_direction(
+            lambda d: _x_lstm_backward(g[d], x.data, raw[d][0], raw[d][1], hs[d],
+                                       *saved[d], d == 1), B, H)
+        return (dx_f + dx_b, *dw_f, *dw_b)
+
+    return _make(hs, (x, *weights[0], *weights[1]), backward)
+
+
+def context_projection(xs, hs, W, b):
+    """``ad.context_projection`` over an embedded (T, batch, E) input ``xs``
+    in place of ids and a table: one GEMM projects every position, in one
+    pass over all positions."""
+    xs, hs, W, b = (as_tensor(t) for t in (xs, hs, W, b))
+    T, B, E = xs.shape
+    H = hs.shape[-1]
+    O = W.shape[1]
+    if hs.shape != (2, T, B, H) or W.shape[0] != 2 * H + E or b.shape != (O,):
+        raise ValueError(f"context_projection: inputs {xs.shape}, {hs.shape} "
+                         f"do not fit weights {W.shape}, {b.shape}")
+    W_fwd, W_x, W_bwd = W.data[:H], W.data[H:H + E], W.data[H + E:]
+    # forward states 0..T-2 are left contexts of 1..T-1, reverse states
+    # 1..T-1 right contexts of 0..T-2; contiguous slabs, so no copy
+    h_fwd = hs.data[0, :-1].reshape(-1, H)
+    h_bwd = hs.data[1, 1:].reshape(-1, H)
+    x2d = xs.data.reshape(T * B, E)
+    out = (x2d @ W_x + b.data).reshape(T, B, O)
+    out[1:] += (h_fwd @ W_fwd).reshape(T - 1, B, O)
+    out[:-1] += (h_bwd @ W_bwd).reshape(T - 1, B, O)
+
+    def backward(g):
+        g2d = g.reshape(T * B, O)
+        g_next, g_prev = g[1:].reshape(-1, O), g[:-1].reshape(-1, O)
+        dhs = np.zeros(hs.shape, dtype=hs.data.dtype)  # C order: slabs are views
+        np.matmul(g_next, W_fwd.T, out=dhs[0, :-1].reshape(-1, H))
+        np.matmul(g_prev, W_bwd.T, out=dhs[1, 1:].reshape(-1, H))
+        dW = np.concatenate([h_fwd.T @ g_next, x2d.T @ g2d, h_bwd.T @ g_prev])
+        return (g2d @ W_x.T).reshape(T, B, E), dhs, dW, g2d.sum(axis=0)
+
+    return _make(out, (xs, hs, W, b), backward)
 
 
 def chained_context_projection(xs, hs, W, b):

@@ -164,8 +164,8 @@ def test_criterion_1_gradient_integrity():
         ids = rng.integers(0, 7, size=(2, 5))
 
         def bilstm_proj_loss():
-            xs = net.char_vectors(ids)
-            g = net.contextual_projection(xs, net.bilstm_contexts(xs))
+            seq = net.char_vectors(ids)
+            g = net.contextual_projection(seq, net.bilstm_contexts(seq))
             return tsum(ad.tanh(g))
 
         def attention_loss():
@@ -216,20 +216,24 @@ def test_criterion_1_gradient_integrity():
                       lstm_sequence(x, wx, wh, b, reverse=reverse))),
                   [(T, batch, E), (E, 4 * H), (H, 4 * H), (4 * H,)], trial)
 
-    # the bidirectional op, after the checks above so that their draws are unchanged
+    # the bidirectional op over ids and a table, after the checks above so
+    # that their draws are unchanged
     for trial in range(20):
-        T, batch, E, H = dims(1, 6), dims(), dims(), dims()
-        check(lambda x, *w: tsum(ad.tanh(
-                  ad.bilstm_sequence(x, w[:3], w[3:]))),
-              [(T, batch, E)] + [(E, 4 * H), (H, 4 * H), (4 * H,)] * 2, trial)
+        T, batch, E, H, V = dims(1, 6), dims(), dims(), dims(), dims()
+        ids = rng.integers(0, V, size=(T, batch))
+        check(lambda table, *w: tsum(ad.tanh(
+                  ad.bilstm_sequence(ids, table, w[:3], w[3:]))),
+              [(V, E)] + [(E, 4 * H), (H, 4 * H), (4 * H,)] * 2, trial)
 
-    # the fused context projection, after the checks above so that their
-    # draws are unchanged
+    # the fused context projection over ids and a table, after the checks
+    # above so that their draws are unchanged
     for trial in range(20):
-        T, batch, E, H, O = dims(1, 6), dims(), dims(), dims(), dims()
-        check(lambda xs, hs, w, b: tsum(ad.tanh(
-                  ad.context_projection(xs, hs, w, b))),
-              [(T, batch, E), (2, T, batch, H), (2 * H + E, O), (O,)], trial)
+        T, batch, E, H, O, V = (dims(1, 6), dims(), dims(), dims(), dims(),
+                                dims())
+        ids = rng.integers(0, V, size=(T, batch))
+        check(lambda table, hs, w, b: tsum(ad.tanh(
+                  ad.context_projection(ids, table, hs, w, b))),
+              [(V, E), (2, T, batch, H), (2 * H + E, O), (O,)], trial)
 
     # the fused RBF, attention and extrema ops, after the checks above so
     # that their draws are unchanged

@@ -1,10 +1,15 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geotweet
 from geotweet.cli import main, read_config_file
 from geotweet import hashing as H
 from geotweet.rbf_net import RbfNetwork
@@ -182,7 +187,7 @@ def _train_argv(data, out, **files):
             "--out", str(out), "--synthetic-scale", "--epochs", "1"]
 
 
-@pytest.mark.parametrize("command", ["hash", "train"])
+@pytest.mark.parametrize("command", ["hash"])
 def test_unknown_city_names_the_file_the_record_and_the_labels(
         pipeline, tmp_path, capsys, command):
     data, run = pipeline["data"], pipeline["run"]
@@ -191,16 +196,92 @@ def test_unknown_city_names_the_file_the_record_and_the_labels(
     record["city_label"] = "nowhere"
     bad = tmp_path / "bad.jsonl"
     bad.write_text(lines[0] + json.dumps(record) + "\n" + "".join(lines[2:]))
-    if command == "hash":
-        argv = ["hash", "--model", str(run), "--data", str(bad),
-                "--out", str(tmp_path / "codes.bin")]
-        labels = run / "labels.txt"
-    else:
-        argv = _train_argv(data, tmp_path / "run", dev=bad)
-        labels = f"the cities of {data / 'train.jsonl'}"
-    assert main(argv) == 1
+    assert main([command, "--model", str(run), "--data", str(bad),
+                 "--out", str(tmp_path / "codes.bin")]) == 1
     assert capsys.readouterr().err == (
-        f"error: {bad}: record 2: unknown category 'nowhere' (not in {labels})\n")
+        f"error: {bad}: record 2: unknown category 'nowhere' "
+        f"(not in {run / 'labels.txt'})\n")
+
+
+def _with_unseen_cities(src, tmp_path, records):
+    """``src`` with the city of each listed record replaced by one that no
+    split has, and ``src`` without those records: (mixed, rest, size)."""
+    lines = src.read_text().splitlines(True)
+    mixed, rest = tmp_path / f"mixed-{src.name}", tmp_path / f"rest-{src.name}"
+    mixed.write_text("".join(
+        json.dumps({**json.loads(line), "city_label": "nowhere"}) + "\n"
+        if i in records else line for i, line in enumerate(lines)))
+    rest.write_text("".join(line for i, line in enumerate(lines)
+                            if i not in records))
+    return mixed, rest, len(lines)
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_unseen_dev_and_test_cities_count_as_wrong(pipeline, tmp_path, capsys,
+                                                   command):
+    data = pipeline["data"]
+    mixed_dev, rest_dev, n_dev = _with_unseen_cities(data / "dev.jsonl",
+                                                     tmp_path, {1, 4})
+    mixed_test, rest_test, n_test = _with_unseen_cities(data / "test.jsonl",
+                                                        tmp_path, {0})
+
+    def run(tag, dev, test):
+        argv = _train_argv(data, tmp_path / tag, dev=dev, test=test)
+        assert main([command, *argv[1:]]) == 0
+        capsys.readouterr()
+        if command == "train":
+            return json.loads((tmp_path / tag / "report.json").read_text())
+        first = (tmp_path / tag / "ablation.txt").read_text().splitlines()[0]
+        return {"test_accuracy": float(first.split("\t")[1])}
+
+    rest = run("rest", rest_dev, rest_test)
+    mixed = run("mixed", mixed_dev, mixed_test)
+    # the same seed trains the same model; each unseen record is one more
+    # wrong answer
+    assert mixed["test_accuracy"] == pytest.approx(
+        rest["test_accuracy"] * (n_test - 1) / n_test, abs=1e-6)
+    if command == "train":
+        assert mixed["dev_accuracy"][0] == pytest.approx(
+            rest["dev_accuracy"][0] * (n_dev - 2) / n_dev, abs=1e-12)
+        assert (rest["dev_unseen_labels"], rest["test_unseen_labels"]) == (0, 0)
+        assert (mixed["dev_unseen_labels"], mixed["test_unseen_labels"]) == (2, 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_paper_scale_train_writes_the_same_model_on_one_cpu_and_two(tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--cities", "3", "--train-size",
+                 "32", "--dev-size", "8", "--test-size", "8", "--seed", "7"]) == 0
+    # ModelConfig() and batch 32: every text op runs its halves on two
+    # threads when it may; one BLAS thread, so the engine's threads are the
+    # only difference
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(geotweet.__file__).parent.parent)}
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+
+    def train(allowed):
+        out = tmp_path / f"cpus-{len(allowed)}"
+        # the child counts the halves it sends to the worker thread
+        child = (f"import os, sys; os.sched_setaffinity(0, {allowed!r}); "
+                 "from geotweet import autodiff as ad; "
+                 "from geotweet.cli import main; "
+                 "submit, sent = ad._worker.submit, []; "
+                 "ad._worker.submit = lambda *a: sent.append(1) or submit(*a); "
+                 "code = main(sys.argv[1:]); print(ad._CPUS, len(sent)); "
+                 "sys.exit(code)")
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "train",
+             "--train", str(data / "train.jsonl"), "--dev", str(data / "dev.jsonl"),
+             "--out", str(out), "--batch-size", "32", "--epochs", "1",
+             "--seed", "7"],
+            env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        cpus_seen, sent = map(int, proc.stdout.splitlines()[-1].split())
+        assert cpus_seen == len(allowed) and (sent > 0) == (len(allowed) == 2)
+        return (out / "model.gtpa").read_bytes()
+
+    assert train(cpus[:1]) == train(cpus)
 
 
 @pytest.mark.parametrize("command", [

@@ -1,6 +1,7 @@
 import math
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -11,6 +12,8 @@ from geotweet import autodiff as ad
 from geotweet.text_net import TextNetwork, top_attended_spans
 
 from conftest import assert_matches_oracle, finite_difference_check, gradients
+from oracles import bilstm_sequence as x_bilstm_sequence
+from oracles import context_projection as x_context_projection
 from oracles import (chained_attention_pool, chained_context_projection,
                      lstm_sequence, maximum_list, mul, sigmoid, tsum)
 
@@ -185,18 +188,48 @@ class TestFusedOpsMatchOracle:
             assert_matches_oracle(got, want)
 
 
-def bilstm_case(T, B, E, H, seed):
+def bilstm_case(T, B, E, H, seed, vocab=7):
     rng = np.random.default_rng(seed)
-    x = ad.Tensor(rng.standard_normal((T, B, E)), requires_grad=True)
+    ids = rng.integers(0, vocab, size=(T, B))
+    table = ad.Tensor(rng.standard_normal((vocab, E)), requires_grad=True)
     weights = [[ad.Tensor(rng.standard_normal(shape) * 0.5, requires_grad=True)
                 for shape in ((E, 4 * H), (H, 4 * H), (4 * H,))]
                for _ in ("fwd", "bwd")]
-    return x, weights, rng.standard_normal((2, T, B, H))
+    return ids, table, weights, rng.standard_normal((2, T, B, H))
 
 
-def run_bilstm(x, weights, upstream, cpus, monkeypatch):
-    """Output and gradients (x, then the six weights) of bilstm_sequence
-    with ``cpus`` CPUs, and how many calls went to the worker thread."""
+def split_op_cases(T, B, seed):
+    """Each op that runs in two halves, as (name, build, inputs, upstream):
+    build(*inputs) is the op's output tensor, and inputs are its tensors."""
+    rng = np.random.default_rng(seed)
+    V, E, H, O, A, P = 6, 3, 4, 5, 4, min(T, 3)
+
+    def tensor(*shape):
+        return ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+
+    ids = rng.integers(0, V, size=(T, B))
+    lstm = [tensor(E, 4 * H), tensor(H, 4 * H), tensor(4 * H)]
+    return [
+        ("bilstm_sequence",
+         lambda table, *w: ad.bilstm_sequence(ids, table, w[:3], w[3:]),
+         [tensor(V, E), *lstm, *(tensor(*w.shape) for w in lstm)],
+         rng.standard_normal((2, T, B, H))),
+        ("context_projection",
+         lambda table, hs, W, b: ad.context_projection(ids, table, hs, W, b),
+         [tensor(V, E), tensor(2, T, B, H), tensor(2 * H + E, O), tensor(O)],
+         rng.standard_normal((T, B, O))),
+        ("window_max", lambda a: ad.window_max(a, P), [tensor(T, B, O)],
+         rng.standard_normal((T - P + 1, B, O))),
+        ("attention_pool", lambda *inputs: ad.attention_pool(*inputs)[0],
+         [tensor(T, B, O), tensor(O, A), tensor(A), tensor(A, 1)],
+         rng.standard_normal((B, O))),
+    ]
+
+
+def run_split(build, inputs, upstream, cpus, monkeypatch, threshold=None):
+    """Output and input gradients of build(*inputs) with ``cpus`` CPUs (and
+    ``threshold`` in place of the size threshold), and how many calls went
+    to the worker thread."""
     submitted = []
 
     class CountingWorker:
@@ -208,70 +241,137 @@ def run_bilstm(x, weights, upstream, cpus, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(ad, "_CPUS", cpus)
         m.setattr(ad, "_worker", CountingWorker())
-        both = ad.bilstm_sequence(x, *weights)
-        grads = gradients([x, *weights[0], *weights[1]],
-                          tsum(mul(both, upstream)))
-    return both.data, grads, len(submitted)
+        if threshold is not None:
+            m.setattr(ad, "_THREADED_WORK", threshold)
+        out = build(*inputs)
+        grads = gradients(inputs, tsum(mul(out, upstream)))
+    return out.data, grads, len(submitted)
+
+
+def bilstm_over_embedding(ids, table, weights):
+    """Both directions as two x-input lstm_sequence oracles."""
+    x = ad.embedding(ids, table)
+    return [lstm_sequence(x, *weights[d], reverse=d == 1) for d in (0, 1)]
 
 
 class TestBilstmSequence:
-    # B*H*4H: 384 multiply-adds a step, then exactly the threshold 2**20
+    # one direction's T*B*4H*H recurrent multiply-adds: 1,152, then 2**25
     @pytest.mark.parametrize("T,B,E,H,threaded", [(6, 3, 5, 4, False),
-                                                  (3, 16, 8, 128, True)])
-    def test_equals_two_lstm_sequences_bit_for_bit(self, T, B, E, H, threaded,
-                                                   monkeypatch):
-        x, weights, upstream = bilstm_case(T, B, E, H, seed=H)
-        both, got, submitted = run_bilstm(x, weights, upstream, 2, monkeypatch)
+                                                  (4, 32, 8, 256, True)])
+    def test_matches_two_lstm_sequences_over_the_embedding(
+            self, T, B, E, H, threaded, monkeypatch):
+        ids, table, weights, upstream = bilstm_case(T, B, E, H, seed=H)
+        inputs = [table, *weights[0], *weights[1]]
+        both, got, submitted = run_split(
+            lambda *_: ad.bilstm_sequence(ids, table, *weights), inputs,
+            upstream, 2, monkeypatch)
         assert submitted == (2 if threaded else 0)  # forward and backward
-        fwd, bwd = (lstm_sequence(x, *weights[d], reverse=d == 1)
-                    for d in (0, 1))
+        fwd, bwd = bilstm_over_embedding(ids, table, weights)
+        # each position reads the same projected row, so the states agree
+        # bit for bit; the input gradients are summed in another order
         np.testing.assert_array_equal(both, np.stack([fwd.data, bwd.data]))
-        want = gradients([x, *weights[0], *weights[1]], ad.add(
-            tsum(mul(fwd, upstream[0])), tsum(mul(bwd, upstream[1]))))
+        want = gradients(inputs, ad.add(tsum(mul(fwd, upstream[0])),
+                                        tsum(mul(bwd, upstream[1]))))
         for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
+            assert_matches_oracle(a, b)
 
     def test_worker_and_serial_runs_are_identical(self, monkeypatch):
-        for dtype in (np.float64, np.float32):
-            with ad.compute_dtype(dtype):
-                x, weights, upstream = bilstm_case(4, 32, 6, 128, seed=1)
-                threaded = run_bilstm(x, weights, upstream, 2, monkeypatch)
-                serial = run_bilstm(x, weights, upstream, 1, monkeypatch)
-            assert (threaded[2], serial[2]) == (2, 0)
-            assert threaded[0].dtype == dtype
-            np.testing.assert_array_equal(threaded[0], serial[0])
-            for a, b in zip(threaded[1], serial[1]):
-                assert a.dtype == dtype
-                np.testing.assert_array_equal(a, b)
+        # switch threads as often as the interpreter can, so that the two
+        # halves writing one buffer interleave
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for dtype in (np.float64, np.float32):
+                for T, B in ((5, 3), (1, 1), (4, 2)):
+                    for name, build, inputs, upstream in split_op_cases(T, B, T * B):
+                        with ad.compute_dtype(dtype):
+                            inputs = [ad.Tensor(t.data, requires_grad=True)
+                                      for t in inputs]
+                            threaded = run_split(build, inputs, upstream, 2,
+                                                 monkeypatch, threshold=0)
+                            serial = run_split(build, inputs, upstream, 1,
+                                               monkeypatch, threshold=0)
+                        assert threaded[2] > 0 and serial[2] == 0, name
+                        assert threaded[0].dtype == dtype, name
+                        np.testing.assert_array_equal(threaded[0], serial[0], name)
+                        for a, b in zip(threaded[1], serial[1]):
+                            assert a.dtype == dtype, name
+                            np.testing.assert_array_equal(a, b, name)
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("batch,hidden,cpus,threaded", [
-        (32, 200, 2, True),    # paper-scale training step: 5.1 M
-        (8, 200, 2, True),     # paper-scale dev eval: 1.3 M
+        (32, 200, 2, True),    # paper-scale training step: 1.5 G
+        (8, 200, 2, True),     # paper-scale dev eval: 384 M
         (32, 200, 1, False),   # one CPU
-        (128, 16, 2, False),   # synthetic-scale training step: 131 k
-        (512, 16, 2, False),   # synthetic-scale eval batch: 524 k
+        (128, 16, 2, False),   # synthetic-scale training step: 5.2 M
+        (512, 16, 2, False),   # synthetic-scale eval batch: 21 M
     ])
     def test_worker_runs_the_reverse_direction_of_large_steps(
             self, batch, hidden, cpus, threaded, monkeypatch):
         monkeypatch.setattr(ad, "_CPUS", cpus)
         main = threading.current_thread().name
+        T = 300 if hidden == 200 else 40  # the paper's and the synthetic length
         with np.errstate(over="raise"):
-            seen = ad._per_direction(
+            seen = ad._halves(
                 lambda d: (threading.current_thread().name, np.geterr()["over"]),
-                batch, hidden)
+                T * batch * 4 * hidden * hidden)
         assert seen[0] == (main, "raise")
         assert (seen[1][0] != main) == threaded
         assert seen[1][1] == "raise"  # the caller's error handling, either way
 
+    # (T, batch, E, O, window) and the ops that use the worker at that size
+    @pytest.mark.parametrize("shape,threaded", [
+        ((300, 32, 200, 400, 10), {"bilstm_sequence", "context_projection",
+                                   "window_max", "attention_pool"}),
+        ((300, 8, 200, 400, 10), {"bilstm_sequence", "context_projection",
+                                  "attention_pool"}),
+        ((40, 128, 16, 32, 5), set()),
+        ((40, 512, 16, 32, 5), set()),
+    ], ids=["paper-train", "paper-eval", "synthetic-train", "synthetic-eval"])
+    def test_ops_use_the_worker_at_paper_scale_only(self, shape, threaded,
+                                                    monkeypatch):
+        T, B, E, O, P = shape
+        submitted = []
+
+        class CountingWorker:
+            def submit(self, fn, *args):
+                submitted.append(fn)
+                return worker.submit(fn, *args)
+
+        worker = ad._worker
+        monkeypatch.setattr(ad, "_CPUS", 2)
+        monkeypatch.setattr(ad, "_worker", CountingWorker())
+        calls = {}
+
+        def counted(name, layer, *args):
+            before = len(submitted)
+            out = layer(*args)
+            calls[name] = len(submitted) - before
+            return out
+
+        rng = np.random.default_rng(0)
+        with ad.compute_dtype(np.float32):
+            net = TextNetwork(rng, 30, E, O, P)
+            ids = net.char_vectors(rng.integers(0, 30, size=(B, T)))
+            hs = counted("bilstm_sequence", net.bilstm_contexts, ids)
+            g_seq = counted("context_projection", net.contextual_projection,
+                            ids, hs)
+            pooled = counted("window_max", net.windowed_max_pool, g_seq)
+            counted("attention_pool", net.attention_pool, pooled)
+        # the attention scores its spans, then pools them: two splits
+        assert calls == {name: (name in threaded) * (1 + (name == "attention_pool"))
+                         for name in calls}
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_gets_its_own_worker(self, monkeypatch):
         monkeypatch.setattr(ad, "_CPUS", 2)
-        ad._per_direction(lambda d: d, 32, 200)  # the worker thread is up
+        ad._halves(lambda h: h, ad._THREADED_WORK)  # the worker thread is up
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                code = int(ad._per_direction(lambda d: d, 32, 200) != [0, 1])
+                code = int(ad._halves(lambda h: h, ad._THREADED_WORK) != [0, 1])
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 30.0
@@ -286,11 +386,11 @@ class TestBilstmSequence:
         assert os.waitstatus_to_exitcode(status) == 0
 
     def test_hidden_sizes_must_match(self):
-        x, weights, _ = bilstm_case(2, 1, 3, 4, seed=0)
+        ids, table, weights, _ = bilstm_case(2, 1, 3, 4, seed=0)
         narrow = [ad.Tensor(np.zeros(shape))
                   for shape in ((3, 8), (2, 8), (8,))]
         with pytest.raises(ValueError, match="hidden sizes 4 and 2"):
-            ad.bilstm_sequence(x, weights[0], narrow)
+            ad.bilstm_sequence(ids, table, weights[0], narrow)
 
 
 def graph_size(out):
@@ -333,10 +433,9 @@ class TestBilstm:
     def test_matches_scalar_reference(self):
         net = make_net(seed=4)
         ids = np.array([[2, 5, 3, 7]])
-        xs = net.char_vectors(ids)
-        fwd = net.bilstm_contexts(xs).data[0]
+        fwd = net.bilstm_contexts(net.char_vectors(ids)).data[0]
         ref = scalar_lstm_reference(
-            xs.data[:, 0].tolist(),
+            net.params["text.emb"].data[ids[0]].tolist(),
             net.params["text.fwd.Wx"].data.tolist(),
             net.params["text.fwd.Wh"].data.tolist(),
             net.params["text.fwd.b"].data.tolist(),
@@ -348,16 +447,15 @@ class TestBilstm:
     def test_backward_direction_matches_reversed_reference(self):
         net = make_net(seed=5)
         ids = np.array([[2, 5, 3]])
-        xs = net.char_vectors(ids)
-        bwd = net.bilstm_contexts(xs).data[1]
+        bwd = net.bilstm_contexts(net.char_vectors(ids)).data[1]
         ref = scalar_lstm_reference(
-            xs.data[::-1, 0].tolist(),
+            net.params["text.emb"].data[ids[0, ::-1]].tolist(),
             net.params["text.bwd.Wx"].data.tolist(),
             net.params["text.bwd.Wh"].data.tolist(),
             net.params["text.bwd.b"].data.tolist(),
             net.hidden)
         # bwd[t] consumed positions T-1..t, i.e. ref step T-1-t
-        T = xs.shape[0]
+        T = ids.shape[1]
         assert bwd.shape[0] == len(ref) == 3
         for t in range(T):
             np.testing.assert_allclose(bwd[t, 0], ref[T - 1 - t],
@@ -379,9 +477,8 @@ class TestContextualProjection:
         net = make_net()
         net.params["text.Wg"].data[...] = 0.0
         net.params["text.bg"].data[...] = 0.0
-        ids = np.array([[2, 3, 4, 5]])
-        xs = net.char_vectors(ids)
-        g = net.contextual_projection(xs, net.bilstm_contexts(xs))
+        ids = net.char_vectors(np.array([[2, 3, 4, 5]]))
+        g = net.contextual_projection(ids, net.bilstm_contexts(ids))
         np.testing.assert_allclose(g.data, 0.0)
 
     def test_boundary_contexts_are_zero(self):
@@ -390,34 +487,66 @@ class TestContextualProjection:
         net = make_net()
         for name in ("fwd.Wx", "fwd.Wh", "fwd.b", "bwd.Wx", "bwd.Wh", "bwd.b"):
             net.params[f"text.{name}"].data[...] = 0.0
-        ids = np.array([[2, 3, 2]])
-        xs = net.char_vectors(ids)
-        g = net.contextual_projection(xs, net.bilstm_contexts(xs))
+        ids = net.char_vectors(np.array([[2, 3, 2]]))
+        g = net.contextual_projection(ids, net.bilstm_contexts(ids))
         np.testing.assert_allclose(g.data[0], g.data[2], atol=1e-12)
+
+
+def context_case(T, B, E, H, O, ids, vocab):
+    rng = np.random.default_rng(T * B + vocab)
+    inputs = [ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+              for shape in ((vocab, E), (2, T, B, H), (2 * H + E, O), (O,))]
+    return np.asarray(ids), inputs, rng.standard_normal((T, B, O))
+
+
+# (T, batch, ids, vocab): repeated ids, a vocab row no position uses, a
+# one-char vocab, and a single position
+ID_CASES = {
+    "repeats": (4, 3, [[0, 2, 2], [2, 0, 2], [1, 1, 1], [2, 2, 0]], 4),
+    "one-char": (3, 2, [[0, 0], [0, 0], [0, 0]], 1),
+    "T=1": (1, 3, [[3, 0, 3]], 5),
+}
 
 
 class TestContextProjectionOp:
     @pytest.mark.parametrize("T", [1, 2, 7])
     def test_matches_the_take_concat_matmul_chain(self, T):
         rng = np.random.default_rng(T)
-        B, E, H, O = 3, 4, 5, 6
+        B, E, H, O, V = 3, 4, 5, 6, 5
+        ids = rng.integers(0, V, size=(T, B))
         inputs = [ad.Tensor(rng.standard_normal(shape), requires_grad=True)
-                  for shape in ((T, B, E), (2, T, B, H), (2 * H + E, O), (O,))]
+                  for shape in ((V, E), (2, T, B, H), (2 * H + E, O), (O,))]
         upstream = rng.standard_normal((T, B, O))
-        fused = ad.context_projection(*inputs)
-        chain = chained_context_projection(*inputs)
+        fused = ad.context_projection(ids, *inputs)
+        table, *rest = inputs
+        chain = chained_context_projection(ad.embedding(ids, table), *rest)
         assert fused.shape == (T, B, O)
         assert_matches_oracle(fused.data, chain.data)
         for got, want in zip(gradients(inputs, tsum(mul(fused, upstream))),
                              gradients(inputs, tsum(mul(chain, upstream)))):
             assert_matches_oracle(got, want)
 
+    @pytest.mark.parametrize("case", list(ID_CASES))
+    def test_matches_the_op_over_the_embedding(self, case):
+        T, B, ids, vocab = ID_CASES[case]
+        ids, inputs, upstream = context_case(T, B, 3, 4, 5, ids, vocab)
+        fused = ad.context_projection(ids, *inputs)
+        table, *rest = inputs
+        oracle = x_context_projection(ad.embedding(ids, table), *rest)
+        assert_matches_oracle(fused.data, oracle.data)
+        got = gradients(inputs, tsum(mul(fused, upstream)))
+        for a, b in zip(got, gradients(inputs, tsum(mul(oracle, upstream)))):
+            assert_matches_oracle(a, b)
+        unused = np.setdiff1d(np.arange(vocab), ids)
+        np.testing.assert_array_equal(got[0][unused], 0.0)
+
     def test_ends_get_no_context_gradient(self):
         rng = np.random.default_rng(0)
-        xs = ad.Tensor(rng.standard_normal((4, 2, 3)))
+        ids = rng.integers(0, 3, size=(4, 2))
+        table = ad.Tensor(rng.standard_normal((3, 3)))
         hs = ad.Tensor(rng.standard_normal((2, 4, 2, 5)), requires_grad=True)
         W, b = ad.Tensor(rng.standard_normal((13, 6))), ad.Tensor(np.zeros(6))
-        tsum(ad.context_projection(xs, hs, W, b)).backward()
+        tsum(ad.context_projection(ids, table, hs, W, b)).backward()
         # the last forward state and the first backward one are nobody's context
         np.testing.assert_array_equal(hs.grad[0, -1], 0.0)
         np.testing.assert_array_equal(hs.grad[1, 0], 0.0)
@@ -431,8 +560,40 @@ class TestContextProjectionOp:
     ])
     def test_shape_mismatch_rejected(self, hs_shape, w_shape, b_shape):
         with pytest.raises(ValueError, match="context_projection"):
-            ad.context_projection(np.zeros((3, 2, 3)), np.zeros(hs_shape),
-                                  np.zeros(w_shape), np.zeros(b_shape))
+            ad.context_projection(np.zeros((3, 2), dtype=int), np.zeros((4, 3)),
+                                  np.zeros(hs_shape), np.zeros(w_shape),
+                                  np.zeros(b_shape))
+
+    def test_id_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="context_projection: id out of range"):
+            ad.context_projection(np.full((3, 2), 4), np.zeros((4, 3)),
+                                  np.zeros((2, 3, 2, 5)), np.zeros((13, 5)),
+                                  np.zeros(5))
+
+
+class TestBilstmSequenceOverIds:
+    @pytest.mark.parametrize("case", list(ID_CASES))
+    def test_matches_the_op_over_the_embedding(self, case):
+        T, B, ids, vocab = ID_CASES[case]
+        ids = np.asarray(ids)
+        _, table, weights, upstream = bilstm_case(T, B, 3, 4, seed=vocab,
+                                                  vocab=vocab)
+        inputs = [table, *weights[0], *weights[1]]
+        fused = ad.bilstm_sequence(ids, table, *weights)
+        oracle = x_bilstm_sequence(ad.embedding(ids, table), *weights)
+        assert_matches_oracle(fused.data, oracle.data)
+        got = gradients(inputs, tsum(mul(fused, upstream)))
+        for a, b in zip(got, gradients(inputs, tsum(mul(oracle, upstream)))):
+            assert_matches_oracle(a, b)
+        unused = np.setdiff1d(np.arange(vocab), ids)
+        np.testing.assert_array_equal(got[0][unused], 0.0)
+
+    def test_ids_must_be_time_major_and_in_range(self):
+        _, table, weights, _ = bilstm_case(2, 1, 3, 4, seed=0)
+        with pytest.raises(ValueError, match="not \\(T, batch\\)"):
+            ad.bilstm_sequence(np.zeros(3, dtype=int), table, *weights)
+        with pytest.raises(ValueError, match="bilstm_sequence: id out of range"):
+            ad.bilstm_sequence(np.full((2, 1), 7), table, *weights)
 
 
 class TestWindowedMaxPool:
