@@ -102,10 +102,6 @@ class Tensor:
                 else:
                     grads[key] = pg
 
-    # operator sugar: basic slicing
-    def __getitem__(self, key):
-        return take(self, key)
-
 
 def _freed(g):
     raise ValueError("backward: this graph was freed by an earlier backward(); "
@@ -158,44 +154,18 @@ def _check_broadcast(a, b, op):
 
 
 def matmul(a, b):
+    """Product of two 2-D tensors."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.shape[-1] != b.shape[0]:
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    return _make(
-        a.data @ b.data,
-        (a, b),
-        lambda g: (g @ b.data.T, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-                   if a.data.ndim > 2 else a.data.T @ g),
-    )
+    return _make(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def concat(tensors, axis=0):
     tensors = [as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _make(data, tensors, backward)
-
-
-def reshape(a, shape):
-    a = as_tensor(a)
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
-
-
-def take(a, key):
-    """Basic slicing/indexing with gradient scatter."""
-    a = as_tensor(a)
-
-    def backward(g):
-        out = np.zeros_like(a.data)
-        out[key] = g
-        return (out,)
-
-    return _make(a.data[key], (a,), backward)
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors,
+                 lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
 def tanh(a):
@@ -206,12 +176,6 @@ def tanh(a):
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
-
-
-def relu(a):
-    a = as_tensor(a)
-    mask = a.data > 0
-    return _make(a.data * mask, (a,), lambda g: (g * mask,))
 
 
 def rbf(u, mu, sigma):
@@ -329,6 +293,49 @@ def window_max(a, P):
         return (out,)
 
     return _make(y, (a,), backward)
+
+
+def span_conv_max(x, W, b):
+    """ReLU of the max over the S = T-Q+1 spans of sum_q x[s+q] @ W_q + b,
+    where W_q is row block q of the (Q*E, O) ``W``: (batch, O) from a
+    (T, batch, E) ``x``.
+
+    Each W_q multiplies one unshifted, contiguous slab of ``x``, so no window
+    is copied. The gradient of each output goes to the first maximum over
+    its spans, and the ReLU, being monotone, runs once, after the max.
+    """
+    x, W, b = (as_tensor(t) for t in (x, W, b))
+    if (x.data.ndim != 3 or W.data.ndim != 2 or W.shape[0] % x.shape[2]
+            or b.shape != W.shape[1:]):
+        raise ValueError(f"span_conv_max: input {x.shape} does not fit weights "
+                         f"{W.shape}, {b.shape}")
+    T, B, E = x.shape
+    Q = W.shape[0] // E
+    if not 1 <= Q <= T:
+        raise ValueError(f"span_conv_max: span {Q} not in 1..{T} (the sequence length)")
+    n = (T - Q + 1) * B
+    # slab q holds rows q*B.. of x; its row s*B + k starts span s of example k
+    slabs = [slice(q * B, q * B + n) for q in range(Q)]
+    flat, blocks = x.data.reshape(T * B, E), np.split(W.data, Q)
+    pre = sum(flat[r] @ w for r, w in zip(slabs, blocks)) + b.data
+    pre = pre.reshape(-1, B, W.shape[1])
+    top = pre.max(axis=0)
+
+    def backward(g):
+        g_top = g * (top > 0)
+        first = pre == top  # every span at each maximum; the loop keeps the first
+        seen = first[0].copy()
+        for hit in first[1:]:
+            hit &= ~seen
+            seen |= hit
+        g_pre = (first * g_top).reshape(n, -1)
+        dx = np.zeros_like(flat)
+        for r, w in zip(slabs, blocks):
+            dx[r] += g_pre @ w.T
+        dW = np.concatenate([flat[r].T @ g_pre for r in slabs])
+        return dx.reshape(x.shape), dW, g_top.sum(axis=0)
+
+    return _make(np.maximum(top, 0), (x, W, b), backward)
 
 
 def checked_ids(ids, table, op="embedding"):
@@ -509,8 +516,7 @@ def bilstm_sequence(ids, table, fwd_weights, bwd_weights):
 
 
 def context_projection(ids, table, hs, W, b):
-    """Pre-activation of [h_fwd(t-1) ; table[ids_t] ; h_bwd(t+1)] @ W + b at
-    every t.
+    """ReLU of [h_fwd(t-1) ; table[ids_t] ; h_bwd(t+1)] @ W + b at every t.
 
     ``ids`` is the (T, batch) integer array that picks rows of the (V, E)
     ``table``, and ``hs`` the (2, T, batch, H) states of
@@ -558,11 +564,12 @@ def context_projection(ids, table, hs, W, b):
         out[rows] = proj[chars.inv[rows]]
         out[left] += h_fwd[states_f] @ W_fwd
         out[right] += h_bwd[states_b] @ W_bwd
+        np.maximum(out[rows], 0, out=out[rows])
 
     _halves(forward, work)
 
     def backward(g):
-        g2d = g.reshape(n, O)
+        g2d = g.reshape(n, O) * (out > 0)
         dhs = np.zeros(hs.shape, dtype=hs.data.dtype)  # C order: slabs are views
         d_fwd, d_bwd = dhs[0].reshape(n, H), dhs[1].reshape(n, H)
 

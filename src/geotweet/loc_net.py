@@ -13,8 +13,6 @@ class LocConvNetwork:
     """Character conv over Q-grams with max-over-time pooling over all spans."""
 
     def __init__(self, rng, vocab_size, emb_size, span, out_size, prefix="loc"):
-        if span < 1:
-            raise ValueError(f"span must be >= 1, got {span}")
         self.emb_size = emb_size
         self.span = span
         self.out_size = out_size
@@ -28,20 +26,11 @@ class LocConvNetwork:
 
     def forward(self, location_ids):
         """Pooled feature vector; location_ids is a (batch, T) int array."""
-        ids = np.asarray(location_ids)
-        batch, T = ids.shape
-        if T < self.span:
-            raise ValueError(f"sequence length {T} shorter than span {self.span}")
         # time-major, as the text network runs: (T, batch, E)
-        emb = ad.embedding(ids.T, self.params[f"{self.prefix}.emb"])
-        spans = T - self.span + 1
-        windows = ad.concat(
-            [emb[q:q + spans] for q in range(self.span)], axis=2)
-        flat = ad.reshape(windows, (spans * batch, self.span * self.emb_size))
-        g = ad.relu(ad.add(ad.matmul(flat, self.params[f"{self.prefix}.Wg"]),
-                           self.params[f"{self.prefix}.bg"]))
-        pooled = ad.window_max(ad.reshape(g, (spans, batch, self.out_size)), spans)
-        return ad.reshape(pooled, (batch, self.out_size))
+        emb = ad.embedding(np.asarray(location_ids).T,
+                           self.params[f"{self.prefix}.emb"])
+        return ad.span_conv_max(emb, self.params[f"{self.prefix}.Wg"],
+                                self.params[f"{self.prefix}.bg"])
 
 
 class TimezoneEmbedding:

@@ -100,6 +100,12 @@ class ModelConfig:
         for f in self.removed_features:
             if f not in self.active_features(ignore_removed=True):
                 raise ValueError(f"cannot remove feature {f!r}: not in the model")
+        for feat, span, length in (("text", "text_window", "text_max_len"),
+                                   ("location", "loc_span", "loc_max_len")):
+            if feat in self.active_features() and (
+                    getattr(self, span) > getattr(self, length)):
+                raise ValueError(f"{span} {getattr(self, span)} is longer than "
+                                 f"{length} {getattr(self, length)}")
 
     def active_features(self, ignore_removed=False):
         feats = tuple(FEATURES) if self.feature_set == TWEET_USER else ("text",)

@@ -29,8 +29,6 @@ class TextNetwork:
 
     def __init__(self, rng, vocab_size, emb_size, out_size, window,
                  attn_size=None, prefix="text"):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
         self.emb_size = emb_size
         self.hidden = emb_size  # contexts concatenate to 3E
         self.out_size = out_size
@@ -69,8 +67,8 @@ class TextNetwork:
 
         Out-of-range contexts are zero vectors. Returns a (T, batch, O) tensor.
         """
-        return ad.relu(ad.context_projection(ids, self._p("emb"), hs,
-                                             self._p("Wg"), self._p("bg")))
+        return ad.context_projection(ids, self._p("emb"), hs, self._p("Wg"),
+                                     self._p("bg"))
 
     def windowed_max_pool(self, g_seq, window=None):
         """Elementwise max over each length-P window; yields T-P+1 span vectors."""

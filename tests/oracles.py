@@ -3,13 +3,13 @@
 The program never calls any of these. Each one is either a small op that
 only gradient checks and oracles use (``sub``, ``mul``, ``div``, ``exp``,
 ``absolute``, ``softmax``, ``transpose``, ``tsum``, ``tmean``, ``maximum``,
-``sigmoid``, ``lstm_sequence``, ``amax``), an op as the engine ran it
-before a rewrite (``bilstm_sequence`` and ``context_projection`` over an
-embedded input), a brute-force or per-item reference for the
-retrieval and code-file code (``hamming``, ``average_precision``,
-``map_from_codes``, ``map_eval``, ``save_codes``), or the chain of graph
-nodes that a fused engine op replaced, kept so that the fused op can be
-checked against it.
+``sigmoid``, ``relu``, ``take``, ``reshape``, ``lstm_sequence``, ``amax``),
+an op as the engine ran it before a rewrite (``bilstm_sequence`` and
+``context_projection`` over an embedded input), a brute-force or per-item
+reference for the retrieval and code-file code (``hamming``,
+``average_precision``, ``map_from_codes``, ``map_eval``, ``save_codes``),
+or the chain of graph nodes that a fused engine op replaced, kept so that
+the fused op can be checked against it.
 """
 
 import struct
@@ -83,6 +83,29 @@ def softmax(a):
         return ((g - dot) * y,)
 
     return _make(y, (a,), backward)
+
+
+def reshape(a, shape):
+    a = as_tensor(a)
+    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+
+
+def take(a, key):
+    """Basic slicing/indexing with gradient scatter."""
+    a = as_tensor(a)
+
+    def backward(g):
+        out = np.zeros_like(a.data)
+        out[key] = g
+        return (out,)
+
+    return _make(a.data[key], (a,), backward)
+
+
+def relu(a):
+    a = as_tensor(a)
+    mask = a.data > 0
+    return _make(a.data * mask, (a,), lambda g: (g * mask,))
 
 
 def transpose(a, axes):
@@ -223,9 +246,9 @@ def bilstm_sequence(x, fwd_weights, bwd_weights):
 
 
 def context_projection(xs, hs, W, b):
-    """``ad.context_projection`` over an embedded (T, batch, E) input ``xs``
-    in place of ids and a table: one GEMM projects every position, in one
-    pass over all positions."""
+    """``ad.context_projection`` before its ReLU, over an embedded
+    (T, batch, E) input ``xs`` in place of ids and a table: one GEMM
+    projects every position, in one pass over all positions."""
     xs, hs, W, b = (as_tensor(t) for t in (xs, hs, W, b))
     T, B, E = xs.shape
     H = hs.shape[-1]
@@ -256,16 +279,19 @@ def context_projection(xs, hs, W, b):
 
 
 def chained_context_projection(xs, hs, W, b):
-    """``ad.context_projection`` as a chain of take, concat, matmul and add
-    nodes: the halves and their shifted slices are copied into one
-    (T, batch, 2H+E) array that one matmul projects."""
+    """``ad.context_projection`` before its ReLU, as a chain of take,
+    concat, reshape, matmul and add nodes: the halves and their shifted
+    slices are copied into one (T, batch, 2H+E) array that one matmul
+    projects."""
     T, batch, _ = xs.shape
-    fwd, bwd = hs[0], hs[1]
+    fwd, bwd = take(hs, 0), take(hs, 1)
     zero = ad.Tensor(np.zeros((1, batch, hs.shape[-1])))
-    stacked = ad.concat([ad.concat([zero, fwd[:-1]], axis=0), xs,
-                         ad.concat([bwd[1:], zero], axis=0)], axis=2)
-    flat = ad.reshape(stacked, (T * batch, stacked.shape[-1]))
-    return ad.reshape(ad.add(ad.matmul(flat, W), b), (T, batch, W.shape[1]))
+    stacked = ad.concat([ad.concat([zero, take(fwd, slice(None, -1))], axis=0),
+                         xs,
+                         ad.concat([take(bwd, slice(1, None)), zero], axis=0)],
+                        axis=2)
+    flat = reshape(stacked, (T * batch, stacked.shape[-1]))
+    return reshape(ad.add(ad.matmul(flat, W), b), (T, batch, W.shape[1]))
 
 
 def chained_rbf(u, mu, sigma):
@@ -279,11 +305,11 @@ def chained_attention_pool(spans, Wv, bv, v):
     """``ad.attention_pool`` as a chain of reshape, matmul, add, tanh,
     transpose, softmax, mul and tsum nodes, batch-major in the middle."""
     S, batch, O = spans.shape
-    flat = ad.reshape(spans, (S * batch, O))
+    flat = reshape(spans, (S * batch, O))
     hidden = ad.tanh(ad.add(ad.matmul(flat, Wv), bv))
-    scores = ad.reshape(ad.matmul(hidden, v), (S, batch))
+    scores = reshape(ad.matmul(hidden, v), (S, batch))
     weights = softmax(transpose(scores, (1, 0)))  # (batch, S)
-    weighted = mul(ad.reshape(weights, (batch, S, 1)), transpose(spans, (1, 0, 2)))
+    weighted = mul(reshape(weights, (batch, S, 1)), transpose(spans, (1, 0, 2)))
     return tsum(weighted, axis=1), weights
 
 
@@ -311,6 +337,24 @@ def probs_cross_entropy(probs, label_ids, floor=1e-12):
     return _make(np.array(-np.log(p).mean()), (probs,), backward)
 
 
+def chained_loc_forward(net, location_ids):
+    """``LocConvNetwork.forward`` as the chain of embedding, take, concat,
+    reshape, matmul, add, relu and window_max nodes that
+    ``ad.span_conv_max`` replaced: every window is copied, then one matmul
+    projects them all."""
+    p = {name.split(".")[-1]: t for name, t in net.params.items()}
+    ids = np.asarray(location_ids)
+    batch, T = ids.shape
+    emb = ad.embedding(ids.T, p["emb"])  # (T, batch, E)
+    spans = T - net.span + 1
+    windows = ad.concat(
+        [take(emb, slice(q, q + spans)) for q in range(net.span)], axis=2)
+    flat = reshape(windows, (spans * batch, net.span * net.emb_size))
+    g = relu(ad.add(ad.matmul(flat, p["Wg"]), p["bg"]))
+    pooled = ad.window_max(reshape(g, (spans, batch, net.out_size)), spans)
+    return reshape(pooled, (batch, net.out_size))
+
+
 def batch_major_loc_forward(net, location_ids):
     """``LocConvNetwork.forward`` run batch-major and pooled with ``amax``."""
     p = {name.split(".")[-1]: t for name, t in net.params.items()}
@@ -318,10 +362,11 @@ def batch_major_loc_forward(net, location_ids):
     batch, T = ids.shape
     emb = ad.embedding(ids, p["emb"])
     spans = T - net.span + 1
-    windows = ad.concat([emb[:, q:q + spans, :] for q in range(net.span)], axis=2)
-    flat = ad.reshape(windows, (batch * spans, net.span * net.emb_size))
-    g = ad.relu(ad.add(ad.matmul(flat, p["Wg"]), p["bg"]))
-    return amax(ad.reshape(g, (batch, spans, net.out_size)), axis=1)
+    windows = ad.concat([take(emb, (slice(None), slice(q, q + spans)))
+                         for q in range(net.span)], axis=2)
+    flat = reshape(windows, (batch * spans, net.span * net.emb_size))
+    g = relu(ad.add(ad.matmul(flat, p["Wg"]), p["bg"]))
+    return amax(reshape(g, (batch, spans, net.out_size)), axis=1)
 
 
 def hamming(a, b):

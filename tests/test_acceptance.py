@@ -27,8 +27,8 @@ from geotweet.trainer import (SyntheticConfig, TrainConfig, ablate,
                               synthetic_model_config, train)
 
 from conftest import finite_difference_check
-from oracles import (exp, hamming, lstm_sequence, maximum_list, mul, sigmoid,
-                     softmax, tmean, tsum)
+from oracles import (exp, hamming, lstm_sequence, maximum_list, mul, relu,
+                     sigmoid, softmax, tmean, tsum)
 
 GRAD_TOL = 1e-4
 TRAIN_CONFIG = TrainConfig(batch_size=128, epochs=10, learning_rate=0.002,
@@ -125,7 +125,7 @@ def test_criterion_1_gradient_integrity():
               [(m, n + 1)], trial)
         check(lambda a, b, c: tsum(maximum_list([a, b, c])),
               [(m, n)] * 3, trial)
-        check(lambda a: tmean(ad.relu(a)), [(m, n)], trial)
+        check(lambda a: tmean(relu(a)), [(m, n)], trial)
         check(lambda a: tsum(tmean(exp(a), axis=0)), [(m, n)], trial)
 
         table = param((4, 3))
@@ -249,6 +249,14 @@ def test_criterion_1_gradient_integrity():
                   ad.attention_pool(spans, wv, bv, v)[0])),
               [(S, batch, O), (O, A), (A,), (A, 1)], trial)
         check(lambda r: ad.extrema_penalty(r, 0.3), [(batch, O)], trial)
+
+    # the location conv and its max over spans, after the checks above so
+    # that their draws are unchanged
+    for trial in range(20):
+        T, batch, E, O = dims(1, 6), dims(), dims(), dims()
+        Q = int(rng.integers(1, T + 1))
+        check(lambda x, w, b: tsum(ad.tanh(ad.span_conv_max(x, w, b))),
+              [(T, batch, E), (Q * E, O), (O,)], trial)
 
     # every op the engine offers has been through a check above
     ops = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)

@@ -10,8 +10,8 @@ from geotweet.optim import Adam
 
 from conftest import finite_difference_check
 from oracles import (absolute, amax, div, exp, maximum, maximum_list, mul,
-                     probs_cross_entropy, sigmoid, softmax, sub, tmean,
-                     transpose, tsum)
+                     probs_cross_entropy, relu, reshape, sigmoid, softmax, sub,
+                     take, tmean, transpose, tsum)
 
 
 def make(shape, rng, scale=1.0):
@@ -46,6 +46,9 @@ def test_tanh_at_origin():
 def test_shape_mismatch_reports_both_shapes():
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+    # matmul takes 2-D operands only
+    with pytest.raises(ValueError, match=r"\(2, 3, 4\).*\(4, 5\)"):
+        ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))))
     with pytest.raises(ValueError, match=r"\(2,\).*\(3,\)"):
         ad.add(Tensor(np.zeros(2)), Tensor(np.zeros(3)))
 
@@ -136,7 +139,8 @@ class TestGradChecks:
     def test_reshape_transpose_take(self):
         self.check(
             lambda a: tsum(ad.tanh(
-                transpose(ad.reshape(a, (3, 4)), (1, 0))[1:3, :2])),
+                take(transpose(reshape(a, (3, 4)), (1, 0)),
+                     (slice(1, 3), slice(None, 2))))),
             1, [(12,)])
 
     def test_tanh_sigmoid_relu_exp_abs(self):
@@ -147,7 +151,7 @@ class TestGradChecks:
         x = Tensor(np.sign(rng.standard_normal((5, 5))) *
                    (0.5 + rng.random((5, 5))), requires_grad=True)
         finite_difference_check(
-            {"x": x}, lambda: tsum(ad.add(ad.relu(x), absolute(x))))
+            {"x": x}, lambda: tsum(ad.add(relu(x), absolute(x))))
 
     def test_softmax(self):
         self.check(lambda a: tsum(mul(softmax(a), softmax(a))),

@@ -416,6 +416,20 @@ def test_non_positive_size_names_the_field(tmp_path, pipeline, capsys, flag,
     assert capsys.readouterr().err == f"error: {field} must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--loc-span", "13", "loc_span 13 is longer than loc_max_len 12"),
+    ("--text-window", "41", "text_window 41 is longer than text_max_len 40"),
+])
+def test_window_longer_than_its_sequence_names_both_fields(
+        tmp_path, pipeline, capsys, flag, value, message):
+    data, out = pipeline["data"], tmp_path / "run"
+    assert main(["train", "--train", str(data / "train.jsonl"),
+                 "--dev", str(data / "dev.jsonl"), "--out", str(out),
+                 "--synthetic-scale", "--epochs", "1", flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["-0.5", "1.0"])
 def test_dropout_out_of_range_names_the_field(tmp_path, pipeline, capsys,
                                               value):

@@ -4,8 +4,9 @@ import pytest
 from geotweet import autodiff as ad
 from geotweet.loc_net import LocConvNetwork, TimezoneEmbedding
 
-from conftest import finite_difference_check
-from oracles import amax, batch_major_loc_forward, mul, tsum
+from conftest import finite_difference_check, gradients
+from oracles import (amax, batch_major_loc_forward, chained_loc_forward, mul,
+                     reshape, tsum)
 
 
 def make_net(vocab=7, emb=3, span=2, out=4, seed=0):
@@ -34,6 +35,16 @@ def test_sequence_shorter_than_span_rejected():
         net.forward(np.array([[1, 2, 3]]))
 
 
+@pytest.mark.parametrize("x_shape,w_shape,b_shape", [
+    ((4, 2, 3), (7, 5), (5,)),   # W rows are not a multiple of E
+    ((4, 2, 3), (6, 5), (4,)),   # bias width is not O
+    ((4, 3), (6, 5), (5,)),      # input is not (T, batch, E)
+])
+def test_span_conv_max_rejects_shapes_that_do_not_fit(x_shape, w_shape, b_shape):
+    with pytest.raises(ValueError, match="span_conv_max: input"):
+        ad.span_conv_max(np.zeros(x_shape), np.zeros(w_shape), np.zeros(b_shape))
+
+
 def test_pooling_is_max_over_spans():
     # independent recomputation of the conv + max from raw parameters
     net = make_net(seed=3)
@@ -60,14 +71,15 @@ def test_max_is_order_free_across_spans():
 
 @pytest.mark.parametrize("ties", [False, True])
 def test_full_window_max_equals_amax_bit_for_bit(ties):
-    # the location pooling: one window over all spans of a (spans, batch, O) array
+    # a window as long as the sequence, as the text network pools when P = T:
+    # one window over all rows of a (T, batch, O) array
     rng = np.random.default_rng(8)
     shape = (6, 4, 5)
     values = (rng.integers(0, 2, size=shape).astype(float) if ties
               else rng.standard_normal(shape))
     upstream = rng.standard_normal((4, 5))
     acts = ad.Tensor(values, requires_grad=True)
-    pooled = ad.reshape(ad.window_max(acts, 6), (4, 5))
+    pooled = reshape(ad.window_max(acts, 6), (4, 5))
     tsum(mul(pooled, upstream)).backward()
     batch_major = ad.Tensor(values.transpose(1, 0, 2).copy(), requires_grad=True)
     oracle = amax(batch_major, axis=1)
@@ -76,23 +88,44 @@ def test_full_window_max_equals_amax_bit_for_bit(ties):
     np.testing.assert_array_equal(acts.grad, batch_major.grad.transpose(1, 0, 2))
 
 
-@pytest.mark.parametrize("T,span", [(5, 2), (4, 4), (20, 3)])
-def test_forward_matches_batch_major_amax_path(T, span):
+# (T, span, batch, ids, bias); random ids where ids is None. Pad ids (0)
+# make whole windows equal, so spans tie, and a large negative bias makes
+# every pre-activation negative.
+LOC_CASES = {
+    "5-2": (5, 2, 3, None, 0.0),
+    "4-4": (4, 4, 3, None, 0.0),
+    "20-3": (20, 3, 3, None, 0.0),
+    "padded-ties": (6, 2, 3, [[4, 2, 0, 0, 0, 0], [0] * 6, [5, 0, 0, 0, 0, 5]],
+                    0.0),
+    "all-negative": (5, 2, 3, None, -100.0),
+    "T=Q": (3, 3, 2, None, 0.0),
+    "batch-1": (7, 3, 1, None, 0.0),
+}
+
+
+@pytest.mark.parametrize("case", list(LOC_CASES))
+def test_forward_matches_batch_major_amax_path(case):
+    T, span, batch, ids, bias = LOC_CASES[case]
     net = make_net(span=span, seed=T)
-    ids = np.random.default_rng(T).integers(0, 7, size=(3, T))
+    net.params["loc.bg"].data[...] = bias
+    ids = (np.random.default_rng(T).integers(0, 7, size=(batch, T))
+           if ids is None else np.asarray(ids))
     params = list(net.params.values())
 
     def run(forward):
         out = forward(ids)
-        for p in params:
-            p.grad = None
-        tsum(ad.tanh(out)).backward()
-        return [out.data] + [p.grad for p in params]
+        return [out.data, *gradients(params, tsum(ad.tanh(out)))]
 
-    for got, want in zip(run(net.forward),
-                         run(lambda i: batch_major_loc_forward(net, i))):
-        np.testing.assert_allclose(got, want, rtol=1e-10,
-                                   atol=1e-10 * np.abs(want).max())
+    got = run(net.forward)
+    assert got[0].shape == (batch, net.out_size)
+    # the chain the op replaced, then the same chain batch-major with amax
+    for oracle in (chained_loc_forward, batch_major_loc_forward):
+        for a, b in zip(got, run(lambda i: oracle(net, i))):
+            np.testing.assert_allclose(a, b, rtol=1e-10,
+                                       atol=1e-10 * np.abs(b).max())
+    if bias < 0:
+        for a in got:
+            np.testing.assert_array_equal(a, 0.0)
 
 
 def test_monotone_in_span_activations():

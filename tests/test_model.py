@@ -131,6 +131,17 @@ def test_sizes_must_be_positive(field):
         ModelConfig(**{field: 0})
 
 
+def test_window_longer_than_its_sequence_is_rejected_only_when_built():
+    with pytest.raises(ValueError, match="loc_span 21 is longer than loc_max_len 20"):
+        ModelConfig(loc_span=21)
+    with pytest.raises(ValueError,
+                       match="text_window 301 is longer than text_max_len 300"):
+        ModelConfig.message_only_defaults(text_window=301)
+    # without the location net, its span is never used
+    ModelConfig(loc_span=21, removed_features=("location",))
+    ModelConfig.message_only_defaults(loc_span=21)
+
+
 @pytest.fixture
 def checkpoint(tiny_corpus, tmp_path):
     """Path of a saved synthetic-scale checkpoint."""
@@ -232,6 +243,9 @@ def test_training_step_and_eval_forward_are_float32(tiny_corpus):
     batch = _batch(tiny_corpus, cfg, 16)
     loss, _, _ = model.loss(batch, train=True, rng=np.random.default_rng(0))
     nodes = graph_nodes(loss)
+    step = op_counts(nodes)
+    assert step["window_max"] == step["span_conv_max"] == 1, step
+    assert not {"take", "reshape", "relu"} & set(step), step
     seen = []  # each gradient a rule receives, then each one it returns
     for node in nodes:
         if node._backward is not None:
@@ -248,9 +262,9 @@ def test_training_step_and_eval_forward_are_float32(tiny_corpus):
     moments = [*optimizer.first_moment.values(),
                *optimizer.second_moment.values()]
     rules = sum(node._backward is not None for node in nodes)
-    # the synthetic step's 29 nodes, plus noise, the extrema penalty and
+    # the synthetic step's 18 nodes, plus noise, the extrema penalty and
     # the add of the two losses
-    assert rules == 32 and len(seen) > 2 * rules
+    assert rules == 21 and len(seen) > 2 * rules
     for arrays in ([n.data for n in nodes], seen, [p.data for p in params],
                    grads, moments):
         assert _dtypes(arrays) == {"float32": len(arrays)}
@@ -283,13 +297,15 @@ def test_training_step_graph_has_one_op_per_job(tiny_corpus, monkeypatch):
     # one op each for the attention, the three RBF nets and the loss
     assert step["attention_pool"] == text["attention_pool"] == 1
     assert step["rbf"] == 3 and step["cross_entropy"] == 1
-    # text and location pool with the same op
-    assert "amax" not in step and step["window_max"] == 2
+    # the text net pools its windows with one op, the location net convolves
+    # and pools with another
+    assert "amax" not in step and step["window_max"] == text["window_max"] == 1
+    assert step["span_conv_max"] == 1
     # the ops these replaced are test oracles now
     removed = {"sub", "mul", "div", "exp", "absolute", "softmax", "transpose",
-               "tsum", "tmean"}
+               "tsum", "tmean", "take", "reshape", "relu"}
     assert not removed & set(step), step
-    assert sum(step.values()) == 29 and sum(text.values()) == 5, step
+    assert sum(step.values()) == 18 and sum(text.values()) == 4, step
     print(f"\ntraining step graph: {sum(step.values())} nodes "
           f"({sum(text.values())} in the text branch)")
 

@@ -15,7 +15,8 @@ from conftest import assert_matches_oracle, finite_difference_check, gradients
 from oracles import bilstm_sequence as x_bilstm_sequence
 from oracles import context_projection as x_context_projection
 from oracles import (chained_attention_pool, chained_context_projection,
-                     lstm_sequence, maximum_list, mul, sigmoid, tsum)
+                     lstm_sequence, maximum_list, mul, relu, reshape, sigmoid,
+                     take, tsum)
 
 
 def make_net(vocab_size=9, emb=3, out=4, window=3, attn=None, seed=0):
@@ -55,10 +56,9 @@ def scalar_lstm_reference(xs, Wx, Wh, b, hidden):
 
 def _lstm_step(x_t, h, c, Wx, Wh, b, hidden):
     gates = ad.add(ad.add(ad.matmul(x_t, Wx), ad.matmul(h, Wh)), b)
-    i = sigmoid(gates[:, 0 * hidden:1 * hidden])
-    f = sigmoid(gates[:, 1 * hidden:2 * hidden])
-    g = ad.tanh(gates[:, 2 * hidden:3 * hidden])
-    o = sigmoid(gates[:, 3 * hidden:4 * hidden])
+    i, f, g, o = (take(gates, (slice(None), slice(k * hidden, (k + 1) * hidden)))
+                  for k in range(4))
+    i, f, g, o = sigmoid(i), sigmoid(f), ad.tanh(g), sigmoid(o)
     c_new = ad.add(mul(f, c), mul(i, g))
     h_new = mul(o, ad.tanh(c_new))
     return h_new, c_new
@@ -77,7 +77,7 @@ def unfused_lstm(xs, Wx, Wh, b, reverse):
 
 def unfused_window_max(a, P):
     spans = a.shape[0] - P + 1
-    return maximum_list([a[k:k + spans] for k in range(P)])
+    return maximum_list([take(a, slice(k, k + spans)) for k in range(P)])
 
 
 def unfused_forward(net, text_ids):
@@ -96,8 +96,8 @@ def unfused_forward(net, text_ids):
                     bwd[t + 1] if t + 1 < T else zero], axis=1)
          for t in range(T)],
         axis=0)
-    proj = ad.relu(ad.add(ad.matmul(stacked, p["text.Wg"]), p["text.bg"]))
-    g_seq = ad.reshape(proj, (T, batch, net.out_size))
+    proj = relu(ad.add(ad.matmul(stacked, p["text.Wg"]), p["text.bg"]))
+    g_seq = reshape(proj, (T, batch, net.out_size))
     return net.attention_pool(unfused_window_max(g_seq, net.window))
 
 
@@ -112,7 +112,7 @@ class TestFusedOpsMatchOracle:
                    for shape in ((E, 4 * H), (H, 4 * H), (4 * H,))]
         upstream = rng.standard_normal((T, B, H))
         fused = lstm_sequence(x, *weights, reverse=reverse)
-        oracle = unfused_lstm([x[t] for t in range(T)], *weights, reverse)
+        oracle = unfused_lstm([take(x, t) for t in range(T)], *weights, reverse)
         assert fused.shape == (T, B, H)
         assert_matches_oracle(fused.data, [h.data for h in oracle])
         fused_loss = tsum(mul(fused, upstream))
@@ -519,7 +519,7 @@ class TestContextProjectionOp:
         upstream = rng.standard_normal((T, B, O))
         fused = ad.context_projection(ids, *inputs)
         table, *rest = inputs
-        chain = chained_context_projection(ad.embedding(ids, table), *rest)
+        chain = relu(chained_context_projection(ad.embedding(ids, table), *rest))
         assert fused.shape == (T, B, O)
         assert_matches_oracle(fused.data, chain.data)
         for got, want in zip(gradients(inputs, tsum(mul(fused, upstream))),
@@ -532,7 +532,7 @@ class TestContextProjectionOp:
         ids, inputs, upstream = context_case(T, B, 3, 4, 5, ids, vocab)
         fused = ad.context_projection(ids, *inputs)
         table, *rest = inputs
-        oracle = x_context_projection(ad.embedding(ids, table), *rest)
+        oracle = relu(x_context_projection(ad.embedding(ids, table), *rest))
         assert_matches_oracle(fused.data, oracle.data)
         got = gradients(inputs, tsum(mul(fused, upstream)))
         for a, b in zip(got, gradients(inputs, tsum(mul(oracle, upstream)))):
