@@ -20,9 +20,9 @@ from . import autodiff as ad
 from . import corpus as corpus_mod
 from . import hashing
 from .archive import FORMAT_VERSION
-from .model import (COMPUTE_DTYPE, EVAL_BATCH_SIZE, FEATURES, MESSAGE_ONLY,
-                    VOCAB_SIZES, GeoModel, ModelConfig, batch_arrays,
-                    iter_batches, load_checkpoint, save_checkpoint)
+from .corpus import encode_records
+from .model import (COMPUTE_DTYPE, FEATURES, MESSAGE_ONLY, VOCAB_SIZES,
+                    GeoModel, ModelConfig, load_checkpoint, save_checkpoint)
 from .rbf_net import bin_weight_profile
 from .text_net import top_attended_spans
 from .trainer import (SyntheticConfig, TrainConfig, TrainingStopped, ablate,
@@ -115,22 +115,6 @@ def model_config_from_args(args):
         removed_features=tuple(args.remove_feature or ()), **overrides)
 
 
-def encode_records(records, char_vocab, tz_vocab, label_vocab, config,
-                   data="records", labels="the label vocabulary"):
-    """Encoded examples; a city that ``label_vocab`` lacks is an error naming
-    the ``data`` file, the record and where the ``labels`` came from."""
-    examples = []
-    for i, r in enumerate(records, start=1):
-        try:
-            examples.append(corpus_mod.encode_example(
-                r, char_vocab, tz_vocab, label_vocab, config.text_max_len,
-                config.loc_max_len))
-        except KeyError as e:
-            raise ValueError(f"{data}: record {i}: {e.args[0]} "
-                             f"(not in {labels})") from None
-    return examples
-
-
 def load_model_dir(model_dir):
     model_dir = Path(model_dir)
     model, meta = load_checkpoint(str(model_dir / MODEL_FILE))
@@ -143,7 +127,7 @@ def load_model_dir(model_dir):
 
 
 def _model_and_data(args):
-    """--model's model and vocabularies, --data's records and examples."""
+    """--model's model and vocabularies, --data's records and column table."""
     model, _, *vocabs = load_model_dir(args.model)
     records = corpus_mod.read_jsonl(args.data)
     return model, vocabs, records, encode_records(
@@ -160,8 +144,8 @@ def _known(records, label_vocab):
 
 
 def _training_splits(args, config):
-    """Vocabularies of the filtered train split, the encoded train split,
-    then the encoded dev and test splits, each with its count of records
+    """Vocabularies of the filtered train split, the train split's column
+    table, then the dev and test splits' tables, each with its count of records
     whose city the train split lacks; test is (None, None) without --test."""
     train_records = corpus_mod.filter_training(
         corpus_mod.read_jsonl(args.train))
@@ -226,20 +210,21 @@ def cmd_synth(args):
 
 def cmd_train(args):
     model_config = model_config_from_args(args)
-    vocabs, train_ex, (dev_ex, dev_unseen), (test_ex, test_unseen) = (
+    vocabs, train_cols, (dev_cols, dev_unseen), (test_cols, test_unseen) = (
         _training_splits(args, model_config))
     rng = np.random.default_rng(args.seed)
     model = GeoModel(model_config, *map(len, vocabs), rng)
     out = Path(args.out)
     try:
-        report = train(model, train_ex, dev_ex, _train_config(args), dev_unseen)
+        report = train(model, train_cols, dev_cols, _train_config(args),
+                       dev_unseen)
     except TrainingStopped as e:
         # the report of the epochs before the stop, and no checkpoint
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(e.report.to_json(), encoding="utf-8")
         raise
     if args.test:
-        report.test_accuracy = evaluate_accuracy(model, test_ex,
+        report.test_accuracy = evaluate_accuracy(model, test_cols,
                                                  unseen=test_unseen)
         report.test_unseen_labels = test_unseen
     out.mkdir(parents=True, exist_ok=True)
@@ -267,14 +252,14 @@ def cmd_ablate(args):
     if base_config.feature_set != "tweet-user":
         print("ablate requires --feature-set tweet-user", file=sys.stderr)
         return 2
-    vocabs, train_ex, (dev_ex, dev_unseen), (test_ex, test_unseen) = (
+    vocabs, train_cols, (dev_cols, dev_unseen), (test_cols, test_unseen) = (
         _training_splits(args, base_config))
 
     def build(cfg, seed):
         return GeoModel(cfg, *map(len, vocabs), np.random.default_rng(seed))
 
-    splits = map(batch_arrays, (train_ex, dev_ex, test_ex))
-    baseline, deltas = ablate(build, *splits, base_config, _train_config(args),
+    baseline, deltas = ablate(build, train_cols, dev_cols, test_cols,
+                              base_config, _train_config(args),
                               dev_unseen=dev_unseen, test_unseen=test_unseen)
     lines = [f"all_features\t{baseline:.6f}\t-"]
     for feat, delta in deltas.items():
@@ -284,13 +269,11 @@ def cmd_ablate(args):
 
 
 def cmd_attn(args):
-    model, _, records, examples = _model_and_data(args)
+    model, _, records, columns = _model_and_data(args)
     if "text" not in model.features:
         print("model has no text network", file=sys.stderr)
         return 2
-    attention = [row for batch in iter_batches(batch_arrays(examples),
-                                               EVAL_BATCH_SIZE)
-                 for row in model.forward(batch, train=False)[2]]
+    attention = model.infer(columns)[2]
     lines = ["example\trank\tstart\tspan\tweight"]
     max_len = model.config.text_max_len
     for i, (record, weights) in enumerate(zip(records, attention)):
@@ -304,7 +287,7 @@ def cmd_attn(args):
 
 
 def cmd_time_profile(args):
-    model, (_, _, label_vocab), _, examples = _model_and_data(args)
+    model, (_, _, label_vocab), _, columns = _model_and_data(args)
     feature = FEATURES.get(args.feature)
     if feature is None or not feature.rbf:
         print(f"unknown time feature {args.feature!r}", file=sys.stderr)
@@ -312,16 +295,15 @@ def cmd_time_profile(args):
     if args.feature not in model.features:
         print(f"model has no {args.feature} network", file=sys.stderr)
         return 2
-    arrays = batch_arrays(examples)
     net = model.nets[args.feature]
     with ad.compute_dtype(COMPUTE_DTYPE):
-        acts = net.forward(arrays[feature.column]).data
+        acts = net.forward(columns[feature.column]).data
     mu = net.params[f"{net.prefix}.mu"].data
     sigma = net.params[f"{net.prefix}.sigma"].data
     lines = ["city\tbin_index\tmu\tsigma\tmean_weight\texcluded"]
     id_to_label = {i: n for n, i in label_vocab.name_to_id.items()}
-    for label_id in sorted(set(arrays["label_id"].tolist())):
-        mask = arrays["label_id"] == label_id
+    for label_id in sorted(set(columns["label_id"].tolist())):
+        mask = columns["label_id"] == label_id
         means, excluded = bin_weight_profile(acts[mask])
         city = id_to_label.get(label_id, str(label_id))
         for b in range(len(mu)):
@@ -332,8 +314,8 @@ def cmd_time_profile(args):
 
 
 def cmd_hash(args):
-    model, _, _, examples = _model_and_data(args)
-    return _write_codes(args, hashing.encode_code_set(model, examples))
+    model, _, _, columns = _model_and_data(args)
+    return _write_codes(args, hashing.encode_code_set(model, columns))
 
 
 def cmd_retrieve(args):
@@ -347,21 +329,21 @@ def cmd_retrieve(args):
 
 
 def cmd_lsh(args):
-    _, (char_vocab, tz_vocab, _), _, examples = _model_and_data(args)
-    features = hashing.raw_feature_matrix(examples, len(char_vocab),
+    _, (char_vocab, tz_vocab, _), _, columns = _model_and_data(args)
+    features = hashing.raw_feature_matrix(columns, len(char_vocab),
                                           len(tz_vocab))
     rng = np.random.default_rng(args.seed)
     lsh = hashing.LshModel(args.bits, features.shape[1], rng)
-    codes = hashing.CodeSet(
-        bits=lsh.encode(features),
-        ids=np.arange(len(examples), dtype=np.int64),
-        labels=np.array([e.label_id for e in examples], dtype=np.int64))
+    labels = columns["label_id"]
+    codes = hashing.CodeSet(bits=lsh.encode(features),
+                            ids=np.arange(len(labels), dtype=np.int64),
+                            labels=labels)
     return _write_codes(args, codes, "LSH codes")
 
 
 def cmd_hist(args):
-    model, _, _, examples = _model_and_data(args)
-    reps, _ = hashing.compute_representations(model, examples)
+    model, _, _, columns = _model_and_data(args)
+    reps, _ = hashing.compute_representations(model, columns)
     counts, edges, masses = hashing.r_histogram(reps, args.bins)
     lines = ["bin_lo\tbin_hi\tcount"]
     for i, c in enumerate(counts):

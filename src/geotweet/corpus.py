@@ -7,6 +7,8 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
+import numpy as np
+
 PAD_ID = 0
 UNK_ID = 1
 
@@ -20,6 +22,14 @@ MISSING_OFFSET_VALUE = 0.5
 
 VOCAB_FORMAT_VERSION = 1
 
+# The encoded column table: one array per column, one row per record. The id
+# columns are (n, max_len); the others are (n,). ``encode_example`` gives one
+# record's value of each column.
+COLUMNS = {"text_ids": np.int64, "location_ids": np.int64,
+           "tweet_time": np.float64, "account_time": np.float64,
+           "utc_offset": np.float64, "timezone_id": np.int64,
+           "label_id": np.int64}
+
 
 @dataclass
 class TweetRecord:
@@ -30,17 +40,6 @@ class TweetRecord:
     user_location: str
     account_created_at: datetime
     city_label: str
-
-
-@dataclass
-class EncodedExample:
-    text_ids: list[int]
-    location_ids: list[int]
-    tweet_time: float
-    account_time: float
-    utc_offset: float
-    timezone_id: int
-    label_id: int
 
 
 class CharVocabulary:
@@ -195,15 +194,40 @@ def normalize_utc_offset(offset_seconds):
 
 def encode_example(record, char_vocab, timezone_vocab, label_vocab,
                    text_max_len, location_max_len):
-    return EncodedExample(
-        text_ids=encode_text(record.text, char_vocab, text_max_len),
-        location_ids=encode_text(record.user_location, char_vocab, location_max_len),
-        tweet_time=normalize_time_of_day(record.created_at),
-        account_time=normalize_time_of_day(record.account_created_at),
-        utc_offset=normalize_utc_offset(record.utc_offset_seconds),
-        timezone_id=timezone_vocab.lookup(record.timezone_name),
-        label_id=label_vocab.lookup(record.city_label),
-    )
+    """One record's row of the column table, keyed by column name."""
+    return {
+        "text_ids": encode_text(record.text, char_vocab, text_max_len),
+        "location_ids": encode_text(record.user_location, char_vocab,
+                                    location_max_len),
+        "tweet_time": normalize_time_of_day(record.created_at),
+        "account_time": normalize_time_of_day(record.account_created_at),
+        "utc_offset": normalize_utc_offset(record.utc_offset_seconds),
+        "timezone_id": timezone_vocab.lookup(record.timezone_name),
+        "label_id": label_vocab.lookup(record.city_label),
+    }
+
+
+def encode_records(records, char_vocab, tz_vocab, label_vocab, config,
+                   data="records", labels="the label vocabulary"):
+    """The column table of ``records`` (see COLUMNS), encoded with the
+    vocabularies and ``config``'s text and location lengths; a city that
+    ``label_vocab`` lacks is an error naming the ``data`` file, the record
+    and where the ``labels`` came from."""
+    rows = []
+    for i, r in enumerate(records, start=1):
+        try:
+            rows.append(encode_example(
+                r, char_vocab, tz_vocab, label_vocab, config.text_max_len,
+                config.loc_max_len))
+        except KeyError as e:
+            raise ValueError(f"{data}: record {i}: {e.args[0]} "
+                             f"(not in {labels})") from None
+    # shaped, so that no records still give (0, max_len) id columns
+    shapes = {"text_ids": (len(rows), config.text_max_len),
+              "location_ids": (len(rows), config.loc_max_len)}
+    return {name: np.array([row[name] for row in rows], dtype).reshape(
+                shapes.get(name, len(rows)))
+            for name, dtype in COLUMNS.items()}
 
 
 def _field(obj, name, kind, types, default=None):

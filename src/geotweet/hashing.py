@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .archive import read_exact
-from .model import EVAL_BATCH_SIZE, as_arrays, iter_batches
 
 CODE_MAGIC = b"GTBC"
 CODE_FORMAT_VERSION = 1
@@ -77,19 +76,16 @@ def map_from_codes(test, dev):
     return (float(np.mean(aps)) if aps else 0.0), len(test) - len(aps)
 
 
-def compute_representations(model, examples):
-    """Penultimate vectors for a list of examples (eval mode)."""
-    arrays = as_arrays(examples)
-    chunks = [model.forward(batch, train=False)[1].data
-              for batch in iter_batches(arrays, EVAL_BATCH_SIZE)]
-    return np.concatenate(chunks, axis=0), arrays["label_id"]
+def compute_representations(model, columns):
+    """Penultimate vectors and labels of a column table's rows (eval mode)."""
+    return model.infer(columns)[1], columns["label_id"]
 
 
-def encode_code_set(model, examples):
-    reps, labels = compute_representations(model, examples)
+def encode_code_set(model, columns):
+    reps, labels = compute_representations(model, columns)
     return CodeSet(bits=binarize_sign(reps),
                    ids=np.arange(len(labels), dtype=np.int64),
-                   labels=labels.astype(np.int64))
+                   labels=labels)
 
 
 class LshModel:
@@ -107,27 +103,25 @@ class LshModel:
         return (x @ self.hyperplanes.T > 0).astype(np.uint8)
 
 
-def raw_feature_vector(example, char_vocab_size, n_timezones):
-    """Data-independent input vector for the LSH baseline: scalar time
-    features, one-hot timezone, and character-count bags of location/text."""
-    tz = np.zeros(n_timezones)
-    tz[example.timezone_id] = 1.0
-    text_bag = np.bincount(
-        np.asarray(example.text_ids), minlength=char_vocab_size).astype(np.float64)
-    loc_bag = np.bincount(
-        np.asarray(example.location_ids), minlength=char_vocab_size).astype(np.float64)
-    scalars = np.array([example.tweet_time, example.account_time,
-                        example.utc_offset])
-    return np.concatenate([
-        scalars, tz,
-        loc_bag / max(1.0, loc_bag.sum()),
-        text_bag / max(1.0, text_bag.sum()),
-    ])
+def raw_feature_matrix(columns, char_vocab_size, n_timezones):
+    """Data-independent input rows of a column table for the LSH baseline:
+    scalar time features, one-hot timezone, and character-count bags of
+    location and text, PAD included, each divided by its total (at least 1)."""
+    n = len(columns["label_id"])
+    rows = np.arange(n)
+    tz = np.zeros((n, n_timezones))
+    tz[rows, columns["timezone_id"]] = 1.0
 
+    def bags(ids):
+        flat = (ids + char_vocab_size * rows[:, None]).ravel()
+        counts = np.bincount(flat, minlength=n * char_vocab_size).reshape(
+            n, char_vocab_size).astype(np.float64)
+        return counts / np.maximum(1.0, counts.sum(axis=1, keepdims=True))
 
-def raw_feature_matrix(examples, char_vocab_size, n_timezones):
-    return np.stack([raw_feature_vector(e, char_vocab_size, n_timezones)
-                     for e in examples])
+    scalars = np.stack([columns["tweet_time"], columns["account_time"],
+                        columns["utc_offset"]], axis=1)
+    return np.concatenate([scalars, tz, bags(columns["location_ids"]),
+                           bags(columns["text_ids"])], axis=1)
 
 
 HIST_EXTREME_LO = -0.9

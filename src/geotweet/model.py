@@ -11,7 +11,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .archive import load_archive, save_archive
-from .corpus import EncodedExample
 from .fusion import FusionClassifier, extrema_loss
 from .loc_net import LocConvNetwork, TimezoneEmbedding
 from .rbf_net import RbfNetwork
@@ -19,7 +18,7 @@ from .text_net import TextNetwork
 
 
 class Feature(NamedTuple):
-    """One input feature: the batch column its network reads, and
+    """One input feature: the table column its network reads, and
     ``build(config, char_vocab_size, n_timezones, rng) -> (net, width)``."""
 
     column: str
@@ -57,6 +56,9 @@ TWEET_USER = "tweet-user"
 # backward in. The engine's own default stays float64; checkpoints store
 # float64, which holds every float32 exactly.
 COMPUTE_DTYPE = np.float32
+
+# rows per eval-mode forward in GeoModel.infer
+EVAL_BATCH_SIZE = 512
 
 CHECKPOINT_META_VERSION = 1
 # GeoModel attributes and checkpoint keys sized by the three vocabularies
@@ -156,8 +158,8 @@ class GeoModel:
 
     @_in_compute_dtype
     def forward(self, batch, train=False, rng=None):
-        """Returns (logits, r, attention) for a batch-array dict: the class
-        logits, the penultimate layer and the text attention weights."""
+        """Returns (logits, r, attention) for the rows of a column table: the
+        class logits, the penultimate layer and the text attention weights."""
         vectors = []
         attention = None
         for feat in self.features:
@@ -172,6 +174,19 @@ class GeoModel:
                                  train=train, rng=rng)
         r = self.fusion.penultimate(fused)
         return self.fusion.classify(r), r, attention
+
+    def infer(self, columns):
+        """(logits, r, attention) arrays of eval-mode forwards over the rows
+        of a column table of at least one row, EVAL_BATCH_SIZE rows at a
+        time; attention is None for a model without text."""
+        parts = []
+        for batch in iter_batches(columns, EVAL_BATCH_SIZE):
+            logits, r, attention = self.forward(batch, train=False)
+            parts.append((logits.data, r.data, attention))
+            del logits, r  # this batch's graph goes before the next forward
+        logits, r, attention = zip(*parts)
+        return (np.concatenate(logits), np.concatenate(r),
+                None if attention[0] is None else np.concatenate(attention))
 
     @_in_compute_dtype
     def loss(self, batch, train=False, rng=None):
@@ -201,28 +216,13 @@ class GeoModel:
             p.data[...] = arrays[name]
 
 
-EVAL_BATCH_SIZE = 512
-
-
-def batch_arrays(examples):
-    """Column-major arrays of EncodedExamples, one per field: float64 or int64."""
-    return {f.name: np.array([getattr(e, f.name) for e in examples],
-                             dtype=np.float64 if f.type == "float" else np.int64)
-            for f in fields(EncodedExample)}
-
-
-def as_arrays(examples):
-    """Batch arrays for a list of EncodedExamples; a dict passes through."""
-    return examples if isinstance(examples, dict) else batch_arrays(examples)
-
-
-def iter_batches(arrays, batch_size, order=None):
-    """Batch-array dicts of up to ``batch_size`` rows, taken in ``order``
+def iter_batches(columns, batch_size, order=None):
+    """Column tables of up to ``batch_size`` rows, taken in ``order``
     (default: row order); the last batch keeps the remainder."""
-    for start in range(0, len(arrays["label_id"]), batch_size):
+    for start in range(0, len(columns["label_id"]), batch_size):
         rows = (slice(start, start + batch_size) if order is None
                 else order[start:start + batch_size])
-        yield {k: v[rows] for k, v in arrays.items()}
+        yield {k: v[rows] for k, v in columns.items()}
 
 
 def save_checkpoint(path, model, seed=None):

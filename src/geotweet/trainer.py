@@ -13,7 +13,7 @@ import numpy as np
 
 from .corpus import TweetRecord
 from .fusion import predict_labels
-from .model import EVAL_BATCH_SIZE, ModelConfig, as_arrays, iter_batches
+from .model import ModelConfig, iter_batches
 from .optim import Adam
 
 
@@ -57,25 +57,24 @@ class TrainingStopped(ValueError):
         self.report = report
 
 
-def evaluate_accuracy(model, examples_or_arrays, unseen=0):
-    """Fraction of examples whose argmax prediction equals the label;
-    ``unseen`` more examples, whose labels the model has no class for,
-    count as wrong."""
-    arrays = as_arrays(examples_or_arrays)
-    n = len(arrays["label_id"]) + unseen
+def evaluate_accuracy(model, columns, unseen=0):
+    """Fraction of a column table's rows whose argmax prediction equals the
+    label; ``unseen`` more examples, whose labels the model has no class
+    for, count as wrong."""
+    labels = columns["label_id"]
+    n = len(labels) + unseen
     if n == 0:
         raise ValueError("cannot evaluate on an empty set")
-    correct = 0
-    for batch in iter_batches(arrays, EVAL_BATCH_SIZE):
-        logits, _, _ = model.forward(batch, train=False)
-        correct += int((predict_labels(logits.data) == batch["label_id"]).sum())
-    return correct / n
+    if not len(labels):
+        return 0.0
+    return int((predict_labels(model.infer(columns)[0]) == labels).sum()) / n
 
 
 # numpy's overflow warnings would only repeat the non-finite check's error
 @np.errstate(all="ignore")
-def train(model, train_examples, dev_examples, config, dev_unseen=0):
-    """Train for exactly config.epochs epochs with the epoch-revert rule.
+def train(model, train_columns, dev_columns, config, dev_unseen=0):
+    """Train on a column table for exactly config.epochs epochs with the
+    epoch-revert rule.
 
     After each epoch the model is scored on dev, where ``dev_unseen`` more
     examples, whose labels the model has no class for, count as wrong; if
@@ -84,15 +83,13 @@ def train(model, train_examples, dev_examples, config, dev_unseen=0):
     non-finite loss or parameter gradient stops training with a
     TrainingStopped error naming the epoch and batch.
     """
-    if not train_examples or not (dev_examples or dev_unseen):
+    n = len(train_columns["label_id"])
+    if not n or not (len(dev_columns["label_id"]) or dev_unseen):
         raise ValueError("train and dev splits must be non-empty")
     if config.batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {config.batch_size}")
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
-    train_arrays = as_arrays(train_examples)
-    dev_arrays = as_arrays(dev_examples)
-    n = len(train_arrays["label_id"])
     optimizer = Adam(model.params, learning_rate=config.learning_rate)
     report = TrainReport(dev_unseen_labels=dev_unseen)
     best_accuracy = -1.0
@@ -106,7 +103,7 @@ def train(model, train_examples, dev_examples, config, dev_unseen=0):
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
-        batches = iter_batches(train_arrays, config.batch_size, order)
+        batches = iter_batches(train_columns, config.batch_size, order)
         for number, batch in enumerate(batches, start=1):
             loss, _, _ = model.loss(batch, train=True, rng=rng)
             where = f"at epoch {epoch}, batch {number}"
@@ -118,7 +115,7 @@ def train(model, train_examples, dev_examples, config, dev_unseen=0):
                     raise stop(f"non-finite gradient of {name} {where}")
             optimizer.step()
             model.clamp()
-        accuracy = evaluate_accuracy(model, dev_arrays, unseen=dev_unseen)
+        accuracy = evaluate_accuracy(model, dev_columns, unseen=dev_unseen)
         report.dev_accuracy.append(accuracy)
         if accuracy < best_accuracy:
             model.load_param_arrays(best_params)
@@ -132,10 +129,11 @@ def train(model, train_examples, dev_examples, config, dev_unseen=0):
     return report
 
 
-def ablate(build_model, train_examples, dev_examples, test_examples,
+def ablate(build_model, train_columns, dev_columns, test_columns,
            model_config, train_config, features=None, dev_unseen=0,
            test_unseen=0):
-    """Retrain once per removed feature; report accuracy deltas vs all features.
+    """Retrain once per removed feature on the column tables of the three
+    splits; report accuracy deltas vs all features.
 
     ``build_model`` is a callable (ModelConfig, seed) -> GeoModel so the
     caller controls vocabulary sizes. Every run reuses the same seed.
@@ -154,8 +152,8 @@ def ablate(build_model, train_examples, dev_examples, test_examples,
 
     def run(cfg):
         model = build_model(cfg, train_config.seed)
-        train(model, train_examples, dev_examples, train_config, dev_unseen)
-        return evaluate_accuracy(model, test_examples, unseen=test_unseen)
+        train(model, train_columns, dev_columns, train_config, dev_unseen)
+        return evaluate_accuracy(model, test_columns, unseen=test_unseen)
 
     baseline = run(model_config)
     deltas = {}

@@ -98,7 +98,12 @@ def op_counts(nodes):
                    for node in nodes if node._backward is not None)
 
 
-def encode_all(records, corpus, text_max_len, loc_max_len):
-    return [C.encode_example(r, corpus["char_vocab"], corpus["tz_vocab"],
-                             corpus["label_vocab"], text_max_len, loc_max_len)
-            for r in records]
+def encode_all(records, corpus, config):
+    """The column table of ``records`` under ``corpus``'s vocabularies."""
+    return C.encode_records(records, corpus["char_vocab"], corpus["tz_vocab"],
+                            corpus["label_vocab"], config)
+
+
+def head(columns, n):
+    """The first ``n`` rows of a column table."""
+    return {k: v[:n] for k, v in columns.items()}

@@ -6,8 +6,9 @@ only gradient checks and oracles use (``sub``, ``mul``, ``div``, ``exp``,
 ``sigmoid``, ``relu``, ``take``, ``reshape``, ``lstm_sequence``, ``amax``),
 an op as the engine ran it before a rewrite (``bilstm_sequence`` and
 ``context_projection`` over an embedded input), a brute-force or per-item
-reference for the retrieval and code-file code (``hamming``,
-``average_precision``, ``map_from_codes``, ``map_eval``, ``save_codes``),
+reference for the retrieval, code-file and LSH feature code (``hamming``,
+``average_precision``, ``map_from_codes``, ``map_eval``, ``save_codes``,
+``raw_feature_vector``, ``raw_feature_matrix``),
 or the chain of graph nodes that a fused engine op replaced, kept so that
 the fused op can be checked against it.
 """
@@ -376,11 +377,38 @@ def hamming(a, b):
     return int(np.count_nonzero(a != b))
 
 
-def map_eval(model, dev_examples, test_examples):
-    """Binarize both partitions and compute retrieval MAP."""
-    dev = H.encode_code_set(model, dev_examples)
-    test = H.encode_code_set(model, test_examples)
+def map_eval(model, dev_columns, test_columns):
+    """Binarize both partitions' column tables and compute retrieval MAP."""
+    dev = H.encode_code_set(model, dev_columns)
+    test = H.encode_code_set(model, test_columns)
     return H.map_from_codes(test, dev)
+
+
+def raw_feature_vector(row, char_vocab_size, n_timezones):
+    """LSH input vector of one table row (column name -> value): scalar
+    time features, one-hot timezone, and character-count bags of
+    location/text."""
+    tz = np.zeros(n_timezones)
+    tz[row["timezone_id"]] = 1.0
+    text_bag = np.bincount(
+        np.asarray(row["text_ids"]), minlength=char_vocab_size).astype(np.float64)
+    loc_bag = np.bincount(
+        np.asarray(row["location_ids"]), minlength=char_vocab_size).astype(np.float64)
+    scalars = np.array([row["tweet_time"], row["account_time"],
+                        row["utc_offset"]])
+    return np.concatenate([
+        scalars, tz,
+        loc_bag / max(1.0, loc_bag.sum()),
+        text_bag / max(1.0, text_bag.sum()),
+    ])
+
+
+def raw_feature_matrix(columns, char_vocab_size, n_timezones):
+    """``raw_feature_vector`` of each row of a column table, stacked."""
+    return np.stack([
+        raw_feature_vector({k: v[i] for k, v in columns.items()},
+                           char_vocab_size, n_timezones)
+        for i in range(len(columns["label_id"]))])
 
 
 def average_precision(ranking, relevant):

@@ -19,7 +19,7 @@ from geotweet import hashing as H
 from geotweet.autodiff import Tensor
 from geotweet.fusion import FusionClassifier, extrema_loss, predict_labels
 from geotweet.loc_net import LocConvNetwork
-from geotweet.model import GeoModel, batch_arrays
+from geotweet.model import GeoModel
 from geotweet.rbf_net import RbfNetwork
 from geotweet.text_net import TextNetwork
 from geotweet.trainer import (SyntheticConfig, TrainConfig, ablate,
@@ -44,10 +44,8 @@ def _encode_corpus(synth_config, model_config):
                                        with_unk=False)
 
     def enc(records):
-        return [C.encode_example(r, char_vocab, tz_vocab, label_vocab,
-                                 model_config.text_max_len,
-                                 model_config.loc_max_len)
-                for r in records]
+        return C.encode_records(records, char_vocab, tz_vocab, label_vocab,
+                                model_config)
 
     return {
         "train": enc(train_recs), "dev": enc(dev_recs), "test": enc(test_recs),
@@ -305,8 +303,8 @@ def test_criterion_4_ablation_fidelity():
                         np.random.default_rng(seed))
 
     baseline, deltas = ablate(
-        build, batch_arrays(corpus["train"]), batch_arrays(corpus["dev"]),
-        batch_arrays(corpus["test"]), synthetic_model_config(),
+        build, corpus["train"], corpus["dev"], corpus["test"],
+        synthetic_model_config(),
         TrainConfig(batch_size=128, epochs=6, learning_rate=0.002, seed=0),
         features=["location", "account_time"])
     assert deltas["location"] <= -0.5
@@ -339,7 +337,7 @@ def test_logit_argmax_is_softmax_argmax(metadata_corpus, plain_model,
     """Predictions take the argmax of the logits. On the trained models that
     is a class of largest float32 softmax probability in every row, and the
     softmax row's own argmax unless rounding ties two classes there."""
-    arrays = batch_arrays(metadata_corpus["test"])
+    arrays = metadata_corpus["test"]
     rows = np.arange(len(arrays["label_id"]))
     ties = 0
     for model, _ in (plain_model, noise_model):

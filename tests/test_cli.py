@@ -203,6 +203,24 @@ def test_unknown_city_names_the_file_the_record_and_the_labels(
         f"(not in {run / 'labels.txt'})\n")
 
 
+def test_eval_of_only_unseen_cities_scores_zero(pipeline, tmp_path, capsys):
+    from geotweet.cli import load_model_dir
+    from geotweet.corpus import encode_records
+
+    src = pipeline["data"] / "test.jsonl"
+    n = len(src.read_text().splitlines())
+    unseen, _, _ = _with_unseen_cities(src, tmp_path, range(n))
+    assert main(["eval", "--model", str(pipeline["run"]),
+                 "--data", str(unseen)]) == 0
+    assert capsys.readouterr().out == f"accuracy\t0.000000\nunseen_labels\t{n}\n"
+    # the known records of that file: a table of no rows, id columns kept 2-D
+    model, _, *vocabs = load_model_dir(pipeline["run"])
+    table = encode_records([], *vocabs, model.config)
+    assert table["text_ids"].shape == (0, model.config.text_max_len)
+    assert table["location_ids"].shape == (0, model.config.loc_max_len)
+    assert all(len(column) == 0 for column in table.values())
+
+
 def _with_unseen_cities(src, tmp_path, records):
     """``src`` with the city of each listed record replaced by one that no
     split has, and ``src`` without those records: (mixed, rest, size)."""

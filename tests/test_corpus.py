@@ -131,27 +131,27 @@ class TestEncodeExample:
     def test_known_timezone(self, vocabs):
         char, tzs, labels = vocabs
         ex = C.encode_example(rec(tz="UTC"), char, tzs, labels, 10, 5)
-        assert ex.timezone_id == tzs.name_to_id["UTC"]
+        assert ex["timezone_id"] == tzs.name_to_id["UTC"]
 
     def test_missing_timezone_is_unk(self, vocabs):
         char, tzs, labels = vocabs
         ex = C.encode_example(rec(tz=None), char, tzs, labels, 10, 5)
-        assert ex.timezone_id == tzs.unk_id
+        assert ex["timezone_id"] == tzs.unk_id
 
     def test_paper_lengths(self, vocabs):
         char, tzs, labels = vocabs
         ex = C.encode_example(rec(), char, tzs, labels, 300, 20)
-        assert len(ex.text_ids) == 300 and len(ex.location_ids) == 20
+        assert len(ex["text_ids"]) == 300 and len(ex["location_ids"]) == 20
 
     def test_empty_location_is_all_pad(self, vocabs):
         char, tzs, labels = vocabs
         ex = C.encode_example(rec(location=""), char, tzs, labels, 10, 5)
-        assert ex.location_ids == [char.pad_id] * 5
+        assert ex["location_ids"] == [char.pad_id] * 5
 
     def test_real_fields_in_unit_interval(self, vocabs):
         char, tzs, labels = vocabs
         ex = C.encode_example(rec(offset=5 * 3600), char, tzs, labels, 10, 5)
-        for value in (ex.tweet_time, ex.account_time, ex.utc_offset):
+        for value in (ex["tweet_time"], ex["account_time"], ex["utc_offset"]):
             assert 0.0 <= value <= 1.0
 
 

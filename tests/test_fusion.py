@@ -162,14 +162,12 @@ def test_total_loss_gradient_is_sum_of_parts():
 
 def test_plain_mode_reduces_exactly(tiny_corpus):
     # sigma = alpha = 0 must reproduce the plain classifier bit for bit
-    from geotweet.model import GeoModel, batch_arrays
+    from geotweet.model import GeoModel
     from geotweet.trainer import synthetic_model_config
     from conftest import encode_all
 
     mc0 = synthetic_model_config(noise_sigma=0.0, extrema_alpha=0.0)
-    examples = encode_all(tiny_corpus["test"][:8], tiny_corpus,
-                          mc0.text_max_len, mc0.loc_max_len)
-    batch = batch_arrays(examples)
+    batch = encode_all(tiny_corpus["test"][:8], tiny_corpus, mc0)
 
     def outputs(mc):
         model = GeoModel(mc, len(tiny_corpus["char_vocab"]),

@@ -270,12 +270,39 @@ class TestCodeFile:
 
 
 def test_raw_feature_vector_layout():
-    from geotweet.corpus import EncodedExample
-
-    ex = EncodedExample(text_ids=[2, 3, 0], location_ids=[3, 0],
-                        tweet_time=0.5, account_time=0.25, utc_offset=0.75,
-                        timezone_id=1, label_id=0)
-    vec = H.raw_feature_vector(ex, char_vocab_size=4, n_timezones=2)
+    table = {"text_ids": np.array([[2, 3, 0]]),
+             "location_ids": np.array([[3, 0]]),
+             "tweet_time": np.array([0.5]), "account_time": np.array([0.25]),
+             "utc_offset": np.array([0.75]), "timezone_id": np.array([1]),
+             "label_id": np.array([0])}
+    (vec,) = H.raw_feature_matrix(table, char_vocab_size=4, n_timezones=2)
     assert vec.shape == (3 + 2 + 4 + 4,)
     np.testing.assert_allclose(vec[:3], [0.5, 0.25, 0.75])
     np.testing.assert_allclose(vec[3:5], [0.0, 1.0])
+    # the bags count PAD (id 0) too
+    np.testing.assert_allclose(vec[5:9], [0.5, 0.0, 0.0, 0.5])
+    np.testing.assert_allclose(vec[9:], [1 / 3, 0.0, 1 / 3, 1 / 3])
+
+
+def test_raw_feature_matrix_equals_per_row_oracle_bit_for_bit(tiny_corpus):
+    from dataclasses import replace
+
+    from geotweet.trainer import synthetic_model_config
+    from conftest import encode_all
+
+    records = tiny_corpus["test"][:40]
+    records[1] = replace(records[1], user_location="")
+    records[2] = replace(records[2], text="")
+    records[3] = replace(records[3], timezone_name=None)
+    records[4] = replace(records[4], user_location="", text="",
+                         timezone_name="not/a/zone")
+    table = encode_all(records, tiny_corpus, synthetic_model_config())
+    sizes = len(tiny_corpus["char_vocab"]), len(tiny_corpus["tz_vocab"])
+    assert not table["location_ids"][1].any() and not table["text_ids"][2].any()
+    unk = tiny_corpus["tz_vocab"].unk_id
+    assert table["timezone_id"][3] == table["timezone_id"][4] == unk
+    got = H.raw_feature_matrix(table, *sizes)
+    want = oracles.raw_feature_matrix(table, *sizes)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape == (40, 3 + sizes[1] + 2 * sizes[0])
+    assert got.tobytes() == want.tobytes()

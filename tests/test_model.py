@@ -1,5 +1,6 @@
 import json
 import re
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -8,13 +9,13 @@ import pytest
 
 import geotweet.model as model_mod
 from geotweet.archive import load_archive, save_archive
-from geotweet.model import (FEATURES, GeoModel, ModelConfig, batch_arrays,
-                            load_checkpoint, save_checkpoint)
+from geotweet.model import (FEATURES, GeoModel, ModelConfig, load_checkpoint,
+                            save_checkpoint)
 from geotweet.optim import Adam
 from geotweet.text_net import TextNetwork
 from geotweet.trainer import synthetic_model_config
 
-from conftest import encode_all, graph_nodes, op_counts
+from conftest import encode_all, graph_nodes, head, op_counts
 
 
 def test_message_only_uses_wider_text_output():
@@ -58,9 +59,7 @@ def test_checkpoint_roundtrip(tiny_corpus, tmp_path):
     restored, meta = load_checkpoint(path)
     assert meta["seed"] == 42
     assert restored.config == model.config
-    examples = encode_all(tiny_corpus["test"][:4], tiny_corpus,
-                          cfg.text_max_len, cfg.loc_max_len)
-    batch = batch_arrays(examples)
+    batch = encode_all(tiny_corpus["test"][:4], tiny_corpus, cfg)
     a, _, _ = model.forward(batch, train=False)
     b, _, _ = restored.forward(batch, train=False)
     np.testing.assert_array_equal(a.data, b.data)
@@ -97,6 +96,46 @@ def test_ablated_model_has_narrower_fusion(tiny_corpus):
     assert diff == base.config.loc_out_size
 
 
+def test_infer_equals_one_eval_forward_per_batch(tiny_corpus, monkeypatch):
+    cfg = synthetic_model_config()
+    n = model_mod.EVAL_BATCH_SIZE + 1  # one full batch and a remainder of 1
+    records = tiny_corpus["train"] + tiny_corpus["dev"] + tiny_corpus["test"]
+    table = head(encode_all(records, tiny_corpus, cfg), n)
+    model = GeoModel(cfg, len(tiny_corpus["char_vocab"]),
+                     len(tiny_corpus["tz_vocab"]),
+                     len(tiny_corpus["label_vocab"]), np.random.default_rng(2))
+    expected = [model.forward(batch, train=False) for batch in (
+        head(table, n - 1), {k: v[n - 1:] for k, v in table.items()})]
+
+    # each batch's graph is gone before the next forward starts: infer keeps
+    # the data of logits and r, and no array of any other node
+    forward, held, calls = model.forward, [], []
+
+    def spy(batch, **kwargs):
+        assert all(ref() is None for ref in held)
+        out = forward(batch, **kwargs)
+        calls.append(len(batch["label_id"]))
+        held.extend(weakref.ref(node.data) for node in graph_nodes(out[0])
+                    if node._backward is not None and node not in out[:2])
+        return out
+
+    monkeypatch.setattr(model, "forward", spy)
+    logits, r, attention = model.infer(table)
+    assert calls == [n - 1, 1] and held
+    for got, k in ((logits, 0), (r, 1)):
+        np.testing.assert_array_equal(
+            got, np.concatenate([out[k].data for out in expected]))
+    np.testing.assert_array_equal(
+        attention, np.concatenate([out[2] for out in expected]))
+    assert logits.shape == (n, model.n_classes) and logits.dtype == np.float32
+
+    no_text = GeoModel(synthetic_model_config(removed_features=("text",)),
+                       len(tiny_corpus["char_vocab"]),
+                       len(tiny_corpus["tz_vocab"]),
+                       len(tiny_corpus["label_vocab"]), np.random.default_rng(2))
+    assert no_text.infer(head(table, 3))[2] is None
+
+
 @pytest.mark.parametrize("feat", list(FEATURES))
 def test_feature_table_entry(feat, tiny_corpus, monkeypatch):
     sizes = (len(tiny_corpus["char_vocab"]), len(tiny_corpus["tz_vocab"]))
@@ -107,8 +146,7 @@ def test_feature_table_entry(feat, tiny_corpus, monkeypatch):
     _, width = FEATURES[feat].build(cfg, *sizes, np.random.default_rng(0))
     column = FEATURES[feat].column
     assert [f for f, e in FEATURES.items() if e.column == column] == [feat]
-    arrays = batch_arrays(encode_all(tiny_corpus["test"][:4], tiny_corpus,
-                                     cfg.text_max_len, cfg.loc_max_len))
+    arrays = encode_all(tiny_corpus["test"][:4], tiny_corpus, cfg)
     fused = []
     fuse = model.fusion.fuse
 
@@ -232,8 +270,7 @@ def _tweet_user_model(corpus, config, seed):
 
 
 def _batch(corpus, config, n):
-    return batch_arrays(encode_all(corpus["train"][:n], corpus,
-                                   config.text_max_len, config.loc_max_len))
+    return encode_all(corpus["train"][:n], corpus, config)
 
 
 def test_training_step_and_eval_forward_are_float32(tiny_corpus):

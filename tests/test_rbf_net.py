@@ -110,7 +110,7 @@ class TestBinWeightProfile:
 def test_two_cities_half_day_apart_learn_different_bins():
     # plant activity 12h apart; after training, the strongest mean-weight
     # bin differs between the two cities
-    from geotweet.model import GeoModel, batch_arrays
+    from geotweet.model import GeoModel
     from geotweet.trainer import (SyntheticConfig, TrainConfig,
                                   generate_synthetic, synthetic_model_config,
                                   train)
@@ -126,14 +126,11 @@ def test_two_cities_half_day_apart_learn_different_bins():
     labels = C.CategoryVocabulary([r.city_label for r in train_recs],
                                   with_unk=False)
     mc = synthetic_model_config()
-    enc = [C.encode_example(r, char_vocab, tzs, labels, mc.text_max_len,
-                            mc.loc_max_len) for r in train_recs]
-    dev = [C.encode_example(r, char_vocab, tzs, labels, mc.text_max_len,
-                            mc.loc_max_len) for r in dev_recs]
+    arrays = C.encode_records(train_recs, char_vocab, tzs, labels, mc)
+    dev = C.encode_records(dev_recs, char_vocab, tzs, labels, mc)
     model = GeoModel(mc, len(char_vocab), len(tzs), len(labels),
                      np.random.default_rng(0))
-    train(model, enc, dev, TrainConfig(batch_size=64, epochs=4, seed=0))
-    arrays = batch_arrays(enc)
+    train(model, arrays, dev, TrainConfig(batch_size=64, epochs=4, seed=0))
     acts = model.nets["tweet_time"].forward(arrays["tweet_time"]).data
     profiles = []
     for label in (0, 1):

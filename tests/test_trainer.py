@@ -3,12 +3,12 @@ import pytest
 
 import geotweet.trainer as trainer_mod
 from geotweet import autodiff as ad
-from geotweet.model import GeoModel, batch_arrays
+from geotweet.model import GeoModel
 from geotweet.trainer import (SyntheticConfig, TrainConfig, evaluate_accuracy,
                               generate_synthetic, synthetic_model_config,
                               train)
 
-from conftest import encode_all
+from conftest import encode_all, head
 from oracles import div, take, tsum
 
 
@@ -22,19 +22,16 @@ def tiny_encoded(tiny_corpus):
     mc = synthetic_model_config()
     return {
         "config": mc,
-        "train": encode_all(tiny_corpus["train"], tiny_corpus,
-                            mc.text_max_len, mc.loc_max_len),
-        "dev": encode_all(tiny_corpus["dev"], tiny_corpus,
-                          mc.text_max_len, mc.loc_max_len),
-        "test": encode_all(tiny_corpus["test"], tiny_corpus,
-                           mc.text_max_len, mc.loc_max_len),
+        "train": encode_all(tiny_corpus["train"], tiny_corpus, mc),
+        "dev": encode_all(tiny_corpus["dev"], tiny_corpus, mc),
+        "test": encode_all(tiny_corpus["test"], tiny_corpus, mc),
     }
 
 
 class TestEvaluateAccuracy:
     def test_all_correct(self, tiny_corpus, tiny_encoded):
         model = build_model(tiny_corpus, tiny_encoded["config"], 0)
-        arrays = batch_arrays(tiny_encoded["test"][:10])
+        arrays = head(tiny_encoded["test"], 10)
         logits, _, _ = model.forward(arrays, train=False)
         arrays["label_id"] = logits.data.argmax(axis=1)
         assert evaluate_accuracy(model, arrays) == 1.0
@@ -44,14 +41,14 @@ class TestEvaluateAccuracy:
         model = build_model(tiny_corpus, tiny_encoded["config"], 0)
         model.params["fuse.Wout"].data[...] = 0.0
         model.params["fuse.bout"].data[...] = 0.0
-        arrays = batch_arrays(tiny_encoded["test"])
+        arrays = tiny_encoded["test"]
         expected = (arrays["label_id"] == 0).mean()
         assert evaluate_accuracy(model, arrays) == pytest.approx(expected)
 
     def test_empty_set_rejected(self, tiny_corpus, tiny_encoded):
         model = build_model(tiny_corpus, tiny_encoded["config"], 0)
         with pytest.raises(ValueError, match="empty"):
-            evaluate_accuracy(model, [])
+            evaluate_accuracy(model, head(tiny_encoded["test"], 0))
 
 
 class TestRevertRule:
@@ -62,15 +59,16 @@ class TestRevertRule:
                             lambda *a, **k: next(scores))
         config = TrainConfig(batch_size=64, epochs=2, seed=3)
         model = build_model(tiny_corpus, tiny_encoded["config"], 3)
-        report = train(model, tiny_encoded["train"][:128],
-                       tiny_encoded["dev"][:32], config)
+        report = train(model, head(tiny_encoded["train"], 128),
+                       head(tiny_encoded["dev"], 32), config)
         assert report.revert_epochs == [2]
         # final params must equal the accepted epoch-1 snapshot
         ref_scores = iter([0.5])
         monkeypatch.setattr(trainer_mod, "evaluate_accuracy",
                             lambda *a, **k: next(ref_scores))
         ref = build_model(tiny_corpus, tiny_encoded["config"], 3)
-        train(ref, tiny_encoded["train"][:128], tiny_encoded["dev"][:32],
+        train(ref, head(tiny_encoded["train"], 128),
+              head(tiny_encoded["dev"], 32),
               TrainConfig(batch_size=64, epochs=1, seed=3))
         for name, arr in ref.param_arrays().items():
             np.testing.assert_array_equal(model.param_arrays()[name], arr)
@@ -81,8 +79,8 @@ class TestRevertRule:
         monkeypatch.setattr(trainer_mod, "evaluate_accuracy",
                             lambda *a, **k: next(scores))
         model = build_model(tiny_corpus, tiny_encoded["config"], 0)
-        report = train(model, tiny_encoded["train"][:128],
-                       tiny_encoded["dev"][:32],
+        report = train(model, head(tiny_encoded["train"], 128),
+                       head(tiny_encoded["dev"], 32),
                        TrainConfig(batch_size=64, epochs=3, seed=0))
         assert report.revert_epochs == []
 
@@ -100,7 +98,8 @@ class TestRevertRule:
     def test_empty_split_rejected(self, tiny_corpus, tiny_encoded):
         model = build_model(tiny_corpus, tiny_encoded["config"], 0)
         with pytest.raises(ValueError, match="non-empty"):
-            train(model, [], tiny_encoded["dev"], TrainConfig())
+            train(model, head(tiny_encoded["train"], 0), tiny_encoded["dev"],
+                  TrainConfig())
 
 
 def test_bit_reproducible_runs(tiny_corpus, tiny_encoded):
@@ -125,7 +124,7 @@ def test_overfit_capacity_sanity(tiny_corpus, tiny_encoded):
     from geotweet.optim import Adam
 
     model = build_model(tiny_corpus, tiny_encoded["config"], 5)
-    batch = batch_arrays(tiny_encoded["train"][:32])
+    batch = head(tiny_encoded["train"], 32)
     optimizer = Adam(model.params, learning_rate=0.005)
     rng = np.random.default_rng(5)
     loss_value = None
@@ -152,7 +151,7 @@ def test_incomplete_final_minibatch_is_kept(tiny_corpus, tiny_encoded,
 
     monkeypatch.setattr(trainer_mod, "iter_batches", spy)
     model = build_model(tiny_corpus, tiny_encoded["config"], 0)
-    train(model, tiny_encoded["train"][:100], tiny_encoded["dev"][:16],
+    train(model, head(tiny_encoded["train"], 100), head(tiny_encoded["dev"], 16),
           TrainConfig(batch_size=64, epochs=1, seed=0))
     assert seen[:2] == [64, 36]
 
