@@ -1,47 +1,28 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
-Values are numpy arrays of one compute dtype, float64 unless a
-``compute_dtype`` context sets another. Every op records a backward rule;
-calling ``backward`` on a scalar populates ``grad`` on every reachable
-tensor with ``requires_grad`` set. Gradients accumulate until zeroed.
-``backward`` frees the graph as it goes, so each forward gets one backward.
+Values are numpy float arrays. A Tensor keeps the dtype of float data and
+turns any other data into float64, and every op computes in the dtype of
+its inputs, so a graph runs in the dtype of its leaves. Every op records a
+backward rule; calling ``backward`` on a scalar populates ``grad`` on every
+reachable tensor with ``requires_grad`` set. Gradients accumulate until
+zeroed. ``backward`` frees the graph as it goes, so each forward gets one
+backward.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 
 import numpy as np
-
-# The dtype every new Tensor takes. Ops build their outputs through Tensor
-# and size their own buffers from their inputs, so one value here sets the
-# dtype of a whole forward and backward.
-_compute_dtype = np.dtype(np.float64)
-
-
-@contextmanager
-def compute_dtype(dtype):
-    """Build Tensors in ``dtype`` inside the block, then restore the previous
-    dtype.
-
-    The setting is one module-level value, not per thread: the worker
-    thread of ``_halves`` runs only raw numpy and never builds a Tensor.
-    """
-    global _compute_dtype
-    previous, _compute_dtype = _compute_dtype, np.dtype(dtype)
-    try:
-        yield
-    finally:
-        _compute_dtype = previous
 
 
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=_compute_dtype)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.requires_grad = requires_grad
         self.grad = None
         self._parents = ()
@@ -182,10 +163,11 @@ def rbf(u, mu, sigma):
     """Gaussian bin activations exp(-(u - mu)^2 / 2 sigma^2) of a (batch,)
     array ``u`` against (bins,) means and widths: (batch, bins).
 
-    ``u`` is data, so only ``mu`` and ``sigma`` get gradients.
+    ``u`` is data, taken in ``mu``'s dtype, so only ``mu`` and ``sigma`` get
+    gradients.
     """
     mu, sigma = as_tensor(mu), as_tensor(sigma)
-    d = np.asarray(u, dtype=_compute_dtype).reshape(-1, 1) - mu.data
+    d = np.asarray(u, dtype=mu.data.dtype).reshape(-1, 1) - mu.data
     var = sigma.data * sigma.data
     y = np.exp(-(d * d) / (2 * var))
 

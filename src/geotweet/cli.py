@@ -16,13 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import corpus as corpus_mod
 from . import hashing
 from .archive import FORMAT_VERSION
 from .corpus import encode_records
-from .model import (COMPUTE_DTYPE, FEATURES, MESSAGE_ONLY, VOCAB_SIZES,
-                    GeoModel, ModelConfig, load_checkpoint, save_checkpoint)
+from .model import (FEATURES, MESSAGE_ONLY, TWEET_USER, VOCAB_SIZES, GeoModel,
+                    ModelConfig, load_checkpoint, save_checkpoint)
 from .rbf_net import bin_weight_profile
 from .text_net import top_attended_spans
 from .trainer import (SyntheticConfig, TrainConfig, TrainingStopped, ablate,
@@ -47,15 +46,14 @@ BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False,
 def read_config_file(path):
     """Simple ``key = value`` text format; '#' starts a comment line."""
     values = {}
-    with open(path, encoding="utf-8") as f:
-        for i, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {i}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+    for i, line in enumerate(corpus_mod.read_text_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {i}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -249,9 +247,8 @@ def cmd_eval(args):
 
 def cmd_ablate(args):
     base_config = model_config_from_args(args)
-    if base_config.feature_set != "tweet-user":
-        print("ablate requires --feature-set tweet-user", file=sys.stderr)
-        return 2
+    if base_config.feature_set != TWEET_USER:
+        raise ValueError(f"ablate requires --feature-set {TWEET_USER}")
     vocabs, train_cols, (dev_cols, dev_unseen), (test_cols, test_unseen) = (
         _training_splits(args, base_config))
 
@@ -271,8 +268,7 @@ def cmd_ablate(args):
 def cmd_attn(args):
     model, _, records, columns = _model_and_data(args)
     if "text" not in model.features:
-        print("model has no text network", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.model}: model has no text network")
     attention = model.infer(columns)[2]
     lines = ["example\trank\tstart\tspan\tweight"]
     max_len = model.config.text_max_len
@@ -287,17 +283,14 @@ def cmd_attn(args):
 
 
 def cmd_time_profile(args):
-    model, (_, _, label_vocab), _, columns = _model_and_data(args)
     feature = FEATURES.get(args.feature)
     if feature is None or not feature.rbf:
-        print(f"unknown time feature {args.feature!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown time feature {args.feature!r}")
+    model, (_, _, label_vocab), _, columns = _model_and_data(args)
     if args.feature not in model.features:
-        print(f"model has no {args.feature} network", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.model}: model has no {args.feature} network")
     net = model.nets[args.feature]
-    with ad.compute_dtype(COMPUTE_DTYPE):
-        acts = net.forward(columns[feature.column]).data
+    acts = net.forward(columns[feature.column]).data
     mu = net.params[f"{net.prefix}.mu"].data
     sigma = net.params[f"{net.prefix}.sigma"].data
     lines = ["city\tbin_index\tmu\tsigma\tmean_weight\texcluded"]

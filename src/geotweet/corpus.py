@@ -124,13 +124,19 @@ class CategoryVocabulary:
         return cls(names, with_unk=bool(with_unk))
 
 
-def _read_vocab(path, tag, kind):
-    """The last header field and the entry lines of a vocabulary file."""
+def read_text_lines(path):
+    """The lines of a UTF-8 text file, each with its newline; a ValueError
+    naming the file if it is not UTF-8."""
     try:
         with open(path, encoding="utf-8") as f:
-            lines = [line.rstrip("\n") for line in f]
+            yield from f
     except UnicodeDecodeError:
         raise ValueError(f"{path}: not a UTF-8 text file") from None
+
+
+def _read_vocab(path, tag, kind):
+    """The last header field and the entry lines of a vocabulary file."""
+    lines = [line.rstrip("\n") for line in read_text_lines(path)]
     header = lines[0].split("\t") if lines else []
     if len(header) != 3 or header[0] != tag or not all(map(str.isdecimal, header[1:])):
         raise ValueError(f"{path}: line 1: not a {kind} vocabulary header")
@@ -291,16 +297,15 @@ def record_to_dict(record):
 def read_jsonl(path):
     """Load TweetRecords from a JSON-lines file; errors carry line numbers."""
     records = []
-    with open(path, encoding="utf-8") as f:
-        for i, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(record_from_dict(json.loads(line)))
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}: line {i}: malformed JSON: {e}") from None
-            except ValueError as e:
-                raise ValueError(f"{path}: line {i}: {e}") from None
+    for i, line in enumerate(read_text_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(record_from_dict(json.loads(line)))
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: line {i}: malformed JSON: {e}") from None
+        except ValueError as e:
+            raise ValueError(f"{path}: line {i}: {e}") from None
     if not records:
         raise ValueError(f"{path}: no records")
     return records

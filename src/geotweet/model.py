@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import functools
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -52,9 +52,9 @@ FEATURES = {
 MESSAGE_ONLY = "message-only"
 TWEET_USER = "tweet-user"
 
-# The dtype GeoModel builds its parameters in and runs forward, loss and
-# backward in. The engine's own default stays float64; checkpoints store
-# float64, which holds every float32 exactly.
+# The dtype of GeoModel's parameters, and so the dtype its forward, loss
+# and backward run in. The engine's own default stays float64; checkpoints
+# store float64, which holds every float32 exactly.
 COMPUTE_DTYPE = np.float32
 
 # rows per eval-mode forward in GeoModel.infer
@@ -98,6 +98,10 @@ class ModelConfig:
                 raise ValueError(f"{f.name} must be >= 1, got {size}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        for name in ("noise_sigma", "extrema_alpha"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         self.removed_features = tuple(self.removed_features)
         for f in self.removed_features:
             if f not in self.active_features(ignore_removed=True):
@@ -121,20 +125,10 @@ class ModelConfig:
         return cls(feature_set=MESSAGE_ONLY, **overrides)
 
 
-def _in_compute_dtype(method):
-    """Run ``method`` with the engine computing in COMPUTE_DTYPE."""
-    @functools.wraps(method)
-    def run(*args, **kwargs):
-        with ad.compute_dtype(COMPUTE_DTYPE):
-            return method(*args, **kwargs)
-    return run
-
-
 class GeoModel:
     """Assembles the active subnetworks and the fusion classifier; its
-    parameters and every node of its graphs are COMPUTE_DTYPE arrays."""
+    parameters, and so every node of its graphs, are COMPUTE_DTYPE arrays."""
 
-    @_in_compute_dtype
     def __init__(self, config, char_vocab_size, n_timezones, n_classes, rng):
         self.config = config
         self.char_vocab_size = char_vocab_size
@@ -155,8 +149,9 @@ class GeoModel:
         self.fusion = FusionClassifier(rng, sum(dims), config.penultimate_dim,
                                        n_classes)
         self.params.update(self.fusion.params)
+        for p in self.params.values():  # drawn in float64, rounded once
+            p.data = p.data.astype(COMPUTE_DTYPE)
 
-    @_in_compute_dtype
     def forward(self, batch, train=False, rng=None):
         """Returns (logits, r, attention) for the rows of a column table: the
         class logits, the penultimate layer and the text attention weights."""
@@ -179,6 +174,8 @@ class GeoModel:
         """(logits, r, attention) arrays of eval-mode forwards over the rows
         of a column table of at least one row, EVAL_BATCH_SIZE rows at a
         time; attention is None for a model without text."""
+        if not len(columns["label_id"]):
+            raise ValueError("infer: the column table has no rows")
         parts = []
         for batch in iter_batches(columns, EVAL_BATCH_SIZE):
             logits, r, attention = self.forward(batch, train=False)
@@ -188,7 +185,6 @@ class GeoModel:
         return (np.concatenate(logits), np.concatenate(r),
                 None if attention[0] is None else np.concatenate(attention))
 
-    @_in_compute_dtype
     def loss(self, batch, train=False, rng=None):
         logits, r, _ = self.forward(batch, train=train, rng=rng)
         total = ad.cross_entropy(logits, batch["label_id"])

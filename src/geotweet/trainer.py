@@ -4,6 +4,7 @@ the synthetic corpus generator used for desk-scale verification."""
 from __future__ import annotations
 
 import json
+import math
 import string
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -88,6 +89,9 @@ def train(model, train_columns, dev_columns, config, dev_unseen=0):
         raise ValueError("train and dev splits must be non-empty")
     if config.batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {config.batch_size}")
+    if not 0.0 < config.learning_rate < math.inf:
+        raise ValueError(f"learning_rate must be finite and > 0, "
+                         f"got {config.learning_rate}")
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(model.params, learning_rate=config.learning_rate)

@@ -43,6 +43,16 @@ def test_tanh_at_origin():
     np.testing.assert_allclose(x.grad, [1.0])
 
 
+def test_graph_runs_in_the_dtype_of_its_leaves():
+    assert Tensor([1, 2]).data.dtype == Tensor(True).data.dtype == np.float64
+    mu, sigma = (Tensor(np.full(3, v, np.float32), requires_grad=True)
+                 for v in (0.5, 0.25))
+    out = ad.tanh(ad.rbf(np.array([0.0, 1.0]), mu, sigma))  # float64 data
+    assert out.data.dtype == np.float32
+    tsum(out).backward()
+    assert mu.grad.dtype == sigma.grad.dtype == np.float32
+
+
 def test_shape_mismatch_reports_both_shapes():
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))

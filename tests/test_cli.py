@@ -134,6 +134,39 @@ def test_hist_reports_masses(pipeline, capsys):
     assert "mass_middle" in out and "mass_high_extreme" in out
 
 
+@pytest.fixture(scope="module")
+def run_without_text(pipeline, tmp_path_factory):
+    """A run directory whose model has neither text nor tweet_time."""
+    run = tmp_path_factory.mktemp("cli-no-text") / "run"
+    assert main(_train_argv(pipeline["data"], run) + [
+        "--remove-feature", "text", "--remove-feature", "tweet_time"]) == 0
+    return run
+
+
+@pytest.mark.parametrize("command, message", [
+    ("ablate --feature-set message-only",
+     "ablate requires --feature-set tweet-user"),
+    ("attn", "{run}: model has no text network"),
+    ("time-profile --feature text", "unknown time feature 'text'"),
+    ("time-profile --feature tweet_time",
+     "{run}: model has no tweet_time network"),
+])
+def test_refused_command_fails_with_one_error_line(
+        pipeline, run_without_text, tmp_path, capsys, command, message):
+    name, *flags = command.split()
+    if name == "ablate":
+        argv = ["ablate", *_train_argv(pipeline["data"], tmp_path / "out")[1:]]
+    else:
+        argv = [name, "--model", str(run_without_text),
+                "--data", str(pipeline["data"] / "test.jsonl"),
+                "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv + flags) == 1
+    message = message.format(run=run_without_text)
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_counts_an_unseen_city_as_wrong(pipeline, tmp_path, capsys):
     lines = (pipeline["data"] / "test.jsonl").read_text().splitlines(True)
     record = json.loads(lines[0])
@@ -326,6 +359,22 @@ def test_missing_file_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["eval --data", "train --train", "--config"])
+def test_non_utf8_file_fails_naming_it(pipeline, tmp_path, capsys, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff{}\n")
+    if flag == "eval --data":
+        argv = ["eval", "--model", str(pipeline["run"]), "--data", str(bad)]
+    elif flag == "train --train":
+        argv = _train_argv(pipeline["data"], tmp_path / "run", train=bad)
+    else:
+        argv = _train_argv(pipeline["data"], tmp_path / "run") + [
+            "--config", str(bad)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}: not a UTF-8 text file\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_malformed_jsonl_reports_line(pipeline, tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("{broken\n", encoding="utf-8")
@@ -458,6 +507,24 @@ def test_dropout_out_of_range_names_the_field(tmp_path, pipeline, capsys,
                  "--dropout", value]) == 1
     assert capsys.readouterr().err == (
         f"error: dropout must be in [0, 1), got {float(value)}\n")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--noise-sigma", "-0.5", "noise_sigma must be finite and >= 0, got -0.5"),
+    ("--noise-sigma", "inf", "noise_sigma must be finite and >= 0, got inf"),
+    ("--extrema-alpha", "nan", "extrema_alpha must be finite and >= 0, got nan"),
+    ("--learning-rate", "-0.001",
+     "learning_rate must be finite and > 0, got -0.001"),
+    ("--learning-rate", "0", "learning_rate must be finite and > 0, got 0.0"),
+    ("--learning-rate", "nan", "learning_rate must be finite and > 0, got nan"),
+])
+def test_bad_noise_penalty_or_learning_rate_names_the_field(
+        tmp_path, pipeline, capsys, flag, value, message):
+    out = tmp_path / "run"
+    argv = _train_argv(pipeline["data"], out) + ["--hashing", flag, value]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line, message", [

@@ -136,6 +136,16 @@ def test_infer_equals_one_eval_forward_per_batch(tiny_corpus, monkeypatch):
     assert no_text.infer(head(table, 3))[2] is None
 
 
+def test_infer_of_a_zero_row_table_names_the_fault(tiny_corpus):
+    cfg = synthetic_model_config()
+    model = GeoModel(cfg, len(tiny_corpus["char_vocab"]),
+                     len(tiny_corpus["tz_vocab"]),
+                     len(tiny_corpus["label_vocab"]), np.random.default_rng(2))
+    empty = head(encode_all(tiny_corpus["test"], tiny_corpus, cfg), 0)
+    with pytest.raises(ValueError, match="^infer: the column table has no rows$"):
+        model.infer(empty)
+
+
 @pytest.mark.parametrize("feat", list(FEATURES))
 def test_feature_table_entry(feat, tiny_corpus, monkeypatch):
     sizes = (len(tiny_corpus["char_vocab"]), len(tiny_corpus["tz_vocab"]))

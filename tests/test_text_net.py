@@ -284,13 +284,13 @@ class TestBilstmSequence:
             for dtype in (np.float64, np.float32):
                 for T, B in ((5, 3), (1, 1), (4, 2)):
                     for name, build, inputs, upstream in split_op_cases(T, B, T * B):
-                        with ad.compute_dtype(dtype):
-                            inputs = [ad.Tensor(t.data, requires_grad=True)
-                                      for t in inputs]
-                            threaded = run_split(build, inputs, upstream, 2,
-                                                 monkeypatch, threshold=0)
-                            serial = run_split(build, inputs, upstream, 1,
-                                               monkeypatch, threshold=0)
+                        inputs = [ad.Tensor(t.data.astype(dtype),
+                                            requires_grad=True) for t in inputs]
+                        upstream = upstream.astype(dtype)
+                        threaded = run_split(build, inputs, upstream, 2,
+                                             monkeypatch, threshold=0)
+                        serial = run_split(build, inputs, upstream, 1,
+                                           monkeypatch, threshold=0)
                         assert threaded[2] > 0 and serial[2] == 0, name
                         assert threaded[0].dtype == dtype, name
                         np.testing.assert_array_equal(threaded[0], serial[0], name)
@@ -351,14 +351,15 @@ class TestBilstmSequence:
             return out
 
         rng = np.random.default_rng(0)
-        with ad.compute_dtype(np.float32):
-            net = TextNetwork(rng, 30, E, O, P)
-            ids = net.char_vectors(rng.integers(0, 30, size=(B, T)))
-            hs = counted("bilstm_sequence", net.bilstm_contexts, ids)
-            g_seq = counted("context_projection", net.contextual_projection,
-                            ids, hs)
-            pooled = counted("window_max", net.windowed_max_pool, g_seq)
-            counted("attention_pool", net.attention_pool, pooled)
+        net = TextNetwork(rng, 30, E, O, P)
+        for p in net.params.values():
+            p.data = p.data.astype(np.float32)
+        ids = net.char_vectors(rng.integers(0, 30, size=(B, T)))
+        hs = counted("bilstm_sequence", net.bilstm_contexts, ids)
+        g_seq = counted("context_projection", net.contextual_projection,
+                        ids, hs)
+        pooled = counted("window_max", net.windowed_max_pool, g_seq)
+        counted("attention_pool", net.attention_pool, pooled)
         # the attention scores its spans, then pools them: two splits
         assert calls == {name: (name in threaded) * (1 + (name == "attention_pool"))
                          for name in calls}
