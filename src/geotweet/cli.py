@@ -35,9 +35,11 @@ VOCAB_FILES = {"char_vocab.txt": corpus_mod.CharVocabulary,
                "labels.txt": corpus_mod.CategoryVocabulary}
 RUN_CONFIG_FILE = "run_config.json"
 
-# ModelConfig's int fields and dropout: same-named flags, None when unset
-MODEL_FLAGS = {f.name: int for f in dataclasses.fields(ModelConfig)
-               if f.type == "int"} | {"dropout": float}
+# ModelConfig's int and float fields: same-named flags, None when unset
+MODEL_FLAGS = {f.name: {"int": int, "float": float}[f.type]
+               for f in dataclasses.fields(ModelConfig) if f.type in ("int", "float")}
+# the noise sigma and extrema alpha of --hashing, where the flag is not given
+HASHING_DEFAULT = 0.1
 # values a config file may give a store_true flag
 BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False,
               "1": True, "0": False}
@@ -106,8 +108,8 @@ def model_config_from_args(args):
     overrides = {key: getattr(args, key) for key in MODEL_FLAGS
                  if getattr(args, key) is not None}
     if args.hashing:
-        overrides.update(noise_sigma=args.noise_sigma,
-                         extrema_alpha=args.extrema_alpha)
+        for key in ("noise_sigma", "extrema_alpha"):
+            overrides.setdefault(key, HASHING_DEFAULT)
     return dataclasses.replace(
         base, feature_set=args.feature_set,
         removed_features=tuple(args.remove_feature or ()), **overrides)
@@ -124,41 +126,35 @@ def load_model_dir(model_dir):
     return model, meta, *vocabs
 
 
-def _model_and_data(args):
-    """--model's model and vocabularies, --data's records and column table."""
+def _model_and_data(args, scoring=False):
+    """--model's model and vocabularies, --data's records and column table.
+    A city that the run's labels lack is an error naming the record, unless
+    the command is ``scoring``, which counts it as wrong."""
     model, _, *vocabs = load_model_dir(args.model)
     records = corpus_mod.read_jsonl(args.data)
-    return model, vocabs, records, encode_records(
-        records, *vocabs, model.config, args.data,
-        Path(args.model) / "labels.txt")
-
-
-def _known(records, label_vocab):
-    """The records whose city ``label_vocab`` has, and how many others there
-    are: the model has no class for their city, so scoring counts them as
-    wrong."""
-    known = [r for r in records if r.city_label in label_vocab.name_to_id]
-    return known, len(records) - len(known)
+    columns = encode_records(records, *vocabs, model.config)
+    unseen = np.flatnonzero(columns["label_id"] == corpus_mod.UNSEEN_LABEL)
+    if len(unseen) and not scoring:
+        raise ValueError(f"{args.data}: record {unseen[0] + 1}: unknown category "
+                         f"{records[unseen[0]].city_label!r} "
+                         f"(not in {Path(args.model) / 'labels.txt'})")
+    return model, vocabs, records, columns
 
 
 def _training_splits(args, config):
-    """Vocabularies of the filtered train split, the train split's column
-    table, then the dev and test splits' tables, each with its count of records
-    whose city the train split lacks; test is (None, None) without --test."""
+    """Vocabularies of the filtered train split, then the column tables of
+    the train, dev and test splits; test is None without --test."""
     train_records = corpus_mod.filter_training(
         corpus_mod.read_jsonl(args.train))
     dev_records = corpus_mod.read_jsonl(args.dev)
     test_records = corpus_mod.read_jsonl(args.test) if args.test else None
     vocabs = corpus_mod.build_vocabularies(train_records, args.min_char_count)
 
-    def encode(records, data):
-        if records is None:
-            return None, None
-        known, unseen = _known(records, vocabs[2])
-        return encode_records(known, *vocabs, config, data), unseen
+    def encode(records):
+        return encode_records(records, *vocabs, config)
 
-    return (vocabs, encode_records(train_records, *vocabs, config, args.train),
-            encode(dev_records, args.dev), encode(test_records, args.test))
+    return (vocabs, encode(train_records), encode(dev_records),
+            encode(test_records) if args.test else None)
 
 
 def _write_report(args, report, filename):
@@ -208,23 +204,20 @@ def cmd_synth(args):
 
 def cmd_train(args):
     model_config = model_config_from_args(args)
-    vocabs, train_cols, (dev_cols, dev_unseen), (test_cols, test_unseen) = (
-        _training_splits(args, model_config))
+    vocabs, train_cols, dev_cols, test_cols = _training_splits(args, model_config)
     rng = np.random.default_rng(args.seed)
     model = GeoModel(model_config, *map(len, vocabs), rng)
     out = Path(args.out)
     try:
-        report = train(model, train_cols, dev_cols, _train_config(args),
-                       dev_unseen)
+        report = train(model, train_cols, dev_cols, _train_config(args))
     except TrainingStopped as e:
         # the report of the epochs before the stop, and no checkpoint
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(e.report.to_json(), encoding="utf-8")
         raise
     if args.test:
-        report.test_accuracy = evaluate_accuracy(model, test_cols,
-                                                 unseen=test_unseen)
-        report.test_unseen_labels = test_unseen
+        report.test_accuracy = evaluate_accuracy(model, test_cols)
+        report.test_unseen_labels = corpus_mod.unseen_labels(test_cols)
     out.mkdir(parents=True, exist_ok=True)
     for vocab, name in zip(vocabs, VOCAB_FILES):
         vocab.save(out / name)
@@ -235,11 +228,9 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    model, _, *vocabs = load_model_dir(args.model)
-    records = corpus_mod.read_jsonl(args.data)
-    known, unseen = _known(records, vocabs[2])
-    accuracy = evaluate_accuracy(
-        model, encode_records(known, *vocabs, model.config), unseen=unseen)
+    model, _, _, columns = _model_and_data(args, scoring=True)
+    accuracy = evaluate_accuracy(model, columns)
+    unseen = corpus_mod.unseen_labels(columns)
     _write_report(args, f"accuracy\t{accuracy:.6f}\nunseen_labels\t{unseen}\n",
                   "accuracy.txt")
     return 0
@@ -249,15 +240,13 @@ def cmd_ablate(args):
     base_config = model_config_from_args(args)
     if base_config.feature_set != TWEET_USER:
         raise ValueError(f"ablate requires --feature-set {TWEET_USER}")
-    vocabs, train_cols, (dev_cols, dev_unseen), (test_cols, test_unseen) = (
-        _training_splits(args, base_config))
+    vocabs, train_cols, dev_cols, test_cols = _training_splits(args, base_config)
 
     def build(cfg, seed):
         return GeoModel(cfg, *map(len, vocabs), np.random.default_rng(seed))
 
     baseline, deltas = ablate(build, train_cols, dev_cols, test_cols,
-                              base_config, _train_config(args),
-                              dev_unseen=dev_unseen, test_unseen=test_unseen)
+                              base_config, _train_config(args))
     lines = [f"all_features\t{baseline:.6f}\t-"]
     for feat, delta in deltas.items():
         lines.append(f"-{feat}\t{baseline + delta:.6f}\t{delta:+.6f}")
@@ -298,7 +287,7 @@ def cmd_time_profile(args):
     for label_id in sorted(set(columns["label_id"].tolist())):
         mask = columns["label_id"] == label_id
         means, excluded = bin_weight_profile(acts[mask])
-        city = id_to_label.get(label_id, str(label_id))
+        city = id_to_label[label_id]
         for b in range(len(mu)):
             lines.append(f"{city}\t{b}\t{mu[b]:.6f}\t{sigma[b]:.6f}"
                          f"\t{means[b]:.6f}\t{int(excluded[b])}")
@@ -359,8 +348,6 @@ def _add_model_flags(p):
         p.add_argument(f"--{key.replace('_', '-')}", type=type_, default=None)
     p.add_argument("--hashing", action="store_true",
                    help="train with noise and extrema loss for binarization")
-    p.add_argument("--noise-sigma", type=float, default=0.1)
-    p.add_argument("--extrema-alpha", type=float, default=0.1)
     p.add_argument("--remove-feature", action="append", default=None)
 
 

@@ -22,6 +22,10 @@ MISSING_OFFSET_VALUE = 0.5
 
 VOCAB_FORMAT_VERSION = 1
 
+# label_id of a city that the run's label vocabulary lacks. No logit has this
+# id, so scoring counts such a row as wrong, as the shared task does.
+UNSEEN_LABEL = -1
+
 # The encoded column table: one array per column, one row per record. The id
 # columns are (n, max_len); the others are (n,). ``encode_example`` gives one
 # record's value of each column.
@@ -88,31 +92,24 @@ class CharVocabulary:
 
 
 class CategoryVocabulary:
-    """Contiguous ids for category strings (timezones, city labels)."""
+    """Contiguous ids for category strings (timezones, city labels); any other
+    name, or None, gets ``unk_id``: one more id with UNK, else UNSEEN_LABEL."""
 
     def __init__(self, names, with_unk=True):
         uniq = sorted(set(names))
         self.name_to_id = {n: i for i, n in enumerate(uniq)}
-        self.unk_id = len(uniq) if with_unk else None
+        self.with_unk = with_unk
+        self.unk_id = len(uniq) if with_unk else UNSEEN_LABEL
 
     def __len__(self):
-        return len(self.name_to_id) + (1 if self.unk_id is not None else 0)
+        return len(self.name_to_id) + int(self.with_unk)
 
     def lookup(self, name):
-        if name is None:
-            if self.unk_id is None:
-                raise KeyError("missing category with no UNK id")
-            return self.unk_id
-        hit = self.name_to_id.get(name)
-        if hit is not None:
-            return hit
-        if self.unk_id is None:
-            raise KeyError(f"unknown category {name!r}")
-        return self.unk_id
+        return self.name_to_id.get(name, self.unk_id)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as f:
-            f.write(f"catvocab\t{VOCAB_FORMAT_VERSION}\t{int(self.unk_id is not None)}\n")
+            f.write(f"catvocab\t{VOCAB_FORMAT_VERSION}\t{int(self.with_unk)}\n")
             for n in sorted(self.name_to_id, key=self.name_to_id.get):
                 f.write(n + "\n")
 
@@ -213,27 +210,24 @@ def encode_example(record, char_vocab, timezone_vocab, label_vocab,
     }
 
 
-def encode_records(records, char_vocab, tz_vocab, label_vocab, config,
-                   data="records", labels="the label vocabulary"):
+def encode_records(records, char_vocab, tz_vocab, label_vocab, config):
     """The column table of ``records`` (see COLUMNS), encoded with the
     vocabularies and ``config``'s text and location lengths; a city that
-    ``label_vocab`` lacks is an error naming the ``data`` file, the record
-    and where the ``labels`` came from."""
-    rows = []
-    for i, r in enumerate(records, start=1):
-        try:
-            rows.append(encode_example(
-                r, char_vocab, tz_vocab, label_vocab, config.text_max_len,
-                config.loc_max_len))
-        except KeyError as e:
-            raise ValueError(f"{data}: record {i}: {e.args[0]} "
-                             f"(not in {labels})") from None
+    ``label_vocab`` lacks gets UNSEEN_LABEL."""
+    rows = [encode_example(r, char_vocab, tz_vocab, label_vocab,
+                           config.text_max_len, config.loc_max_len)
+            for r in records]
     # shaped, so that no records still give (0, max_len) id columns
     shapes = {"text_ids": (len(rows), config.text_max_len),
               "location_ids": (len(rows), config.loc_max_len)}
     return {name: np.array([row[name] for row in rows], dtype).reshape(
                 shapes.get(name, len(rows)))
             for name, dtype in COLUMNS.items()}
+
+
+def unseen_labels(columns):
+    """How many rows of a column table have a city the labels lacked."""
+    return int((columns["label_id"] == UNSEEN_LABEL).sum())
 
 
 def _field(obj, name, kind, types, default=None):

@@ -92,6 +92,8 @@ class LshModel:
     """Random-hyperplane hashing: bit_i = 1 iff hyperplane_i . x > 0."""
 
     def __init__(self, n_bits, dim, rng):
+        if n_bits < 1:
+            raise ValueError(f"n_bits must be >= 1, got {n_bits}")
         self.hyperplanes = rng.standard_normal((n_bits, dim))
 
     def encode(self, x):
@@ -134,6 +136,8 @@ def r_histogram(representations, bins):
     Returns (counts, edges, masses) where masses is the fraction of values
     in [-1, -0.9], (-0.9, 0.9) and [0.9, 1].
     """
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
     values = np.asarray(representations).reshape(-1)
     counts, edges = np.histogram(values, bins=bins, range=(-1.0, 1.0))
     n = max(1, values.size)
@@ -152,12 +156,16 @@ def extreme_fraction(representations, threshold=0.9):
 
 
 def _record(width):
-    """A ``.codes`` record: id, label, and the code packed MSB-first."""
+    """A ``.codes`` record: id, label, and the code packed MSB-first; the id
+    and label are unsigned, and read back as int64."""
     return np.dtype([("id", "<u8"), ("label", "<u8"), ("bits", "u1", ((width + 7) // 8,))])
 
 
 def save_codes(path, codes):
     """Header (magic, version, width, count), then one little-endian ``_record`` per code."""
+    for name, values in (("id", codes.ids), ("label", codes.labels)):
+        if (values < 0).any():
+            raise ValueError(f"{path}: cannot write the negative {name} {values.min()}")
     rows = np.empty(len(codes), dtype=_record(codes.width))
     rows["id"], rows["label"] = codes.ids, codes.labels
     rows["bits"] = np.packbits(codes.bits, axis=1)
@@ -178,6 +186,9 @@ def load_codes(path):
                              dtype=record)
         if f.read(1):
             raise ValueError(f"{path}: data after the last of {count} records")
+    for name in ("id", "label"):
+        if (rows[name] >= np.uint64(2**63)).any():  # negative as int64
+            raise ValueError(f"{path}: {name} {rows[name].max()} is out of range")
     ids, counts = np.unique(rows["id"], return_counts=True)
     if (counts > 1).any():
         raise ValueError(f"{path}: repeated id {ids[counts > 1][0]}")

@@ -87,5 +87,7 @@ class TextNetwork:
 
 def top_attended_spans(text, weights, window, k=3):
     """Top-k (start, substring, weight) spans for one example, by weight."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     order = np.argsort(-np.asarray(weights), kind="stable")[:k]
     return [(int(t), text[int(t):int(t) + window], float(weights[t])) for t in order]

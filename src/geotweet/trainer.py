@@ -12,7 +12,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .corpus import TweetRecord
+from .corpus import TweetRecord, unseen_labels
 from .fusion import predict_labels
 from .model import ModelConfig, iter_batches
 from .optim import Adam
@@ -58,44 +58,41 @@ class TrainingStopped(ValueError):
         self.report = report
 
 
-def evaluate_accuracy(model, columns, unseen=0):
+def evaluate_accuracy(model, columns):
     """Fraction of a column table's rows whose argmax prediction equals the
-    label; ``unseen`` more examples, whose labels the model has no class
-    for, count as wrong."""
+    label; a row of UNSEEN_LABEL, which no class has, counts as wrong."""
     labels = columns["label_id"]
-    n = len(labels) + unseen
-    if n == 0:
-        raise ValueError("cannot evaluate on an empty set")
     if not len(labels):
-        return 0.0
-    return int((predict_labels(model.infer(columns)[0]) == labels).sum()) / n
+        raise ValueError("cannot evaluate on an empty set")
+    correct = predict_labels(model.infer(columns)[0]) == labels
+    return int(correct.sum()) / len(labels)
 
 
 # numpy's overflow warnings would only repeat the non-finite check's error
 @np.errstate(all="ignore")
-def train(model, train_columns, dev_columns, config, dev_unseen=0):
+def train(model, train_columns, dev_columns, config):
     """Train on a column table for exactly config.epochs epochs with the
     epoch-revert rule.
 
-    After each epoch the model is scored on dev, where ``dev_unseen`` more
-    examples, whose labels the model has no class for, count as wrong; if
-    accuracy fell below the previously accepted epoch's, parameters and
-    optimizer moments are restored from the last accepted snapshot. A
-    non-finite loss or parameter gradient stops training with a
-    TrainingStopped error naming the epoch and batch.
+    After each epoch the model is scored on dev; if accuracy fell below the
+    previously accepted epoch's, parameters and optimizer moments are
+    restored from the last accepted snapshot. A non-finite loss or parameter
+    gradient stops training with a TrainingStopped error naming the epoch
+    and batch.
     """
     n = len(train_columns["label_id"])
-    if not n or not (len(dev_columns["label_id"]) or dev_unseen):
+    if not n or not len(dev_columns["label_id"]):
         raise ValueError("train and dev splits must be non-empty")
-    if config.batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {config.batch_size}")
+    for name in ("batch_size", "epochs"):
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(config, name)}")
     if not 0.0 < config.learning_rate < math.inf:
         raise ValueError(f"learning_rate must be finite and > 0, "
                          f"got {config.learning_rate}")
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(model.params, learning_rate=config.learning_rate)
-    report = TrainReport(dev_unseen_labels=dev_unseen)
+    report = TrainReport(dev_unseen_labels=unseen_labels(dev_columns))
     best_accuracy = -1.0
     best_params = None
     best_opt = None
@@ -119,7 +116,7 @@ def train(model, train_columns, dev_columns, config, dev_unseen=0):
                     raise stop(f"non-finite gradient of {name} {where}")
             optimizer.step()
             model.clamp()
-        accuracy = evaluate_accuracy(model, dev_columns, unseen=dev_unseen)
+        accuracy = evaluate_accuracy(model, dev_columns)
         report.dev_accuracy.append(accuracy)
         if accuracy < best_accuracy:
             model.load_param_arrays(best_params)
@@ -134,16 +131,13 @@ def train(model, train_columns, dev_columns, config, dev_unseen=0):
 
 
 def ablate(build_model, train_columns, dev_columns, test_columns,
-           model_config, train_config, features=None, dev_unseen=0,
-           test_unseen=0):
+           model_config, train_config, features=None):
     """Retrain once per removed feature on the column tables of the three
     splits; report accuracy deltas vs all features.
 
     ``build_model`` is a callable (ModelConfig, seed) -> GeoModel so the
     caller controls vocabulary sizes. Every run reuses the same seed.
     ``features`` restricts which features get ablated (default: all active).
-    ``dev_unseen`` and ``test_unseen`` more examples of each split, whose
-    labels the model has no class for, count as wrong.
     """
     if model_config.feature_set != "tweet-user":
         raise ValueError("ablation requires the tweet-user feature set")
@@ -156,8 +150,8 @@ def ablate(build_model, train_columns, dev_columns, test_columns,
 
     def run(cfg):
         model = build_model(cfg, train_config.seed)
-        train(model, train_columns, dev_columns, train_config, dev_unseen)
-        return evaluate_accuracy(model, test_columns, unseen=test_unseen)
+        train(model, train_columns, dev_columns, train_config)
+        return evaluate_accuracy(model, test_columns)
 
     baseline = run(model_config)
     deltas = {}
@@ -197,6 +191,11 @@ class SyntheticConfig:
     timezone_informative: bool = True
     text_informative: bool = False
     time_std_hours: float = 1.5
+
+    def __post_init__(self):
+        for name in ("n_cities", "n_train", "n_dev", "n_test"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def _random_token(rng, length=6):

@@ -527,6 +527,45 @@ def test_bad_noise_penalty_or_learning_rate_names_the_field(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, expected", [
+    (["--noise-sigma", "0.2"], (0.2, 0.0)),
+    (["--hashing"], (0.1, 0.1)),
+    (["--hashing", "--extrema-alpha", "0.3"], (0.1, 0.3)),
+])
+def test_noise_and_penalty_apply_with_or_without_hashing(tmp_path, pipeline,
+                                                         flags, expected):
+    out = tmp_path / "run"
+    assert main(_train_argv(pipeline["data"], out) + flags) == 0
+    config = json.loads((out / "model.gtpa.json").read_text())["config"]
+    assert (config["noise_sigma"], config["extrema_alpha"]) == expected
+
+
+@pytest.mark.parametrize("command, message", [
+    ("train --epochs 0", "epochs must be >= 1, got 0"),
+    ("train --epochs -2", "epochs must be >= 1, got -2"),
+    ("lsh --bits 0", "n_bits must be >= 1, got 0"),
+    ("attn --top-k -1", "k must be >= 1, got -1"),
+    ("synth --train-size -5", "n_train must be >= 1, got -5"),
+    ("synth --cities 0", "n_cities must be >= 1, got 0"),
+    ("hist --bins 0", "bins must be >= 1, got 0"),
+])
+def test_count_below_one_names_the_field(tmp_path, pipeline, capsys, command,
+                                         message):
+    name, *flags = command.split()
+    data, out = pipeline["data"], tmp_path / "out"
+    if name == "train":
+        argv = _train_argv(data, out)
+    elif name == "synth":
+        argv = ["synth", "--out", str(out)]
+    else:
+        argv = [name, "--model", str(pipeline["run"]),
+                "--data", str(data / "dev.jsonl"), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv + flags) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line, message", [
     ("epoch = 1", "unknown key 'epoch' for 'synth'"),
     ("informative-text = maybe",

@@ -2,6 +2,7 @@ import json
 import re
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -155,6 +156,18 @@ class TestEncodeExample:
             assert 0.0 <= value <= 1.0
 
 
+def test_city_outside_the_labels_is_unseen_in_the_table():
+    char = C.build_char_vocab(["hello world"], min_count=1)
+    tzs = C.CategoryVocabulary(["UTC"])
+    labels = C.CategoryVocabulary(["city-a", "city-b"], with_unk=False)
+    config = SimpleNamespace(text_max_len=10, loc_max_len=5)
+    records = [rec(label="city-b"), rec(label="nowhere"), rec(label="city-a"),
+               rec(label="")]
+    table = C.encode_records(records, char, tzs, labels, config)
+    assert table["label_id"].tolist() == [1, C.UNSEEN_LABEL, 0, C.UNSEEN_LABEL]
+    assert C.unseen_labels(table) == 2
+
+
 class TestCategoryVocab:
     def test_contiguous_from_zero(self):
         v = C.CategoryVocabulary(["b", "a", "c", "a"])
@@ -165,10 +178,10 @@ class TestCategoryVocab:
         v = C.CategoryVocabulary(["a"])
         assert v.lookup("zzz") == v.unk_id
 
-    def test_no_unk_raises_on_unknown(self):
+    def test_no_unk_gives_unseen_label(self):
         v = C.CategoryVocabulary(["a"], with_unk=False)
-        with pytest.raises(KeyError):
-            v.lookup("zzz")
+        assert v.lookup("zzz") == v.lookup(None) == C.UNSEEN_LABEL
+        assert len(v) == 1
 
     def test_save_load_roundtrip(self, tmp_path):
         v = C.CategoryVocabulary(["Pacific Time (US & Canada)", "UTC"])

@@ -262,6 +262,28 @@ class TestCodeFile:
         with pytest.raises(ValueError, match=f"{path}: repeated id 4"):
             H.load_codes(path)
 
+    @pytest.mark.parametrize("name", ["id", "label"])
+    def test_negative_id_or_label_is_not_written(self, tmp_path, name):
+        path = tmp_path / "codes.bin"
+        codes = code_set([[1], [0]], **{f"{name}s": [3, -1]})
+        with pytest.raises(ValueError,
+                           match=f"{path}: cannot write the negative {name} -1"):
+            H.save_codes(path, codes)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("name, offset", [("id", 20), ("label", 28)])
+    def test_id_or_label_past_int64_is_reported(self, tmp_path, name, offset):
+        # the top bit of a little-endian u8, which int64 would read as negative
+        path = tmp_path / "codes.bin"
+        H.save_codes(path, code_set([[1]], ids=[5], labels=[3]))
+        raw = bytearray(path.read_bytes())
+        raw[offset + 7] |= 0x80
+        path.write_bytes(bytes(raw))
+        value = 2**63 + {"id": 5, "label": 3}[name]
+        with pytest.raises(ValueError,
+                           match=f"{path}: {name} {value} is out of range"):
+            H.load_codes(path)
+
     def test_rejects_non_code_file(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"nope")

@@ -3,6 +3,7 @@ import pytest
 
 import geotweet.trainer as trainer_mod
 from geotweet import autodiff as ad
+from geotweet import corpus as C
 from geotweet.model import GeoModel
 from geotweet.trainer import (SyntheticConfig, TrainConfig, evaluate_accuracy,
                               generate_synthetic, synthetic_model_config,
@@ -44,6 +45,16 @@ class TestEvaluateAccuracy:
         arrays = tiny_encoded["test"]
         expected = (arrays["label_id"] == 0).mean()
         assert evaluate_accuracy(model, arrays) == pytest.approx(expected)
+
+    def test_unseen_rows_count_as_wrong(self, tiny_corpus, tiny_encoded):
+        model = build_model(tiny_corpus, tiny_encoded["config"], 0)
+        arrays = head(tiny_encoded["test"], 40)
+        predicted = model.infer(arrays)[0].argmax(axis=1)
+        unseen = np.arange(40) % 3 == 0
+        arrays["label_id"] = np.where(unseen, C.UNSEEN_LABEL, predicted)
+        arrays["label_id"][1] = (predicted[1] + 1) % len(tiny_corpus["label_vocab"])
+        # 26 known rows, 25 of them right, over all 40
+        assert evaluate_accuracy(model, arrays) == 25 / 40
 
     def test_empty_set_rejected(self, tiny_corpus, tiny_encoded):
         model = build_model(tiny_corpus, tiny_encoded["config"], 0)
