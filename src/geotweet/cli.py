@@ -3,7 +3,7 @@ and hashing into reproducible runs.
 
 Config precedence: command-line flags > config file (key = value lines) >
 defaults. Every artifact-producing subcommand writes its resolved config
-and seed alongside the outputs.
+alongside the outputs.
 """
 
 from __future__ import annotations
@@ -203,13 +203,14 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
+    config = _train_config(args)
     model_config = model_config_from_args(args)
     vocabs, train_cols, dev_cols, test_cols = _training_splits(args, model_config)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(config.seed)
     model = GeoModel(model_config, *map(len, vocabs), rng)
     out = Path(args.out)
     try:
-        report = train(model, train_cols, dev_cols, _train_config(args))
+        report = train(model, train_cols, dev_cols, config)
     except TrainingStopped as e:
         # the report of the epochs before the stop, and no checkpoint
         out.mkdir(parents=True, exist_ok=True)
@@ -238,8 +239,6 @@ def cmd_eval(args):
 
 def cmd_ablate(args):
     base_config = model_config_from_args(args)
-    if base_config.feature_set != TWEET_USER:
-        raise ValueError(f"ablate requires --feature-set {TWEET_USER}")
     vocabs, train_cols, dev_cols, test_cols = _training_splits(args, base_config)
 
     def build(cfg, seed):
@@ -303,6 +302,9 @@ def cmd_hash(args):
 def cmd_retrieve(args):
     test = hashing.load_codes(args.test_codes)
     dev = hashing.load_codes(args.dev_codes)
+    if test.width != dev.width:
+        raise ValueError(f"{args.test_codes} holds {test.width}-bit codes, "
+                         f"{args.dev_codes} {dev.width}-bit ones")
     mean_ap, excluded = hashing.map_from_codes(test, dev)
     _write_report(args, f"map\t{mean_ap:.6f}\n"
                         f"queries\t{len(test) - excluded}\n"
@@ -311,6 +313,8 @@ def cmd_retrieve(args):
 
 
 def cmd_lsh(args):
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     _, (char_vocab, tz_vocab, _), _, columns = _model_and_data(args)
     features = hashing.raw_feature_matrix(columns, len(char_vocab),
                                           len(tz_vocab))
@@ -340,8 +344,6 @@ def cmd_hist(args):
 
 
 def _add_model_flags(p):
-    p.add_argument("--feature-set", choices=["message-only", "tweet-user"],
-                   default="tweet-user")
     p.add_argument("--synthetic-scale", action="store_true",
                    help="use small hyper-parameters sized for synthetic data")
     for key, type_ in MODEL_FLAGS.items():
@@ -352,6 +354,7 @@ def _add_model_flags(p):
 
 
 def _add_train_flags(p):
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--batch-size", type=int, default=512)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--learning-rate", type=float, default=0.001)
@@ -368,7 +371,6 @@ def build_parser():
     def new(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=fn)
         return p
 
@@ -381,6 +383,7 @@ def build_parser():
 
     p = new("synth", cmd_synth, help="generate a synthetic labeled corpus")
     p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cities", type=int, default=20)
     p.add_argument("--train-size", type=int, default=10000)
     p.add_argument("--dev-size", type=int, default=1000)
@@ -395,6 +398,8 @@ def build_parser():
     p.add_argument("--dev", required=True)
     p.add_argument("--test")
     p.add_argument("--out", required=True)
+    p.add_argument("--feature-set", choices=[MESSAGE_ONLY, TWEET_USER],
+                   default=TWEET_USER)
     _add_model_flags(p)
     _add_train_flags(p)
 
@@ -406,6 +411,7 @@ def build_parser():
     p.add_argument("--dev", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(feature_set=TWEET_USER)
     _add_model_flags(p)
     _add_train_flags(p)
 
@@ -428,6 +434,7 @@ def build_parser():
 
     p = on_run("lsh", cmd_lsh, help="LSH baseline codes over raw input features")
     p.add_argument("--bits", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
     p = on_run("hist", cmd_hist, help="histogram of penultimate values")

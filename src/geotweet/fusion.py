@@ -11,18 +11,15 @@ from .init import glorot, zeros
 class FusionClassifier:
     """Concatenates feature vectors, optionally corrupts them, and classifies."""
 
-    def __init__(self, rng, input_dim, penultimate_dim, n_classes, prefix="fuse"):
+    def __init__(self, rng, input_dim, penultimate_dim, n_classes):
         self.input_dim = input_dim
-        self.penultimate_dim = penultimate_dim
-        self.n_classes = n_classes
-        self.prefix = prefix
         self.params = {
-            f"{prefix}.Wr": glorot(rng, (input_dim, penultimate_dim),
-                                   input_dim, penultimate_dim),
-            f"{prefix}.br": zeros((penultimate_dim,)),
-            f"{prefix}.Wout": glorot(rng, (penultimate_dim, n_classes),
-                                     penultimate_dim, n_classes),
-            f"{prefix}.bout": zeros((n_classes,)),
+            "fuse.Wr": glorot(rng, (input_dim, penultimate_dim),
+                              input_dim, penultimate_dim),
+            "fuse.br": zeros((penultimate_dim,)),
+            "fuse.Wout": glorot(rng, (penultimate_dim, n_classes),
+                                penultimate_dim, n_classes),
+            "fuse.bout": zeros((n_classes,)),
         }
 
     def fuse(self, features, noise_sigma=0.0, dropout_keep=1.0, train=False,
@@ -37,13 +34,12 @@ class FusionClassifier:
         return fused
 
     def penultimate(self, fused):
-        return ad.tanh(ad.add(ad.matmul(fused, self.params[f"{self.prefix}.Wr"]),
-                              self.params[f"{self.prefix}.br"]))
+        return ad.tanh(ad.add(ad.matmul(fused, self.params["fuse.Wr"]),
+                              self.params["fuse.br"]))
 
     def classify(self, r):
         """Class logits, batch x K."""
-        return ad.add(ad.matmul(r, self.params[f"{self.prefix}.Wout"]),
-                      self.params[f"{self.prefix}.bout"])
+        return ad.add(ad.matmul(r, self.params["fuse.Wout"]), self.params["fuse.bout"])
 
 
 def predict_labels(logits):

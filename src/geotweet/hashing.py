@@ -150,9 +150,9 @@ def r_histogram(representations, bins):
     return counts, edges, masses
 
 
-def extreme_fraction(representations, threshold=0.9):
+def extreme_fraction(representations):
     values = np.abs(np.asarray(representations).reshape(-1))
-    return float(np.count_nonzero(values >= threshold) / max(1, values.size))
+    return float(np.count_nonzero(values >= HIST_EXTREME_HI) / max(1, values.size))
 
 
 def _record(width):

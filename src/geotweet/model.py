@@ -37,7 +37,7 @@ def _rbf_feature(column, bins_field, prefix):
 FEATURES = {
     "text": Feature("text_ids", lambda cfg, n_chars, n_timezones, rng: (
         TextNetwork(rng, n_chars, cfg.text_emb_size, cfg.text_out_size,
-                    cfg.text_window, cfg.text_attn_size), cfg.text_out_size)),
+                    cfg.text_window), cfg.text_out_size)),
     "tweet_time": _rbf_feature("tweet_time", "time_bins", "time"),
     "utc_offset": _rbf_feature("utc_offset", "offset_bins", "offset"),
     "timezone": Feature("timezone_id", lambda cfg, n_chars, n_timezones, rng: (
@@ -75,7 +75,6 @@ class ModelConfig:
     text_emb_size: int = 200
     text_window: int = 10
     text_out_size: int = 400
-    text_attn_size: int | None = None
     time_bins: int = 50
     offset_bins: int = 50
     timezone_emb_size: int = 50
@@ -93,9 +92,8 @@ class ModelConfig:
         if self.feature_set not in (MESSAGE_ONLY, TWEET_USER):
             raise ValueError(f"unknown feature set {self.feature_set!r}")
         for f in fields(self):  # every int field is a size
-            size = getattr(self, f.name)
-            if f.type.startswith("int") and size is not None and size < 1:
-                raise ValueError(f"{f.name} must be >= 1, got {size}")
+            if f.type == "int" and getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         for name in ("noise_sigma", "extrema_alpha"):
@@ -242,7 +240,9 @@ def load_checkpoint(path):
             meta = json.load(f)
         if meta["meta_version"] != CHECKPOINT_META_VERSION:
             raise ValueError("unsupported checkpoint metadata version")
-        model = GeoModel(ModelConfig(**meta["config"]),
+        config = dict(meta["config"])
+        config.pop("text_attn_size", None)  # null in sidecars of older versions
+        model = GeoModel(ModelConfig(**config),
                          *(meta[key] for key in VOCAB_SIZES),
                          np.random.default_rng(0))  # weights loaded below
     except KeyError as e:

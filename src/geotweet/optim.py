@@ -4,17 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 class Adam:
-    """Bias-corrected Adam (Kingma & Ba defaults beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Bias-corrected Adam with Kingma & Ba's BETA1, BETA2 and EPSILON."""
 
-    def __init__(self, params, learning_rate=0.001, beta1=0.9, beta2=0.999,
-                 epsilon=1e-8):
+    def __init__(self, params, learning_rate=0.001):
         self.params = dict(params)
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self.first_moment = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.second_moment = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -23,19 +23,19 @@ class Adam:
         """Apply one update in place using accumulated grads, then zero them."""
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
             m = self.first_moment[name]
             v = self.second_moment[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.data -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
         self.zero_grad()
 
     def zero_grad(self):

@@ -15,7 +15,6 @@ class RbfNetwork:
     """One Gaussian responsiveness value per (mean, width) bin."""
 
     def __init__(self, bins, prefix):
-        self.bins = bins
         self.prefix = prefix
         # means at centers of equal subintervals of [0,1], widths 1/(2B)
         mu = (np.arange(bins) + 0.5) / bins
@@ -36,15 +35,15 @@ class RbfNetwork:
         np.maximum(sigma.data, SIGMA_FLOOR, out=sigma.data)
 
 
-def bin_weight_profile(activations, threshold=EXCLUSION_THRESHOLD):
+def bin_weight_profile(activations):
     """Per-bin mean weight with exclusion mask over a city's activations.
 
     ``activations`` is an (n, bins) array of RBF outputs for one city's
-    examples. Bins with mean weight strictly below the threshold are
+    examples. Bins with mean weight strictly below EXCLUSION_THRESHOLD are
     flagged excluded.
     """
     acts = np.asarray(activations, dtype=np.float64)
     if acts.size == 0:
         raise ValueError("bin_weight_profile: no examples for this city")
     means = acts.mean(axis=0)
-    return means, means < threshold
+    return means, means < EXCLUSION_THRESHOLD

@@ -27,28 +27,25 @@ def _lstm_params(rng, prefix, emb_size, hidden):
 class TextNetwork:
     """Produces one feature vector per tweet plus span attention weights."""
 
-    def __init__(self, rng, vocab_size, emb_size, out_size, window,
-                 attn_size=None, prefix="text"):
+    def __init__(self, rng, vocab_size, emb_size, out_size, window, attn_size=None):
         self.emb_size = emb_size
         self.hidden = emb_size  # contexts concatenate to 3E
         self.out_size = out_size
         self.window = window
         self.attn_size = attn_size if attn_size is not None else out_size
-        self.prefix = prefix
-        self.params = {f"{prefix}.emb": embedding_table(rng, vocab_size, emb_size)}
-        self.params.update(_lstm_params(rng, f"{prefix}.fwd", emb_size, self.hidden))
-        self.params.update(_lstm_params(rng, f"{prefix}.bwd", emb_size, self.hidden))
-        self.params[f"{prefix}.Wg"] = glorot(
-            rng, (3 * emb_size, out_size), 3 * emb_size, out_size)
-        self.params[f"{prefix}.bg"] = zeros((out_size,))
-        self.params[f"{prefix}.Wv"] = glorot(
-            rng, (out_size, self.attn_size), out_size, self.attn_size)
-        self.params[f"{prefix}.bv"] = zeros((self.attn_size,))
-        self.params[f"{prefix}.v"] = glorot(
-            rng, (self.attn_size, 1), self.attn_size, 1)
+        self.params = {
+            "text.emb": embedding_table(rng, vocab_size, emb_size),
+            **_lstm_params(rng, "text.fwd", emb_size, self.hidden),
+            **_lstm_params(rng, "text.bwd", emb_size, self.hidden),
+            "text.Wg": glorot(rng, (3 * emb_size, out_size), 3 * emb_size, out_size),
+            "text.bg": zeros((out_size,)),
+            "text.Wv": glorot(rng, (out_size, self.attn_size), out_size, self.attn_size),
+            "text.bv": zeros((self.attn_size,)),
+            "text.v": glorot(rng, (self.attn_size, 1), self.attn_size, 1),
+        }
 
     def _p(self, name):
-        return self.params[f"{self.prefix}.{name}"]
+        return self.params[f"text.{name}"]
 
     def char_vectors(self, text_ids):
         """The (T, batch) time-major char ids of a (batch, T) int array,

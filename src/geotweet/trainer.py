@@ -25,6 +25,14 @@ class TrainConfig:
     learning_rate: float = 0.001
     seed: int = 0
 
+    def __post_init__(self):
+        for name, bound in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
+            if getattr(self, name) < bound:
+                raise ValueError(f"{name} must be >= {bound}, got {getattr(self, name)}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, "
+                             f"got {self.learning_rate}")
+
 
 @dataclass
 class TrainReport:
@@ -83,12 +91,6 @@ def train(model, train_columns, dev_columns, config):
     n = len(train_columns["label_id"])
     if not n or not len(dev_columns["label_id"]):
         raise ValueError("train and dev splits must be non-empty")
-    for name in ("batch_size", "epochs"):
-        if getattr(config, name) < 1:
-            raise ValueError(f"{name} must be >= 1, got {getattr(config, name)}")
-    if not 0.0 < config.learning_rate < math.inf:
-        raise ValueError(f"learning_rate must be finite and > 0, "
-                         f"got {config.learning_rate}")
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(model.params, learning_rate=config.learning_rate)
@@ -133,7 +135,7 @@ def train(model, train_columns, dev_columns, config):
 def ablate(build_model, train_columns, dev_columns, test_columns,
            model_config, train_config, features=None):
     """Retrain once per removed feature on the column tables of the three
-    splits; report accuracy deltas vs all features.
+    splits; report accuracy deltas vs ``model_config``'s active features.
 
     ``build_model`` is a callable (ModelConfig, seed) -> GeoModel so the
     caller controls vocabulary sizes. Every run reuses the same seed.
@@ -156,7 +158,8 @@ def ablate(build_model, train_columns, dev_columns, test_columns,
     baseline = run(model_config)
     deltas = {}
     for feat in features:
-        cfg = replace(model_config, removed_features=(feat,))
+        cfg = replace(model_config,
+                      removed_features=(*model_config.removed_features, feat))
         deltas[feat] = run(cfg) - baseline
     return baseline, deltas
 
@@ -193,9 +196,10 @@ class SyntheticConfig:
     time_std_hours: float = 1.5
 
     def __post_init__(self):
-        for name in ("n_cities", "n_train", "n_dev", "n_test"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, bound in (("n_cities", 1), ("n_train", 1), ("n_dev", 1),
+                            ("n_test", 1), ("seed", 0)):
+            if getattr(self, name) < bound:
+                raise ValueError(f"{name} must be >= {bound}, got {getattr(self, name)}")
 
 
 def _random_token(rng, length=6):

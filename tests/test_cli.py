@@ -144,8 +144,6 @@ def run_without_text(pipeline, tmp_path_factory):
 
 
 @pytest.mark.parametrize("command, message", [
-    ("ablate --feature-set message-only",
-     "ablate requires --feature-set tweet-user"),
     ("attn", "{run}: model has no text network"),
     ("time-profile --feature text", "unknown time feature 'text'"),
     ("time-profile --feature tweet_time",
@@ -154,12 +152,9 @@ def run_without_text(pipeline, tmp_path_factory):
 def test_refused_command_fails_with_one_error_line(
         pipeline, run_without_text, tmp_path, capsys, command, message):
     name, *flags = command.split()
-    if name == "ablate":
-        argv = ["ablate", *_train_argv(pipeline["data"], tmp_path / "out")[1:]]
-    else:
-        argv = [name, "--model", str(run_without_text),
-                "--data", str(pipeline["data"] / "test.jsonl"),
-                "--out", str(tmp_path / "out")]
+    argv = [name, "--model", str(run_without_text),
+            "--data", str(pipeline["data"] / "test.jsonl"),
+            "--out", str(tmp_path / "out")]
     capsys.readouterr()
     assert main(argv + flags) == 1
     message = message.format(run=run_without_text)
@@ -548,6 +543,9 @@ def test_noise_and_penalty_apply_with_or_without_hashing(tmp_path, pipeline,
     ("synth --train-size -5", "n_train must be >= 1, got -5"),
     ("synth --cities 0", "n_cities must be >= 1, got 0"),
     ("hist --bins 0", "bins must be >= 1, got 0"),
+    ("synth --seed -1", "seed must be >= 0, got -1"),
+    ("train --seed -1", "seed must be >= 0, got -1"),
+    ("lsh --seed -1", "seed must be >= 0, got -1"),
 ])
 def test_count_below_one_names_the_field(tmp_path, pipeline, capsys, command,
                                          message):
@@ -564,6 +562,65 @@ def test_count_below_one_names_the_field(tmp_path, pipeline, capsys, command,
     assert main(argv + flags) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
+
+
+def _numeric_flags():
+    """(command, flag, dest) of every int or float flag of every subcommand."""
+    from geotweet.cli import build_parser
+    (commands,) = [a.choices for a in build_parser()._actions
+                   if a.dest == "command"]
+    return [(name, flag.option_strings[0], flag.dest)
+            for name, p in commands.items() for flag in p._actions
+            if flag.type in (int, float)]
+
+
+# the field an error names, where it is not the flag's dest
+FIELD_OF_DEST = {"cities": "n_cities", "train_size": "n_train",
+                 "dev_size": "n_dev", "test_size": "n_test",
+                 "min_char_count": "min_count", "top_k": "k", "bits": "n_bits"}
+
+
+# -1, nan and inf are out of range for every numeric flag, so no case starts
+# a run; 1e400 parses to inf, and 2**70 is in range for counts such as --epochs
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command, flag, dest", _numeric_flags())
+def test_out_of_range_numeric_flag_fails_naming_it(
+        pipeline, tmp_path, capsys, command, flag, dest, value):
+    data, out = pipeline["data"], tmp_path / "out"
+    if command in ("train", "ablate"):
+        argv = [command, *_train_argv(data, out)[1:]]
+    elif command == "synth":
+        argv = ["synth", "--out", str(out)]
+    else:
+        argv = [command, "--model", str(pipeline["run"]),
+                "--data", str(data / "dev.jsonl"), "--out", str(out)]
+    capsys.readouterr()
+    try:
+        code = main(argv + [flag, value])
+    except SystemExit as e:  # argparse's own refusal
+        code = e.code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    if code == 1:
+        field = FIELD_OF_DEST.get(dest, dest)
+        assert len(lines) == 1 and lines[0].startswith(f"error: {field} ")
+    else:
+        assert code == 2 and f"argument {flag}" in lines[-1]
+    assert not out.exists()
+
+
+def test_retrieve_of_codes_of_different_widths_names_both_files(tmp_path,
+                                                                capsys):
+    wide, narrow = tmp_path / "test.codes", tmp_path / "lsh.codes"
+    for path, width in ((wide, 64), (narrow, 16)):
+        H.save_codes(path, H.CodeSet(bits=np.zeros((2, width), dtype=np.uint8),
+                                     ids=np.arange(2),
+                                     labels=np.zeros(2, dtype=np.int64)))
+    assert main(["retrieve", "--test-codes", str(wide),
+                 "--dev-codes", str(narrow)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {wide} holds 64-bit codes, {narrow} 16-bit ones\n")
 
 
 @pytest.mark.parametrize("line, message", [

@@ -171,8 +171,7 @@ def test_feature_table_entry(feat, tiny_corpus, monkeypatch):
 
 
 @pytest.mark.parametrize("field", ["text_max_len", "text_emb_size",
-                                   "text_window", "text_attn_size",
-                                   "loc_span", "penultimate_dim",
+                                   "text_window", "loc_span", "penultimate_dim",
                                    "account_bins"])
 def test_sizes_must_be_positive(field):
     with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
@@ -229,6 +228,16 @@ def test_sidecar_not_matching_archive_names_both(checkpoint):
             f"{checkpoint} does not match {checkpoint}.json: checkpoint "
             "parameter")):
         load_checkpoint(checkpoint)
+
+
+def test_sidecar_with_a_null_text_attn_size_still_loads(checkpoint):
+    # sidecars written while ModelConfig had the field hold it as null
+    expected, _ = load_checkpoint(checkpoint)
+    _edit_sidecar(checkpoint, lambda m: m["config"].update(text_attn_size=None))
+    restored, _ = load_checkpoint(checkpoint)
+    assert restored.config == expected.config
+    for name, p in expected.params.items():
+        np.testing.assert_array_equal(restored.params[name].data, p.data)
 
 
 def test_non_utf8_tensor_name_is_a_missing_parameter(checkpoint):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,25 @@ def test_ablate_rejects_unknown_feature(tiny_corpus, tiny_encoded):
         ablate(build, tiny_encoded["train"], tiny_encoded["dev"],
                tiny_encoded["test"], tiny_encoded["config"],
                TrainConfig(epochs=1), features=["bogus"])
+
+
+def test_ablate_keeps_the_features_the_base_removes(tiny_corpus, tiny_encoded,
+                                                     monkeypatch):
+    from geotweet.trainer import ablate
+    configs = []
+
+    def build(cfg, seed):
+        configs.append(cfg)
+        return build_model(tiny_corpus, cfg, seed)
+
+    # only the configs of the runs matter here, so none of them trains
+    monkeypatch.setattr(trainer_mod, "train", lambda *args: None)
+    base = replace(tiny_encoded["config"], removed_features=("timezone",))
+    _, deltas = ablate(build, tiny_encoded["train"], tiny_encoded["dev"],
+                       tiny_encoded["test"], base, TrainConfig(epochs=1))
+    assert "timezone" not in deltas
+    assert [cfg.removed_features for cfg in configs] == [
+        ("timezone",), *(("timezone", feat) for feat in deltas)]
 
 
 def test_batch_size_must_be_positive(tiny_corpus, tiny_encoded):
