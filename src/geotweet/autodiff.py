@@ -379,25 +379,20 @@ def _check_lstm(E, Wx, Wh, b, op):
             f"{Wx.shape}, {Wh.shape}, {b.shape}")
 
 
-def _lstm_steps(T, reverse):
-    return range(T)[::-1] if reverse else range(T)
-
-
-def _lstm_forward(acts, Wh, reverse, hs):
+def _lstm_forward(acts, Wh, hs):
     """One LSTM direction from a zero state over the (T, batch, 4H) input
     pre-activations ``acts``, which it overwrites with the gate activations:
     writes the (T, batch, H) hidden states into ``hs`` and returns the cells
     that backward reads.
 
-    The 4H gate columns are input, forget, cell candidate, output. With
-    ``reverse`` the steps run from T-1 down to 0, so state t has read
-    positions t..T-1.
+    The 4H gate columns are input, forget, cell candidate, output. The steps
+    run from 0 to T-1; the reverse direction passes time-reversed views.
     """
     T, B, _ = acts.shape
     H = Wh.shape[0]
     cells = np.empty((T, B, H), dtype=acts.dtype)
     h = c = np.zeros((B, H), dtype=acts.dtype)
-    for t in _lstm_steps(T, reverse):
+    for t in range(T):
         z = acts[t]
         z += h @ Wh
         g = np.tanh(z[:, 2 * H:3 * H])
@@ -410,7 +405,7 @@ def _lstm_forward(acts, Wh, reverse, hs):
     return cells
 
 
-def _lstm_backward(grad_h, Wh, hs, acts, cells, reverse):
+def _lstm_backward(grad_h, Wh, hs, acts, cells):
     """BPTT of one ``_lstm_forward`` direction in one loop, then one GEMM
     for dWh: the (T, batch, 4H) pre-activation gradient and dWh.
 
@@ -419,16 +414,13 @@ def _lstm_backward(grad_h, Wh, hs, acts, cells, reverse):
     """
     T, B, _ = acts.shape
     H = Wh.shape[0]
-    steps = _lstm_steps(T, reverse)
     dz = np.empty_like(acts)
     Wh_T = Wh.T
     zero = np.zeros((B, H), dtype=acts.dtype)
     dh_next = dc_next = zero
-    for n in reversed(range(T)):
-        t = steps[n]
+    for t in reversed(range(T)):
         i, f, g, o = (acts[t, :, k * H:(k + 1) * H] for k in range(4))
-        # the step before t in reading order left c_prev; the first, zeros
-        c_prev = cells[steps[n - 1]] if n else zero
+        c_prev = cells[t - 1] if t else zero
         tanh_c = np.tanh(cells[t])
         dh = grad_h[t] + dh_next
         dc = dh * (o * (1.0 - tanh_c * tanh_c)) + dc_next
@@ -439,10 +431,8 @@ def _lstm_backward(grad_h, Wh, hs, acts, cells, reverse):
         np.multiply(tanh_c * o * (1.0 - o), dh, out=d[:, 3 * H:])
         dc_next = dc * f
         dh_next = d @ Wh_T
-    # each step at ``later`` starts from the state left at ``earlier``
-    later, earlier = ((slice(None, -1), slice(1, None)) if reverse
-                      else (slice(1, None), slice(None, -1)))
-    return dz, hs[earlier].reshape(-1, H).T @ dz[later].reshape(-1, 4 * H)
+    # each step after the first starts from the state its predecessor left
+    return dz, hs[:-1].reshape(-1, H).T @ dz[1:].reshape(-1, 4 * H)
 
 
 def bilstm_sequence(ids, table, fwd_weights, bwd_weights):
@@ -451,8 +441,10 @@ def bilstm_sequence(ids, table, fwd_weights, bwd_weights):
 
     ``fwd_weights`` and ``bwd_weights`` are (Wx, Wh, b) triples, of shapes
     (E, 4H), (H, 4H) and (4H,). Returns a (2, T, batch, H) tensor: the
-    forward states, then the reverse states, as ``_lstm_forward`` runs
-    them. Each direction projects each distinct id once, not every
+    forward states, then the reverse states. The reverse direction is the
+    same ``_lstm_forward`` run over time-reversed views of the ids and of
+    its states, so state t has read positions t..T-1, and no flipped copy
+    is made. Each direction projects each distinct id once, not every
     position, and takes its input gradients from one sum per id of its
     pre-activation gradient. The directions share only the input, so they
     are the two ``_halves`` of the op, in forward and in backward. The table
@@ -472,27 +464,32 @@ def bilstm_sequence(ids, table, fwd_weights, bwd_weights):
         raise ValueError(f"bilstm_sequence: ids of shape {ids.shape} are not "
                          f"(T, batch)")
     T, B = ids.shape
-    chars = _Lookup(ids, table)
+    # both directions in reading order; both pick the same ``present`` rows
+    chars = [_Lookup(ids, table), _Lookup(ids[::-1], table)]
     hs = np.empty((2, T, B, H), dtype=table.data.dtype)
+    states = [hs[0], hs[1, ::-1]]
     raw = [[w.data for w in ws] for ws in weights]
     work = T * B * 4 * H * H  # one direction's recurrent products
 
     def forward(d):
         Wx, Wh, b = raw[d]
-        acts = (chars.rows @ Wx + b)[chars.inv].reshape(T, B, 4 * H)
-        return acts, _lstm_forward(acts, Wh, d == 1, hs[d])
+        acts = (chars[d].rows @ Wx + b)[chars[d].inv].reshape(T, B, 4 * H)
+        return acts, _lstm_forward(acts, Wh, states[d])
 
     saved = _halves(forward, work)
 
     def backward(g):
+        grads = [g[0], g[1, ::-1]]
+
         def direction(d):
             Wx, Wh, _ = raw[d]
-            dz, dWh = _lstm_backward(g[d], Wh, hs[d], *saved[d], d == 1)
-            per_id = chars.sum_by_id(dz.reshape(T * B, 4 * H))
-            return per_id @ Wx.T, chars.rows.T @ per_id, dWh, per_id.sum(axis=0)
+            dz, dWh = _lstm_backward(grads[d], Wh, states[d], *saved[d])
+            per_id = chars[d].sum_by_id(dz.reshape(T * B, 4 * H))
+            return (per_id @ Wx.T, chars[d].rows.T @ per_id, dWh,
+                    per_id.sum(axis=0))
 
         (d_rows_f, *dw_f), (d_rows_b, *dw_b) = _halves(direction, work)
-        return (chars.scatter(d_rows_f + d_rows_b), *dw_f, *dw_b)
+        return (chars[0].scatter(d_rows_f + d_rows_b), *dw_f, *dw_b)
 
     return _make(hs, (table, *weights[0], *weights[1]), backward)
 

@@ -90,10 +90,10 @@ def _apply_config_file(parser, args, argv):
     return parser.parse_args(argv)
 
 
-def write_run_config(out_dir, args):
+def write_run_config(path, args):
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     resolved["format_version"] = FORMAT_VERSION
-    with open(Path(out_dir) / RUN_CONFIG_FILE, "w", encoding="utf-8") as f:
+    with open(path, "w", encoding="utf-8") as f:
         json.dump(resolved, f, indent=2, sort_keys=True, default=str)
         f.write("\n")
 
@@ -164,14 +164,16 @@ def _write_report(args, report, filename):
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / filename).write_text(report, encoding="utf-8")
-        write_run_config(out, args)
+        write_run_config(out / RUN_CONFIG_FILE, args)
 
 
 def _write_codes(args, codes, kind="codes"):
+    """Write the codes to --out and this command's run config next to them,
+    as <out>.json, so a run directory's own run_config.json stays."""
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     hashing.save_codes(out, codes)
-    write_run_config(out.parent, args)
+    write_run_config(f"{out}.json", args)
     print(f"wrote {len(codes)} {kind} of width {codes.width} to {out}")
     return 0
 
@@ -197,7 +199,7 @@ def cmd_synth(args):
     out.mkdir(parents=True, exist_ok=True)
     for name, records in zip(("train", "dev", "test"), splits):
         corpus_mod.write_jsonl(out / f"{name}.jsonl", records)
-    write_run_config(out, args)
+    write_run_config(out / RUN_CONFIG_FILE, args)
     print(f"wrote {'/'.join(str(len(r)) for r in splits)} records to {out}")
     return 0
 

@@ -14,11 +14,9 @@ class FusionClassifier:
     def __init__(self, rng, input_dim, penultimate_dim, n_classes):
         self.input_dim = input_dim
         self.params = {
-            "fuse.Wr": glorot(rng, (input_dim, penultimate_dim),
-                              input_dim, penultimate_dim),
+            "fuse.Wr": glorot(rng, (input_dim, penultimate_dim)),
             "fuse.br": zeros((penultimate_dim,)),
-            "fuse.Wout": glorot(rng, (penultimate_dim, n_classes),
-                                penultimate_dim, n_classes),
+            "fuse.Wout": glorot(rng, (penultimate_dim, n_classes)),
             "fuse.bout": zeros((n_classes,)),
         }
 

@@ -9,7 +9,8 @@ from .autodiff import Tensor
 EMBEDDING_SCALE = 0.1
 
 
-def glorot(rng, shape, fan_in, fan_out):
+def glorot(rng, shape):
+    fan_in, fan_out = shape
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-limit, limit, shape), requires_grad=True)
 

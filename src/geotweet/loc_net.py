@@ -18,8 +18,7 @@ class LocConvNetwork:
         self.out_size = out_size
         self.params = {
             "loc.emb": embedding_table(rng, vocab_size, emb_size),
-            "loc.Wg": glorot(rng, (span * emb_size, out_size),
-                             span * emb_size, out_size),
+            "loc.Wg": glorot(rng, (span * emb_size, out_size)),
             "loc.bg": zeros((out_size,)),
         }
 

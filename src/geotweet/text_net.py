@@ -15,8 +15,8 @@ from .init import embedding_table, glorot, zeros
 
 def _lstm_params(rng, prefix, emb_size, hidden):
     p = {
-        f"{prefix}.Wx": glorot(rng, (emb_size, 4 * hidden), emb_size, 4 * hidden),
-        f"{prefix}.Wh": glorot(rng, (hidden, 4 * hidden), hidden, 4 * hidden),
+        f"{prefix}.Wx": glorot(rng, (emb_size, 4 * hidden)),
+        f"{prefix}.Wh": glorot(rng, (hidden, 4 * hidden)),
         f"{prefix}.b": zeros((4 * hidden,)),
     }
     # forget-gate bias starts at 1.0
@@ -37,11 +37,11 @@ class TextNetwork:
             "text.emb": embedding_table(rng, vocab_size, emb_size),
             **_lstm_params(rng, "text.fwd", emb_size, self.hidden),
             **_lstm_params(rng, "text.bwd", emb_size, self.hidden),
-            "text.Wg": glorot(rng, (3 * emb_size, out_size), 3 * emb_size, out_size),
+            "text.Wg": glorot(rng, (3 * emb_size, out_size)),
             "text.bg": zeros((out_size,)),
-            "text.Wv": glorot(rng, (out_size, self.attn_size), out_size, self.attn_size),
+            "text.Wv": glorot(rng, (out_size, self.attn_size)),
             "text.bv": zeros((self.attn_size,)),
-            "text.v": glorot(rng, (self.attn_size, 1), self.attn_size, 1),
+            "text.v": glorot(rng, (self.attn_size, 1)),
         }
 
     def _p(self, name):

@@ -186,18 +186,22 @@ def amax(a, axis):
 
 def _x_lstm_forward(x, Wx, Wh, b, reverse, hs):
     """One LSTM direction over an embedded (T, batch, E) input: the input
-    projection of all steps is one GEMM, then the engine's recurrence."""
+    projection of all steps is one GEMM, then the engine's recurrence, which
+    runs ``reverse`` over time-reversed views."""
+    if reverse:
+        x, hs = x[::-1], hs[::-1]
     T, B, E = x.shape
     acts = (x.reshape(T * B, E) @ Wx + b).reshape(T, B, -1)
-    return acts, _lstm_forward(acts, Wh, reverse, hs)
+    return acts, _lstm_forward(acts, Wh, hs)
 
 
 def _x_lstm_backward(grad_h, x, Wx, Wh, hs, acts, cells, reverse):
     """The engine's BPTT of one ``_x_lstm_forward`` direction, then one GEMM
-    each for dx and dWx: (dx, dWx, dWh, db)."""
+    each for dx and dWx over the time-ordered dz: (dx, dWx, dWh, db)."""
     T, B, E = x.shape
-    dz, dWh = _lstm_backward(grad_h, Wh, hs, acts, cells, reverse)
-    dz2d = dz.reshape(T * B, -1)
+    steps = slice(None, None, -1 if reverse else 1)
+    dz, dWh = _lstm_backward(grad_h[steps], Wh, hs[steps], acts, cells)
+    dz2d = dz[steps].reshape(T * B, -1)
     return ((dz2d @ Wx.T).reshape(T, B, E), x.reshape(T * B, E).T @ dz2d,
             dWh, dz2d.sum(axis=0))
 

@@ -96,6 +96,22 @@ def test_lsh_codes_written(pipeline):
     assert codes.width == 32 and len(codes) == 60
 
 
+def test_codes_written_into_a_run_keep_its_run_config(pipeline, tmp_path):
+    # hash and lsh write their settings next to their codes, as <out>.json
+    run = tmp_path / "run"
+    shutil.copytree(pipeline["run"], run)
+    dev = str(pipeline["data"] / "dev.jsonl")
+    assert main(["hash", "--model", str(run), "--data", dev,
+                 "--out", str(run / "dev.codes")]) == 0
+    assert main(["lsh", "--model", str(run), "--data", dev, "--bits", "16",
+                 "--out", str(run / "lsh.codes")]) == 0
+    resolved = json.loads((run / "run_config.json").read_text())
+    assert (resolved["command"], resolved["seed"]) == ("train", 5)
+    for name, command in (("dev.codes", "hash"), ("lsh.codes", "lsh")):
+        resolved = json.loads((run / f"{name}.json").read_text())
+        assert resolved["command"] == command
+
+
 def test_attn_reports_spans(pipeline, capsys):
     assert main(["attn", "--model", str(pipeline["run"]),
                  "--data", str(pipeline["data"] / "test.jsonl"),

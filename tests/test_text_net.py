@@ -275,6 +275,39 @@ class TestBilstmSequence:
         for a, b in zip(got, want):
             assert_matches_oracle(a, b)
 
+    # the paper-scale case is a dev-eval batch: both directions go through
+    # the worker, forward and backward
+    @pytest.mark.parametrize("T,B,H,dtype,cpus", [
+        (7, 3, 5, np.float64, 1),
+        (40, 128, 16, np.float32, 1),
+        (300, 8, 200, np.float32, 2),
+    ])
+    def test_the_two_directions_are_one_recurrence(self, T, B, H, dtype, cpus,
+                                                   monkeypatch):
+        # the reverse direction runs the forward loop over time-reversed
+        # views, so reversed ids with the weights swapped swap the
+        # directions bit for bit, in states and in every gradient
+        ids, table, weights, upstream = bilstm_case(T, B, 8, H, seed=T)
+        table, *w = [ad.Tensor(t.data.astype(dtype), requires_grad=True)
+                     for t in (table, *weights[0], *weights[1])]
+        upstream = upstream.astype(dtype)
+
+        def run(ids, w, upstream):
+            return run_split(
+                lambda table, *w: ad.bilstm_sequence(ids, table, w[:3], w[3:]),
+                [table, *w], upstream, cpus, monkeypatch)
+
+        hs, grads, sent = run(ids, w, upstream)
+        hs_m, grads_m, sent_m = run(ids[::-1], w[3:] + w[:3],
+                                    np.stack([upstream[1, ::-1],
+                                              upstream[0, ::-1]]))
+        assert sent == sent_m == (2 if cpus == 2 else 0)
+        np.testing.assert_array_equal(hs_m, np.stack([hs[1, ::-1], hs[0, ::-1]]))
+        np.testing.assert_array_equal(grads_m[0], grads[0])
+        for a, b in zip(grads_m[1:], grads[4:] + grads[1:4]):
+            assert a.dtype == dtype
+            np.testing.assert_array_equal(a, b)
+
     def test_worker_and_serial_runs_are_identical(self, monkeypatch):
         # switch threads as often as the interpreter can, so that the two
         # halves writing one buffer interleave
