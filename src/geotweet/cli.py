@@ -20,8 +20,9 @@ from . import corpus as corpus_mod
 from . import hashing
 from .archive import FORMAT_VERSION
 from .corpus import encode_records
-from .model import (FEATURES, MESSAGE_ONLY, TWEET_USER, VOCAB_SIZES, GeoModel,
-                    ModelConfig, load_checkpoint, save_checkpoint)
+from .model import (FEATURES, MESSAGE_ONLY, MESSAGE_ONLY_REMOVED, TWEET_USER,
+                    VOCAB_SIZES, GeoModel, ModelConfig, load_checkpoint,
+                    save_checkpoint)
 from .rbf_net import bin_weight_profile
 from .text_net import top_attended_spans
 from .trainer import (SyntheticConfig, TrainConfig, TrainingStopped, ablate,
@@ -110,9 +111,9 @@ def model_config_from_args(args):
     if args.hashing:
         for key in ("noise_sigma", "extrema_alpha"):
             overrides.setdefault(key, HASHING_DEFAULT)
+    preset = MESSAGE_ONLY_REMOVED if args.feature_set == MESSAGE_ONLY else ()
     return dataclasses.replace(
-        base, feature_set=args.feature_set,
-        removed_features=tuple(args.remove_feature or ()), **overrides)
+        base, removed_features=(*preset, *(args.remove_feature or ())), **overrides)
 
 
 def load_model_dir(model_dir):
@@ -142,8 +143,13 @@ def _model_and_data(args, scoring=False):
 
 
 def _training_splits(args, config):
-    """Vocabularies of the filtered train split, then the column tables of
-    the train, dev and test splits; test is None without --test."""
+    """An --out that cannot be a directory is refused first; then vocabularies
+    of the filtered train split and column tables of the train, dev and test
+    splits, where test is None without --test."""
+    out = Path(args.out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"{existing}: exists and is not a directory")
     train_records = corpus_mod.filter_training(
         corpus_mod.read_jsonl(args.train))
     dev_records = corpus_mod.read_jsonl(args.dev)

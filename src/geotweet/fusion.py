@@ -24,11 +24,9 @@ class FusionClassifier:
              rng=None):
         """Concatenate features; in train mode add Gaussian noise then dropout."""
         fused = ad.concat(features, axis=1) if len(features) > 1 else features[0]
-        if train:
-            if noise_sigma > 0.0:
-                fused = ad.gaussian_noise(fused, noise_sigma, rng)
-            if dropout_keep < 1.0:
-                fused = ad.dropout(fused, dropout_keep, rng, train=True)
+        if train:  # each op returns its input at sigma 0 and at keep 1
+            fused = ad.dropout(ad.gaussian_noise(fused, noise_sigma, rng),
+                               dropout_keep, rng, train=True)
         return fused
 
     def penultimate(self, fused):

@@ -49,8 +49,10 @@ FEATURES = {
     "account_time": _rbf_feature("account_time", "account_bins", "account"),
 }
 
+# --feature-set values; message-only is a preset of removed features
 MESSAGE_ONLY = "message-only"
 TWEET_USER = "tweet-user"
+MESSAGE_ONLY_REMOVED = tuple(f for f in FEATURES if f != "text")
 
 # The dtype of GeoModel's parameters, and so the dtype its forward, loss
 # and backward run in. The engine's own default stays float64; checkpoints
@@ -69,7 +71,6 @@ VOCAB_SIZES = ("char_vocab_size", "n_timezones", "n_classes")
 class ModelConfig:
     """Hyper-parameters; defaults follow the tweet+user setting."""
 
-    feature_set: str = TWEET_USER
     removed_features: tuple = ()
     text_max_len: int = 300
     text_emb_size: int = 200
@@ -89,8 +90,6 @@ class ModelConfig:
     dropout: float = 0.2
 
     def __post_init__(self):
-        if self.feature_set not in (MESSAGE_ONLY, TWEET_USER):
-            raise ValueError(f"unknown feature set {self.feature_set!r}")
         for f in fields(self):  # every int field is a size
             if f.type == "int" and getattr(self, f.name) < 1:
                 raise ValueError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
@@ -102,8 +101,11 @@ class ModelConfig:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         self.removed_features = tuple(self.removed_features)
         for f in self.removed_features:
-            if f not in self.active_features(ignore_removed=True):
+            if f not in FEATURES or self.removed_features.count(f) > 1:
                 raise ValueError(f"cannot remove feature {f!r}: not in the model")
+        if not self.active_features():
+            raise ValueError("model has no active features: removed "
+                             + ", ".join(self.removed_features))
         for feat, span, length in (("text", "text_window", "text_max_len"),
                                    ("location", "loc_span", "loc_max_len")):
             if feat in self.active_features() and (
@@ -111,16 +113,14 @@ class ModelConfig:
                 raise ValueError(f"{span} {getattr(self, span)} is longer than "
                                  f"{length} {getattr(self, length)}")
 
-    def active_features(self, ignore_removed=False):
-        feats = tuple(FEATURES) if self.feature_set == TWEET_USER else ("text",)
-        if ignore_removed:
-            return feats
-        return tuple(f for f in feats if f not in self.removed_features)
+    def active_features(self):
+        return tuple(f for f in FEATURES if f not in self.removed_features)
 
     @classmethod
     def message_only_defaults(cls, **overrides):
         overrides.setdefault("text_out_size", 600)
-        return cls(feature_set=MESSAGE_ONLY, **overrides)
+        overrides.setdefault("removed_features", MESSAGE_ONLY_REMOVED)
+        return cls(**overrides)
 
 
 class GeoModel:
@@ -133,8 +133,6 @@ class GeoModel:
         self.n_timezones = n_timezones
         self.n_classes = n_classes
         self.features = config.active_features()
-        if not self.features:
-            raise ValueError("model has no active features")
         self.nets = {}
         self.params = {}
         dims = []
@@ -242,6 +240,11 @@ def load_checkpoint(path):
             raise ValueError("unsupported checkpoint metadata version")
         config = dict(meta["config"])
         config.pop("text_attn_size", None)  # null in sidecars of older versions
+        feature_set = config.pop("feature_set", TWEET_USER)  # older sidecars too
+        if feature_set == MESSAGE_ONLY:
+            config["removed_features"] = MESSAGE_ONLY_REMOVED
+        elif feature_set != TWEET_USER:
+            raise ValueError(f"unknown feature set {feature_set!r}")
         model = GeoModel(ModelConfig(**config),
                          *(meta[key] for key in VOCAB_SIZES),
                          np.random.default_rng(0))  # weights loaded below

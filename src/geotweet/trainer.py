@@ -140,15 +140,12 @@ def ablate(build_model, train_columns, dev_columns, test_columns,
     ``build_model`` is a callable (ModelConfig, seed) -> GeoModel so the
     caller controls vocabulary sizes. Every run reuses the same seed.
     ``features`` restricts which features get ablated (default: all active).
+    Every run's config is built, and so checked, before the baseline trains.
     """
-    if model_config.feature_set != "tweet-user":
-        raise ValueError("ablation requires the tweet-user feature set")
-    active = model_config.active_features()
     if features is None:
-        features = active
-    for feat in features:
-        if feat not in active:
-            raise ValueError(f"cannot ablate feature {feat!r}: not in the model")
+        features = model_config.active_features()
+    configs = {feat: replace(model_config, removed_features=(
+                   *model_config.removed_features, feat)) for feat in features}
 
     def run(cfg):
         model = build_model(cfg, train_config.seed)
@@ -156,12 +153,7 @@ def ablate(build_model, train_columns, dev_columns, test_columns,
         return evaluate_accuracy(model, test_columns)
 
     baseline = run(model_config)
-    deltas = {}
-    for feat in features:
-        cfg = replace(model_config,
-                      removed_features=(*model_config.removed_features, feat))
-        deltas[feat] = run(cfg) - baseline
-    return baseline, deltas
+    return baseline, {feat: run(cfg) - baseline for feat, cfg in configs.items()}
 
 
 def synthetic_model_config(**overrides):

@@ -725,3 +725,51 @@ def test_train_message_only_defaults(tmp_path, pipeline):
     cfg = model_config_from_args(args)
     assert (cfg.text_emb_size, cfg.text_window, cfg.text_out_size) == (200, 10, 600)
     assert cfg.active_features() == ("text",)
+
+
+def test_message_only_without_text_fails_before_reading_data(tmp_path, capsys):
+    missing, out = tmp_path / "missing.jsonl", tmp_path / "run"
+    assert main(["train", "--train", str(missing), "--dev", str(missing),
+                 "--out", str(out), "--feature-set", "message-only",
+                 "--remove-feature", "text"]) == 1
+    assert capsys.readouterr().err == (
+        "error: model has no active features: removed tweet_time, "
+        "utc_offset, timezone, location, account_time, text\n")
+    assert not out.exists()
+
+
+def test_ablate_leaving_no_feature_fails_before_its_baseline(
+        pipeline, tmp_path, capsys, monkeypatch):
+    import geotweet.trainer as trainer_mod
+
+    def refuse(*args):
+        pytest.fail("ablate trained a model")
+
+    monkeypatch.setattr(trainer_mod, "train", refuse)
+    out = tmp_path / "ablate"
+    argv = ["ablate", *_train_argv(pipeline["data"], out)[1:]]
+    for feat in ("tweet_time", "utc_offset", "timezone", "location",
+                 "account_time"):
+        argv += ["--remove-feature", feat]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: model has no active features: removed tweet_time, ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("below", ["", "run"])
+def test_out_under_a_file_fails_before_training(pipeline, tmp_path, capsys,
+                                                monkeypatch, command, below):
+    def refuse(*args):
+        pytest.fail(f"{command} started training")
+
+    monkeypatch.setattr("geotweet.cli.train", refuse)
+    monkeypatch.setattr("geotweet.cli.ablate", refuse)
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"not a run\n")
+    argv = [command, *_train_argv(pipeline["data"], afile / below)[1:]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {afile}: exists and is not a directory\n")
+    assert afile.read_bytes() == b"not a run\n"

@@ -34,9 +34,17 @@ def test_tweet_user_defaults_match_hyperparameter_table():
     assert cfg.penultimate_dim == 400 and cfg.dropout == 0.2
 
 
-def test_removed_feature_must_exist():
+@pytest.mark.parametrize("removed", [("bogus",), ("location", "location")])
+def test_removed_feature_must_exist(removed):
     with pytest.raises(ValueError, match="not in the model"):
-        ModelConfig(removed_features=("bogus",))
+        ModelConfig(removed_features=removed)
+
+
+def test_removing_every_feature_is_rejected_naming_them():
+    removed = (*model_mod.MESSAGE_ONLY_REMOVED, "text")
+    with pytest.raises(ValueError, match=re.escape(
+            "model has no active features: removed " + ", ".join(removed))):
+        ModelConfig(removed_features=removed)
 
 
 def test_feature_networks_share_no_parameters(tiny_corpus):
@@ -189,15 +197,19 @@ def test_window_longer_than_its_sequence_is_rejected_only_when_built():
     ModelConfig.message_only_defaults(loc_span=21)
 
 
+def _save_checkpoint(tiny_corpus, path, config):
+    model = GeoModel(config, len(tiny_corpus["char_vocab"]),
+                     len(tiny_corpus["tz_vocab"]),
+                     len(tiny_corpus["label_vocab"]), np.random.default_rng(1))
+    save_checkpoint(path, model)
+    return path
+
+
 @pytest.fixture
 def checkpoint(tiny_corpus, tmp_path):
     """Path of a saved synthetic-scale checkpoint."""
-    model = GeoModel(synthetic_model_config(), len(tiny_corpus["char_vocab"]),
-                     len(tiny_corpus["tz_vocab"]),
-                     len(tiny_corpus["label_vocab"]), np.random.default_rng(1))
-    path = str(tmp_path / "model.gtpa")
-    save_checkpoint(path, model)
-    return path
+    return _save_checkpoint(tiny_corpus, str(tmp_path / "model.gtpa"),
+                            synthetic_model_config())
 
 
 def _edit_sidecar(path, edit):
@@ -213,6 +225,8 @@ def _edit_sidecar(path, edit):
      "account_bins must be >= 1, got 0"),
     (lambda m: m.pop("n_classes"), "missing key 'n_classes'"),
     (lambda m: m.update(meta_version=7), "unsupported"),
+    (lambda m: m["config"].update(feature_set="bogus"),
+     "unknown feature set 'bogus'"),
 ])
 def test_bad_sidecar_is_reported_with_its_path(checkpoint, edit, fault):
     _edit_sidecar(checkpoint, edit)
@@ -236,6 +250,25 @@ def test_sidecar_with_a_null_text_attn_size_still_loads(checkpoint):
     _edit_sidecar(checkpoint, lambda m: m["config"].update(text_attn_size=None))
     restored, _ = load_checkpoint(checkpoint)
     assert restored.config == expected.config
+    for name, p in expected.params.items():
+        np.testing.assert_array_equal(restored.params[name].data, p.data)
+
+
+@pytest.mark.parametrize("removed, old_form", [
+    ((), {"feature_set": "tweet-user"}),
+    (model_mod.MESSAGE_ONLY_REMOVED,
+     {"feature_set": "message-only", "removed_features": []}),
+])
+def test_sidecar_naming_a_feature_set_still_loads(tiny_corpus, tmp_path,
+                                                  removed, old_form):
+    # sidecars written while ModelConfig had a feature_set field
+    path = _save_checkpoint(tiny_corpus, str(tmp_path / "model.gtpa"),
+                            synthetic_model_config(removed_features=removed))
+    expected, _ = load_checkpoint(path)
+    _edit_sidecar(path, lambda m: m["config"].update(old_form))
+    restored, _ = load_checkpoint(path)
+    assert restored.config == expected.config
+    assert restored.features == expected.features
     for name, p in expected.params.items():
         np.testing.assert_array_equal(restored.params[name].data, p.data)
 

@@ -239,6 +239,20 @@ def test_ablate_keeps_the_features_the_base_removes(tiny_corpus, tiny_encoded,
         ("timezone",), *(("timezone", feat) for feat in deltas)]
 
 
+def test_ablate_of_a_text_only_base_fails_before_its_baseline_trains(
+        tiny_corpus, tiny_encoded, monkeypatch):
+    from geotweet.model import MESSAGE_ONLY_REMOVED
+    from geotweet.trainer import ablate
+    calls = []
+    monkeypatch.setattr(trainer_mod, "train", lambda *args: calls.append(args))
+    base = replace(tiny_encoded["config"], removed_features=MESSAGE_ONLY_REMOVED)
+    with pytest.raises(ValueError, match="model has no active features"):
+        ablate(lambda cfg, seed: build_model(tiny_corpus, cfg, seed),
+               tiny_encoded["train"], tiny_encoded["dev"], tiny_encoded["test"],
+               base, TrainConfig(epochs=1))
+    assert calls == []
+
+
 def test_batch_size_must_be_positive(tiny_corpus, tiny_encoded):
     model = build_model(tiny_corpus, tiny_encoded["config"], 0)
     with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
