@@ -190,41 +190,23 @@ _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 
 
-def _new_worker():
-    """The executor that runs the second half of an op; its thread starts on
-    the first submit."""
-    global _worker
-    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="geotweet-half")
-
-
-_new_worker()
-if hasattr(os, "register_at_fork"):
-    # a forked child has no copy of the thread, and would wait on it forever
-    os.register_at_fork(after_in_child=_new_worker)
-
-
 def _halves(fn, work):
-    """[fn(0), fn(1)], with fn(1) on the worker thread while fn(0) runs here
-    when there is a second CPU and ``work`` reaches ``_THREADED_WORK``.
+    """[fn(0), fn(1)], with fn(1) on a thread of its own while fn(0) runs
+    here when there is a second CPU and ``work`` reaches ``_THREADED_WORK``.
 
     The two calls must write disjoint memory. Both always run, whatever the
     CPU count, so an op's result does not depend on where they ran. numpy
-    releases the interpreter lock inside its array loops and BLAS calls.
+    releases the interpreter lock inside its array loops and BLAS calls. The
+    thread ends before this returns, so none outlives an op or a fork.
     """
     if _CPUS < 2 or work < _THREADED_WORK:
         return [fn(0), fn(1)]
     errors = np.geterr()  # per thread: the worker takes the caller's
-
-    def second():
-        with np.errstate(**errors):
-            return fn(1)
-
-    future = _worker.submit(second)
-    try:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="geotweet-half",
+                            initializer=lambda: np.seterr(**errors)) as pool:
+        second = pool.submit(fn, 1)
         first = fn(0)
-    finally:
-        last = future.result()
-    return [first, last]
+    return [first, second.result()]
 
 
 def _half(h, n, unit=1):
@@ -573,8 +555,8 @@ def attention_pool(spans, Wv, bv, v):
     Span s of example b scores tanh(spans[s, b] @ Wv + bv) @ v, the scores
     of each example are softmaxed over its spans, and the result is the
     (batch, O) weighted mean. Also returns the (batch, S) weights, as a
-    Tensor outside the graph: no loss reads them. The products run in two
-    ``_halves`` of the S*batch rows, the mean in two halves of the batch.
+    Tensor outside the graph: no loss reads them. The softmax is per
+    example, so both passes run in two ``_halves`` of the batch.
     """
     spans, Wv, bv, v = (as_tensor(t) for t in (spans, Wv, bv, v))
     S, B, O = spans.shape
@@ -582,46 +564,39 @@ def attention_pool(spans, Wv, bv, v):
     if Wv.shape != (O, A) or v.shape != (A, 1):
         raise ValueError(f"attention_pool: spans {spans.shape} do not fit "
                          f"weights {Wv.shape}, {bv.shape}, {v.shape}")
-    flat = spans.data.reshape(S * B, O)
-    hidden = np.empty((S * B, A), dtype=flat.dtype)
-    scores = np.empty((S * B, 1), dtype=flat.dtype)
+    w = np.empty((S, B), dtype=spans.data.dtype)
+    pooled = np.empty((B, O), dtype=spans.data.dtype)
+    hiddens = np.empty(S * B * A, dtype=spans.data.dtype)  # a block of rows per half
     work = S * B * O * A
+    # reshapes take their widths from views: a batch of one has an empty half
 
-    def score(h):
-        rows = _half(h, S * B, B)
-        np.tanh(flat[rows] @ Wv.data + bv.data, out=hidden[rows])
-        np.matmul(hidden[rows], v.data, out=scores[rows])
-
-    _halves(score, work)
-    scores = scores.reshape(S, B)
-    e = np.exp(scores - scores.max(axis=0))
-    w = e / e.sum(axis=0)
-    pooled = np.empty((B, O), dtype=flat.dtype)
-
-    def pool(h):
+    def forward(h):
         cols = _half(h, B)
+        hidden = hiddens[S * A * cols.start:S * A * cols.stop].reshape(-1, A)
+        np.tanh(spans.data[:, cols].reshape(-1, O) @ Wv.data + bv.data, out=hidden)
+        scores = (hidden @ v.data).reshape(w[:, cols].shape)
+        e = np.exp(scores - scores.max(axis=0))
+        np.divide(e, e.sum(axis=0), out=w[:, cols])
         (w[:, cols, None] * spans.data[:, cols]).sum(axis=0, out=pooled[cols])
+        return hidden
 
-    _halves(pool, work)
+    halves = _halves(forward, work)
 
     def backward(g):
-        g_w = np.empty((S, B), dtype=g.dtype)
-
-        def weight_grad(h):
-            cols = _half(h, B)
-            (spans.data[:, cols] * g[cols]).sum(axis=2, out=g_w[:, cols])
-
-        _halves(weight_grad, work)
-        g_scores = ((g_w - (g_w * w).sum(axis=0)) * w).reshape(S * B, 1)
         g_spans = np.empty_like(spans.data)
 
         def half(h):
-            rows, part = _half(h, S * B, B), _half(h, S)  # the same spans
-            g_pre = (g_scores[rows] @ v.data.T) * (1.0 - hidden[rows] * hidden[rows])
-            np.matmul(g_pre, Wv.data.T, out=g_spans.reshape(S * B, O)[rows])
-            g_spans[part] += w[part, :, None] * g
-            return (flat[rows].T @ g_pre, g_pre.sum(axis=0),
-                    hidden[rows].T @ g_scores[rows])
+            cols = _half(h, B)
+            x, w_h, g_h, hidden = spans.data[:, cols], w[:, cols], g[cols], halves[h]
+            g_w = (x * g_h).sum(axis=2)
+            g_scores = ((g_w - (g_w * w_h).sum(axis=0)) * w_h).reshape(-1, 1)
+            g_pre = 1.0 - hidden * hidden
+            g_pre *= g_scores @ v.data.T
+            out = g_spans[:, cols]
+            np.multiply(w_h[:, :, None], g_h, out=out)
+            out += (g_pre @ Wv.data.T).reshape(out.shape)
+            return (x.reshape(-1, O).T @ g_pre, g_pre.sum(axis=0),
+                    hidden.T @ g_scores)
 
         first, second = _halves(half, work)
         return (g_spans, *(p0 + p1 for p0, p1 in zip(first, second)))

@@ -142,14 +142,22 @@ def _model_and_data(args, scoring=False):
     return model, vocabs, records, columns
 
 
-def _training_splits(args, config):
-    """An --out that cannot be a directory is refused first; then vocabularies
-    of the filtered train split and column tables of the train, dev and test
-    splits, where test is None without --test."""
+def _check_out(args):
+    """Refuse, before any input is read, an --out that is a directory for hash
+    and lsh, which write a file, a non-directory for the others, or below a file."""
     out = Path(args.out)
-    existing = next(p for p in (out, *out.parents) if p.exists())
+    file_out = args.func in (cmd_hash, cmd_lsh)
+    if file_out and out.is_dir():
+        raise ValueError(f"{out}: is a directory")
+    start = out.parent if file_out else out
+    existing = next(p for p in (start, *start.parents) if p.exists())
     if not existing.is_dir():
         raise ValueError(f"{existing}: exists and is not a directory")
+
+
+def _training_splits(args, config):
+    """Vocabularies of the filtered train split and column tables of the
+    train, dev and test splits, where test is None without --test."""
     train_records = corpus_mod.filter_training(
         corpus_mod.read_jsonl(args.train))
     dev_records = corpus_mod.read_jsonl(args.dev)
@@ -459,6 +467,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args = _apply_config_file(parser, args, argv)
+        if getattr(args, "out", None):
+            _check_out(args)
         return args.func(args)
     except (ValueError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)

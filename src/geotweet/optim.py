@@ -43,15 +43,17 @@ class Adam:
             p.grad = None
 
     def snapshot(self):
-        """Deep copy of optimizer state for the epoch-revert rule."""
+        """Copies of the parameters and the optimizer state, for the epoch revert."""
         return {
             "step_count": self.step_count,
+            "params": {k: p.data.copy() for k, p in self.params.items()},
             "first_moment": {k: m.copy() for k, m in self.first_moment.items()},
             "second_moment": {k: v.copy() for k, v in self.second_moment.items()},
         }
 
     def restore(self, snap):
         self.step_count = snap["step_count"]
-        for k in self.first_moment:
+        for k, p in self.params.items():
+            p.data[...] = snap["params"][k]
             self.first_moment[k][...] = snap["first_moment"][k]
             self.second_moment[k][...] = snap["second_moment"][k]

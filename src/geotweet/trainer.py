@@ -96,8 +96,7 @@ def train(model, train_columns, dev_columns, config):
     optimizer = Adam(model.params, learning_rate=config.learning_rate)
     report = TrainReport(dev_unseen_labels=unseen_labels(dev_columns))
     best_accuracy = -1.0
-    best_params = None
-    best_opt = None
+    best = None
 
     def stop(message):
         report.stopped = message
@@ -121,13 +120,11 @@ def train(model, train_columns, dev_columns, config):
         accuracy = evaluate_accuracy(model, dev_columns)
         report.dev_accuracy.append(accuracy)
         if accuracy < best_accuracy:
-            model.load_param_arrays(best_params)
-            optimizer.restore(best_opt)
+            optimizer.restore(best)
             report.revert_epochs.append(epoch)
         else:
             best_accuracy = accuracy
-            best_params = {k: v.copy() for k, v in model.param_arrays().items()}
-            best_opt = optimizer.snapshot()
+            best = optimizer.snapshot()
     report.wall_clock_seconds = time.perf_counter() - start
     return report
 

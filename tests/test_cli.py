@@ -324,12 +324,13 @@ def test_paper_scale_train_writes_the_same_model_on_one_cpu_and_two(tmp_path):
 
     def train(allowed):
         out = tmp_path / f"cpus-{len(allowed)}"
-        # the child counts the halves it sends to the worker thread
+        # the child counts the halves it sends to a worker thread
         child = (f"import os, sys; os.sched_setaffinity(0, {allowed!r}); "
                  "from geotweet import autodiff as ad; "
                  "from geotweet.cli import main; "
-                 "submit, sent = ad._worker.submit, []; "
-                 "ad._worker.submit = lambda *a: sent.append(1) or submit(*a); "
+                 "pool, sent = ad.ThreadPoolExecutor, []; "
+                 "ad.ThreadPoolExecutor = type('Counting', (pool,), {'submit': "
+                 "lambda self, *a: sent.append(1) or pool.submit(self, *a)}); "
                  "code = main(sys.argv[1:]); print(ad._CPUS, len(sent)); "
                  "sys.exit(code)")
         proc = subprocess.run(
@@ -773,3 +774,32 @@ def test_out_under_a_file_fails_before_training(pipeline, tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"error: {afile}: exists and is not a directory\n")
     assert afile.read_bytes() == b"not a run\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "attn", "time-profile", "retrieve",
+                                     "hist", "hash", "lsh"])
+def test_out_that_cannot_be_written_fails_before_any_input_is_read(
+        pipeline, tmp_path, capsys, command):
+    # hash and lsh write a file, which an existing directory cannot be; the
+    # others write a directory, which an existing file cannot be
+    if command in ("hash", "lsh"):
+        out = tmp_path / "adir"
+        out.mkdir()
+    else:
+        out = tmp_path / "afile"
+        out.write_bytes(b"not a run\n")
+    if command == "retrieve":
+        codes = tmp_path / "codes"
+        H.save_codes(codes, H.CodeSet(bits=np.eye(2, 8, dtype=np.uint8),
+                                      ids=np.arange(2),
+                                      labels=np.zeros(2, dtype=np.int64)))
+        argv = [command, "--test-codes", str(codes), "--dev-codes", str(codes)]
+    else:
+        argv = [command, "--model", str(pipeline["run"]),
+                "--data", str(pipeline["data"] / "test.jsonl")]
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {out}: ")
+    assert captured.err.count("\n") == 1
+    assert out.is_dir() == (command in ("hash", "lsh"))

@@ -4,6 +4,7 @@ import signal
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -226,21 +227,27 @@ def split_op_cases(T, B, seed):
     ]
 
 
+def count_threaded_halves(m):
+    """Make ``m`` count, in the list it returns, the halves that
+    ``autodiff._halves`` runs on a thread of its own."""
+    submitted = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    m.setattr(ad, "ThreadPoolExecutor", CountingPool)
+    return submitted
+
+
 def run_split(build, inputs, upstream, cpus, monkeypatch, threshold=None):
     """Output and input gradients of build(*inputs) with ``cpus`` CPUs (and
     ``threshold`` in place of the size threshold), and how many calls went
-    to the worker thread."""
-    submitted = []
-
-    class CountingWorker:
-        def submit(self, fn, *args):
-            submitted.append(fn)
-            return worker.submit(fn, *args)
-
-    worker = ad._worker
+    to a worker thread."""
     with monkeypatch.context() as m:
+        submitted = count_threaded_halves(m)
         m.setattr(ad, "_CPUS", cpus)
-        m.setattr(ad, "_worker", CountingWorker())
         if threshold is not None:
             m.setattr(ad, "_THREADED_WORK", threshold)
         out = build(*inputs)
@@ -315,7 +322,8 @@ class TestBilstmSequence:
         sys.setswitchinterval(1e-6)
         try:
             for dtype in (np.float64, np.float32):
-                for T, B in ((5, 3), (1, 1), (4, 2)):
+                # (4, 1): the first batch half is empty
+                for T, B in ((5, 3), (1, 1), (4, 2), (4, 1)):
                     for name, build, inputs, upstream in split_op_cases(T, B, T * B):
                         inputs = [ad.Tensor(t.data.astype(dtype),
                                             requires_grad=True) for t in inputs]
@@ -365,22 +373,19 @@ class TestBilstmSequence:
     def test_ops_use_the_worker_at_paper_scale_only(self, shape, threaded,
                                                     monkeypatch):
         T, B, E, O, P = shape
-        submitted = []
-
-        class CountingWorker:
-            def submit(self, fn, *args):
-                submitted.append(fn)
-                return worker.submit(fn, *args)
-
-        worker = ad._worker
+        submitted = count_threaded_halves(monkeypatch)
         monkeypatch.setattr(ad, "_CPUS", 2)
-        monkeypatch.setattr(ad, "_worker", CountingWorker())
         calls = {}
 
         def counted(name, layer, *args):
+            """The layer's output; records its threaded halves in the
+            forward and in its own backward rule."""
             before = len(submitted)
             out = layer(*args)
-            calls[name] = len(submitted) - before
+            node = out[0] if isinstance(out, tuple) else out
+            forward = len(submitted) - before
+            node._backward(np.ones_like(node.data))
+            calls[name] = (forward, len(submitted) - before - forward)
             return out
 
         rng = np.random.default_rng(0)
@@ -393,14 +398,35 @@ class TestBilstmSequence:
                         ids, hs)
         pooled = counted("window_max", net.windowed_max_pool, g_seq)
         counted("attention_pool", net.attention_pool, pooled)
-        # the attention scores its spans, then pools them: two splits
-        assert calls == {name: (name in threaded) * (1 + (name == "attention_pool"))
-                         for name in calls}
+        # one threaded call per op and pass
+        assert calls == {name: (name in threaded,) * 2 for name in calls}
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_no_worker_thread_outlives_a_call(self, fails, monkeypatch):
+        monkeypatch.setattr(ad, "_CPUS", 2)
+        ran = []
+
+        def half(h):
+            ran.append(threading.current_thread().name)
+            if fails and h == 0:
+                raise ValueError("first half")
+            return h
+
+        if fails:
+            with pytest.raises(ValueError, match="first half"):
+                ad._halves(half, ad._THREADED_WORK)
+        else:
+            assert ad._halves(half, ad._THREADED_WORK) == [0, 1]
+        # the second half ran on its own thread, which has ended
+        assert len(ran) == 2 and ran.count(threading.current_thread().name) == 1
+        assert not [t.name for t in threading.enumerate()
+                    if t.name.startswith("geotweet-half")]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_gets_its_own_worker(self, monkeypatch):
         monkeypatch.setattr(ad, "_CPUS", 2)
-        ad._halves(lambda h: h, ad._THREADED_WORK)  # the worker thread is up
+        ad._halves(lambda h: h, ad._THREADED_WORK)  # a threaded call first
         pid = os.fork()
         if pid == 0:
             code = 1
