@@ -3,22 +3,26 @@
 Values are numpy float arrays. A Tensor keeps the dtype of float data and
 turns any other data into float64, and every op computes in the dtype of
 its inputs, so a graph runs in the dtype of its leaves. Every op records a
-backward rule; calling ``backward`` on a scalar populates ``grad`` on every
-reachable tensor with ``requires_grad`` set. Gradients accumulate until
-zeroed. ``backward`` frees the graph as it goes, so each forward gets one
+backward rule that returns one gradient per parent; calling ``backward`` on
+a scalar populates ``grad`` on every reachable tensor with ``requires_grad``
+set. Gradients accumulate until zeroed. ``backward`` runs the graph newest
+first in creation order and frees it as it goes, so each forward gets one
 backward.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+_MADE = itertools.count()
+
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_made")
 
     def __init__(self, data, requires_grad=False):
         data = np.asarray(data)
@@ -27,6 +31,7 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._backward = None
+        self._made = next(_MADE)
 
     @property
     def shape(self):
@@ -46,42 +51,26 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.data.shape}")
-        topo = []
-        seen = set()
-        stack = [(self, False)]
+        order, stack = {}, [self]
         while stack:
-            node, done = stack.pop()
-            if done:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        grads = {id(self): np.ones_like(self.data)}
-        while topo:
-            node = topo.pop()
-            g = grads.pop(id(node), None)
-            if g is not None and node.requires_grad:
+            node = stack.pop()
+            if node._made not in order:
+                order[node._made] = node
+                stack.extend(node._parents)
+        # newest first is a topological order: a node is made after its parents
+        grads = {self._made: np.ones_like(self.data)}
+        for made in sorted(order, reverse=True):
+            node = order.pop(made)
+            g = grads.pop(made)
+            if node.requires_grad:
                 node._accumulate(g)
             rule, parents = node._backward, node._parents
             if rule is None:
                 continue
-            # free the graph as it goes: what a rule saved dies with it
+            # free the graph as it goes: a popped node dies with what its rule saved
             node._backward, node._parents = _freed, ()
-            if g is None:
-                continue
-            for parent, pg in zip(parents, rule(g)):
-                if pg is None:
-                    continue
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pg
-                else:
-                    grads[key] = pg
+            for p, pg in zip(parents, rule(g)):
+                grads[p._made] = grads[p._made] + pg if p._made in grads else pg
 
 
 def _freed(g):

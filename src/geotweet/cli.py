@@ -143,12 +143,13 @@ def _model_and_data(args, scoring=False):
 
 
 def _check_out(args):
-    """Refuse, before any input is read, an --out that is a directory for hash
-    and lsh, which write a file, a non-directory for the others, or below a file."""
+    """Refuse, before any input is read, a directory at hash's or lsh's --out
+    or <out>.json, a non-directory at another --out, or an --out below a file."""
     out = Path(args.out)
     file_out = args.func in (cmd_hash, cmd_lsh)
-    if file_out and out.is_dir():
-        raise ValueError(f"{out}: is a directory")
+    for path in (out, Path(f"{out}.json")) if file_out else ():
+        if path.is_dir():
+            raise ValueError(f"{path}: is a directory")
     start = out.parent if file_out else out
     existing = next(p for p in (start, *start.parents) if p.exists())
     if not existing.is_dir():

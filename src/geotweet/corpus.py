@@ -69,8 +69,11 @@ class CharVocabulary:
     def save(self, path):
         with open(path, "w", encoding="utf-8") as f:
             f.write(f"charvocab\t{VOCAB_FORMAT_VERSION}\t{self.min_count}\n")
-            for c in sorted(self.char_to_id, key=self.char_to_id.get):
-                f.write(f"U+{ord(c):04X}\t{self.counts[c]}\n")
+            f.writelines(line + "\n" for line in self._entry_lines())
+
+    def _entry_lines(self):
+        """The lines that ``save`` writes after the header, in id order."""
+        return [f"U+{ord(c):04X}\t{self.counts[c]}" for c in self.char_to_id]
 
     @classmethod
     def load(cls, path):
@@ -85,8 +88,8 @@ class CharVocabulary:
         except (ValueError, OverflowError):
             raise ValueError(f"{path}: line {i}: not 'U+<hex><tab><count>'") from None
         vocab = cls(counts, min_count)
-        # ids follow line order: a repeated, reordered or dropped line shifts them
-        if len(counts) != len(lines) or list(vocab.char_to_id) != list(counts):
+        # ids follow line order, and each line must read as save writes it
+        if vocab._entry_lines() != lines:
             raise ValueError(f"{path}: lines not unique, >= min_count, in id order")
         return vocab
 
@@ -230,12 +233,15 @@ def unseen_labels(columns):
     return int((columns["label_id"] == UNSEEN_LABEL).sum())
 
 
-def _field(obj, name, kind, types, default=None):
+def _field(obj, name, kind, types, default=None, one_line=False):
     """obj[name], or ``default`` when absent, if it is one of ``types``
-    (never a bool); else a ValueError naming the field."""
+    (never a bool) and, with ``one_line``, holds no line break: a vocabulary
+    file keeps such names one a line. Else a ValueError naming the field."""
     value = obj.get(name, default)
     if isinstance(value, bool) or not isinstance(value, types):
         raise ValueError(f"field {name!r} must be {kind}, got {json.dumps(value)}")
+    if one_line and value and ("\n" in value or "\r" in value):
+        raise ValueError(f"field {name!r} holds a line break")
     return value
 
 
@@ -268,11 +274,12 @@ def record_from_dict(obj):
         text=_field(obj, "text", "a string", str, ""),
         created_at=_timestamp(obj, "created_at"),
         utc_offset_seconds=offset,
-        timezone_name=_field(obj, "timezone", "a string or null", (str, type(None))),
+        timezone_name=_field(obj, "timezone", "a string or null", (str, type(None)),
+                             one_line=True),
         user_location=_field(obj, "user_location", "a string or null",
                              (str, type(None))) or "",
         account_created_at=_timestamp(obj, "account_created_at"),
-        city_label=_field(obj, "city_label", "a string", str, ""),
+        city_label=_field(obj, "city_label", "a string", str, "", one_line=True),
     )
 
 

@@ -13,13 +13,19 @@ def finite_difference_check(params, loss_fn, rel_tol=1e-4, h=1e-5,
 
     ``params`` is a name -> Tensor dict; loss_fn rebuilds the graph from the
     current parameter values and returns a scalar Tensor. When ``ops`` is a
-    set, the ops of the graph that is backpropagated are added to it.
+    set, the ops of the graph that is backpropagated are added to it. Every
+    rule of that graph must return one gradient per parent, in the parent's
+    shape and dtype.
     """
     for p in params.values():
         p.grad = None
     loss = loss_fn()
+    nodes = graph_nodes(loss)
     if ops is not None:
-        ops.update(op_counts(graph_nodes(loss)))
+        ops.update(op_counts(nodes))
+    for node in nodes:
+        if node._backward is not None:
+            node._backward = one_gradient_per_parent(node._backward, node._parents)
     loss.backward()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -46,6 +52,22 @@ def finite_difference_check(params, loss_fn, rel_tol=1e-4, h=1e-5,
     for p in params.values():
         p.grad = None
     return worst
+
+
+def one_gradient_per_parent(rule, parents):
+    """``rule``, asserting that it returns one gradient per parent, each in
+    its parent's shape and dtype: what ``Tensor.backward`` relies on."""
+    def checked(g):
+        grads = tuple(rule(g))
+        name = rule.__qualname__
+        assert len(grads) == len(parents), (
+            f"{name}: {len(grads)} gradients for {len(parents)} parents")
+        for i, (parent, pg) in enumerate(zip(parents, grads)):
+            assert (pg.shape, pg.dtype) == (parent.shape, parent.data.dtype), (
+                f"{name}: gradient {i} is {pg.shape} {pg.dtype}, its parent "
+                f"{parent.shape} {parent.data.dtype}")
+        return grads
+    return checked
 
 
 @pytest.fixture(scope="session")

@@ -123,6 +123,14 @@ def test_reused_node_gets_summed_gradient():
     np.testing.assert_allclose(x.grad, [6.0])
 
 
+def test_node_read_by_three_ops_gets_the_sum_of_their_gradients():
+    x = Tensor([1.5, -2.0], requires_grad=True)
+    y = mul(x, 3.0)
+    tsum(ad.add(ad.add(mul(y, 2.0), mul(y, y)), ad.tanh(y))).backward()
+    t = np.tanh(3.0 * x.data)
+    np.testing.assert_allclose(x.grad, 3.0 * (2.0 + 2 * 3.0 * x.data + 1.0 - t * t))
+
+
 class TestGradChecks:
     """Central finite differences for every op."""
 
@@ -210,6 +218,12 @@ def test_dropout_preserves_expectation():
     x = Tensor(np.ones(100_000))
     out = ad.dropout(x, 0.7, rng, train=True)
     assert abs(out.data.mean() - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("keep_prob", [0.0, -0.5, math.nan])
+def test_dropout_keep_prob_out_of_range_rejected(keep_prob):
+    with pytest.raises(ValueError, match=r"dropout: keep_prob must be in \(0,1\]"):
+        ad.dropout(Tensor(np.ones(3)), keep_prob, np.random.default_rng(0), train=True)
 
 
 def test_dropout_identity_at_eval():

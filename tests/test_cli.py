@@ -641,6 +641,7 @@ def test_retrieve_of_codes_of_different_widths_names_both_files(tmp_path,
 
 
 @pytest.mark.parametrize("line, message", [
+    ("epochs 1", "line 2: expected 'key = value'"),
     ("epoch = 1", "unknown key 'epoch' for 'synth'"),
     ("informative-text = maybe",
      "informative_text must be one of true/false/yes/no/1/0, got 'maybe'"),
@@ -803,3 +804,33 @@ def test_out_that_cannot_be_written_fails_before_any_input_is_read(
     assert captured.err.startswith(f"error: {out}: ")
     assert captured.err.count("\n") == 1
     assert out.is_dir() == (command in ("hash", "lsh"))
+
+
+@pytest.mark.parametrize("command", ["hash", "lsh"])
+def test_codes_out_whose_json_is_a_directory_fails_before_any_input_is_read(
+        pipeline, tmp_path, capsys, command):
+    out = tmp_path / "x"
+    (tmp_path / "x.json").mkdir()
+    argv = [command, "--model", str(pipeline["run"]),
+            "--data", str(pipeline["data"] / "test.jsonl"), "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {out}.json: is a directory\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, name", [("timezone", "Zone/a\nb"),
+                                         ("city_label", "city\r0")])
+def test_category_name_with_a_line_break_fails_before_training(
+        pipeline, tmp_path, capsys, field, name):
+    # a vocabulary file keeps one name a line, so such a name cannot be saved
+    first, *rest = (pipeline["data"] / "train.jsonl").read_text().splitlines(True)
+    bad = tmp_path / "train.jsonl"
+    bad.write_text(json.dumps({**json.loads(first), field: name}) + "\n"
+                   + "".join(rest), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(_train_argv(pipeline["data"], out, train=bad)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 1: field {field!r} holds a line break\n")
+    assert not out.exists()

@@ -216,6 +216,14 @@ class TestJsonl:
         with pytest.raises(ValueError, match="created_at"):
             C.read_jsonl(path)
 
+    def test_missing_timestamp_names_field(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        obj = {"text": "hello", "account_created_at": 0, "city_label": "x"}
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        message = f"{path}: line 1: missing field 'created_at'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            C.read_jsonl(path)
+
     def test_epoch_seconds_accepted(self, tmp_path):
         path = tmp_path / "data.jsonl"
         obj = {"text": "hello", "created_at": 1280424338,
@@ -252,6 +260,12 @@ def test_readme_data_format_example(tmp_path):
     ("charvocab\t1\t1\nU+0061\t2\nU+0061\t2\n", "unique"),
     ("charvocab\t1\t2\nU+0061\t2\nU+0062\t1\n", "min_count"),
     (b"charvocab\t1\t1\nU+0061\t\xff\n", "UTF-8"),
+    # forms that int() reads but save never writes
+    ("charvocab\t1\t1\nU+0x0020\t1196\n", "in id order"),
+    ("charvocab\t1\t1\nX+0020\t1196\n", "in id order"),
+    ("charvocab\t1\t1\nU+ 0020\t1196\n", "in id order"),
+    ("charvocab\t1\t1\nU+0020\t+1196\n", "in id order"),
+    ("charvocab\t1\t1\nU+0020\t 01196\n", "in id order"),
 ])
 def test_char_vocab_load_names_file_and_fault(tmp_path, content, fault):
     path = tmp_path / "vocab.txt"

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import signal
 import sys
 import threading
@@ -452,6 +453,14 @@ class TestBilstmSequence:
         with pytest.raises(ValueError, match="hidden sizes 4 and 2"):
             ad.bilstm_sequence(ids, table, weights[0], narrow)
 
+    def test_weights_must_fit_the_input_width(self):
+        ids, table, weights, _ = bilstm_case(2, 1, 3, 4, seed=0)
+        wide = [ad.Tensor(np.zeros(shape)) for shape in ((5, 16), (4, 16), (16,))]
+        with pytest.raises(ValueError, match=re.escape(
+                "bilstm_sequence: input width 3 does not fit weights "
+                "(5, 16), (4, 16), (16,)")):
+            ad.bilstm_sequence(ids, table, wide, weights[1])
+
 
 def graph_size(out):
     """Number of tensors reachable from ``out`` through the graph."""
@@ -710,6 +719,15 @@ class TestAttentionPool:
         lo = spans.min(axis=0)
         hi = spans.max(axis=0)
         assert (f.data >= lo - 1e-12).all() and (f.data <= hi + 1e-12).all()
+
+    @pytest.mark.parametrize("Wv_shape, v_shape", [((4, 3), (3, 1)),   # Wv rows are not O
+                                                   ((5, 3), (4, 1))])  # v rows are not A
+    def test_weights_must_fit_the_spans(self, Wv_shape, v_shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"attention_pool: spans (2, 1, 5) do not fit weights {Wv_shape}, "
+                f"(3,), {v_shape}")):
+            ad.attention_pool(np.zeros((2, 1, 5)), np.zeros(Wv_shape), np.zeros(3),
+                              np.zeros(v_shape))
 
 
 def test_full_network_gradient_check():
