@@ -17,6 +17,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 _MADE = itertools.count()
 
@@ -204,6 +205,15 @@ def _half(h, n, unit=1):
     return slice(0, cut) if h == 0 else slice(cut, n)
 
 
+def _to_first_max(x, y, g, out):
+    """Add ``g`` into ``out`` where each window of ``x`` first holds its max ``y``."""
+    unrouted = np.ones(y.shape, dtype=bool)
+    for k in range(len(x) - len(y) + 1):
+        hit = (x[k:k + len(y)] == y) & unrouted
+        out[k:k + len(y)] += g * hit
+        unrouted ^= hit
+
+
 def window_max(a, P):
     """Elementwise max over each length-``P`` window along axis 0: T-P+1 rows.
 
@@ -213,20 +223,15 @@ def window_max(a, P):
     axis 0, examples do not.
     """
     a = as_tensor(a)
-    T = a.shape[0]
+    T, batch = a.shape[:2]
     if not 1 <= P <= T:
         raise ValueError(f"pooling window {P} not in 1..{T} (the sequence length)")
-    spans = T - P + 1
-    batch = a.shape[1]
-    y = np.empty((spans, *a.shape[1:]), dtype=a.data.dtype)
-    work = y.size * P
+    y = np.empty((T - P + 1, *a.shape[1:]), dtype=a.data.dtype)
+    windows, work = sliding_window_view(a.data, P, axis=0), y.size * P
 
     def forward(h):
         cols = _half(h, batch)
-        x, out = a.data[:, cols], y[:, cols]
-        out[...] = x[:spans]
-        for k in range(1, P):
-            np.maximum(out, x[k:k + spans], out=out)
+        np.max(windows[:, cols], axis=-1, out=y[:, cols])
 
     _halves(forward, work)
 
@@ -235,12 +240,7 @@ def window_max(a, P):
 
         def route(h):
             cols = _half(h, batch)
-            x, y_h, g_h, out_h = a.data[:, cols], y[:, cols], g[:, cols], out[:, cols]
-            unrouted = np.ones(y_h.shape, dtype=bool)
-            for k in range(P):
-                hit = (x[k:k + spans] == y_h) & unrouted
-                out_h[k:k + spans] += g_h * hit
-                unrouted ^= hit
+            _to_first_max(a.data[:, cols], y[:, cols], g[:, cols], out[:, cols])
 
         _halves(route, work)
         return (out,)
@@ -275,13 +275,8 @@ def span_conv_max(x, W, b):
     top = pre.max(axis=0)
 
     def backward(g):
-        g_top = g * (top > 0)
-        first = pre == top  # every span at each maximum; the loop keeps the first
-        seen = first[0].copy()
-        for hit in first[1:]:
-            hit &= ~seen
-            seen |= hit
-        g_pre = (first * g_top).reshape(n, -1)
+        g_top, g_pre = g * (top > 0), np.zeros((n, W.shape[1]), pre.dtype)
+        _to_first_max(pre, top[None], g_top[None], g_pre.reshape(pre.shape))
         dx = np.zeros_like(flat)
         for r, w in zip(slabs, blocks):
             dx[r] += g_pre @ w.T

@@ -159,17 +159,15 @@ def _check_out(args):
 def _training_splits(args, config):
     """Vocabularies of the filtered train split and column tables of the
     train, dev and test splits, where test is None without --test."""
-    train_records = corpus_mod.filter_training(
-        corpus_mod.read_jsonl(args.train))
+    train_records = corpus_mod.filter_training(corpus_mod.read_jsonl(args.train))
+    if not train_records:
+        raise ValueError(f"{args.train}: no record has a text of at least "
+                         f"{corpus_mod.MIN_TRAIN_TEXT_CHARS} characters")
     dev_records = corpus_mod.read_jsonl(args.dev)
     test_records = corpus_mod.read_jsonl(args.test) if args.test else None
     vocabs = corpus_mod.build_vocabularies(train_records, args.min_char_count)
-
-    def encode(records):
-        return encode_records(records, *vocabs, config)
-
-    return (vocabs, encode(train_records), encode(dev_records),
-            encode(test_records) if args.test else None)
+    return (vocabs, *(None if r is None else encode_records(r, *vocabs, config)
+                      for r in (train_records, dev_records, test_records)))
 
 
 def _write_report(args, report, filename):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -234,14 +235,16 @@ def unseen_labels(columns):
 
 
 def _field(obj, name, kind, types, default=None, one_line=False):
-    """obj[name], or ``default`` when absent, if it is one of ``types``
-    (never a bool) and, with ``one_line``, holds no line break: a vocabulary
+    """obj[name], or ``default`` when absent, if one of ``types`` (never a
+    bool) and, with ``one_line``, UTF-8 text with no line break: a vocabulary
     file keeps such names one a line. Else a ValueError naming the field."""
     value = obj.get(name, default)
     if isinstance(value, bool) or not isinstance(value, types):
         raise ValueError(f"field {name!r} must be {kind}, got {json.dumps(value)}")
     if one_line and value and ("\n" in value or "\r" in value):
         raise ValueError(f"field {name!r} holds a line break")
+    if one_line and value and not value.isascii() and re.search("[\ud800-\udfff]", value):
+        raise ValueError(f"field {name!r} holds a lone surrogate")
     return value
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -63,6 +64,8 @@ COMPUTE_DTYPE = np.float32
 EVAL_BATCH_SIZE = 512
 
 CHECKPOINT_META_VERSION = 1
+# ModelConfig field types: the values each takes, never a bool, and their name
+_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
 # GeoModel attributes and checkpoint keys sized by the three vocabularies
 VOCAB_SIZES = ("char_vocab_size", "n_timezones", "n_classes")
 
@@ -91,8 +94,11 @@ class ModelConfig:
 
     def __post_init__(self):
         for f in fields(self):  # every int field is a size
-            if f.type == "int" and getattr(self, f.name) < 1:
-                raise ValueError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
+            value, kind = getattr(self, f.name), _KINDS.get(f.type)
+            if kind and (isinstance(value, bool) or not isinstance(value, kind[0])):
+                raise ValueError(f"{f.name} must be {kind[1]}, got {value!r}")
+            if f.type == "int" and value < 1:
+                raise ValueError(f"{f.name} must be >= 1, got {value}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         for name in ("noise_sigma", "extrema_alpha"):

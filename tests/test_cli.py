@@ -834,3 +834,55 @@ def test_category_name_with_a_line_break_fails_before_training(
     assert capsys.readouterr().err == (
         f"error: {bad}: line 1: field {field!r} holds a line break\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["timezone", "city_label"])
+def test_category_name_with_a_lone_surrogate_fails_before_training(
+        pipeline, tmp_path, capsys, field):
+    # a vocabulary file is UTF-8, which has no code for a lone surrogate
+    first, *rest = (pipeline["data"] / "train.jsonl").read_text().splitlines(True)
+    bad = tmp_path / "train.jsonl"
+    bad.write_text(json.dumps({**json.loads(first), field: "Zone/\ud800x"}) + "\n"
+                   + "".join(rest), encoding="utf-8")
+    assert "\\ud800" in bad.read_text()  # a JSON escape, as a file holds it
+    out = tmp_path / "run"
+    assert main(_train_argv(pipeline["data"], out, train=bad)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 1: field {field!r} holds a lone surrogate\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, fault", [
+    ("text_max_len", 40.0, "text_max_len must be an integer, got 40.0"),
+    ("loc_max_len", 12.5, "loc_max_len must be an integer, got 12.5"),
+    ("text_window", 5.0, "text_window must be an integer, got 5.0"),
+    ("text_max_len", True, "text_max_len must be an integer, got True"),
+    ("dropout", "0.2", "dropout must be a number, got '0.2'"),
+], ids=["float-size", "fraction-size", "float-window", "bool-size", "text-rate"])
+def test_sidecar_setting_of_the_wrong_type_fails_with_one_error_line(
+        pipeline, tmp_path, capsys, key, value, fault):
+    run = tmp_path / "run"
+    shutil.copytree(pipeline["run"], run)
+    sidecar = run / "model.gtpa.json"
+    meta = json.loads(sidecar.read_text())
+    meta["config"][key] = value
+    sidecar.write_text(json.dumps(meta))
+    assert main(["eval", "--model", str(run),
+                 "--data", str(pipeline["data"] / "test.jsonl")]) == 1
+    assert capsys.readouterr() == ("", f"error: {sidecar}: {fault}\n")
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_training_split_of_only_short_texts_names_its_file(
+        pipeline, tmp_path, capsys, command):
+    records = [json.loads(line) for line in
+               (pipeline["data"] / "train.jsonl").read_text().splitlines()]
+    short = tmp_path / "train.jsonl"
+    short.write_text("".join(json.dumps({**r, "text": r["text"][:4]}) + "\n"
+                             for r in records), encoding="utf-8")
+    out = tmp_path / "run"
+    argv = [command, *_train_argv(pipeline["data"], out, train=short)[1:]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {short}: no record has a text of at least 5 characters\n")
+    assert not out.exists()

@@ -186,6 +186,16 @@ def test_sizes_must_be_positive(field):
         ModelConfig(**{field: 0})
 
 
+def test_settings_take_numpy_numbers_but_no_bool():
+    cfg = ModelConfig(text_max_len=np.int64(40), text_window=np.int32(5),
+                      dropout=np.float32(0.25), noise_sigma=1)
+    assert (cfg.text_max_len, cfg.dropout, cfg.noise_sigma) == (40, 0.25, 1)
+    with pytest.raises(ValueError, match="loc_span must be an integer, got 3.0"):
+        ModelConfig(loc_span=3.0)
+    with pytest.raises(ValueError, match="noise_sigma must be a number, got False"):
+        ModelConfig(noise_sigma=False)
+
+
 def test_window_longer_than_its_sequence_is_rejected_only_when_built():
     with pytest.raises(ValueError, match="loc_span 21 is longer than loc_max_len 20"):
         ModelConfig(loc_span=21)
