@@ -347,9 +347,9 @@ def _check_lstm(E, Wx, Wh, b, op):
 
 def _lstm_forward(acts, Wh, hs):
     """One LSTM direction from a zero state over the (T, batch, 4H) input
-    pre-activations ``acts``, which it overwrites with the gate activations:
-    writes the (T, batch, H) hidden states into ``hs`` and returns the cells
-    that backward reads.
+    pre-activations ``acts``: writes the hidden states into ``hs``, overwrites
+    ``acts`` with the gate activations and returns the cells. The calling op
+    owns both, and its one backward writes its gradient over the gates.
 
     The 4H gate columns are input, forget, cell candidate, output. The steps
     run from 0 to T-1; the reverse direction passes time-reversed views.
@@ -375,12 +375,12 @@ def _lstm_backward(grad_h, Wh, hs, acts, cells):
     """BPTT of one ``_lstm_forward`` direction in one loop, then one GEMM
     for dWh: the (T, batch, 4H) pre-activation gradient and dWh.
 
-    The gate derivatives are formed one step at a time, so besides the
-    saved arrays only the pre-activation gradient is held.
+    Step t reads only its own gates, then writes its gradient over them in
+    ``acts``: a graph runs each rule once and frees itself, so none is reread.
     """
     T, B, _ = acts.shape
     H = Wh.shape[0]
-    dz = np.empty_like(acts)
+    dz = acts
     Wh_T = Wh.T
     zero = np.zeros((B, H), dtype=acts.dtype)
     dh_next = dc_next = zero
@@ -390,13 +390,13 @@ def _lstm_backward(grad_h, Wh, hs, acts, cells):
         tanh_c = np.tanh(cells[t])
         dh = grad_h[t] + dh_next
         dc = dh * (o * (1.0 - tanh_c * tanh_c)) + dc_next
-        d = dz[t]
-        np.multiply(g * i * (1.0 - i), dc, out=d[:, :H])
-        np.multiply(c_prev * f * (1.0 - f), dc, out=d[:, H:2 * H])
-        np.multiply(i * (1.0 - g * g), dc, out=d[:, 2 * H:3 * H])
-        np.multiply(tanh_c * o * (1.0 - o), dh, out=d[:, 3 * H:])
+        dg = i * (1.0 - g * g)
+        np.multiply(g * i * (1.0 - i), dc, out=i)
+        np.multiply(dg, dc, out=g)
         dc_next = dc * f
-        dh_next = d @ Wh_T
+        np.multiply(c_prev * f * (1.0 - f), dc, out=f)
+        np.multiply(tanh_c * o * (1.0 - o), dh, out=o)
+        dh_next = dz[t] @ Wh_T
     # each step after the first starts from the state its predecessor left
     return dz, hs[:-1].reshape(-1, H).T @ dz[1:].reshape(-1, 4 * H)
 

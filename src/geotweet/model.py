@@ -70,6 +70,14 @@ _KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a nu
 VOCAB_SIZES = ("char_vocab_size", "n_timezones", "n_classes")
 
 
+def _check_setting(name, value, kind):
+    """Raise unless ``value`` is of ``_KINDS[kind]``; an int is a size."""
+    if isinstance(value, bool) or not isinstance(value, _KINDS[kind][0]):
+        raise ValueError(f"{name} must be {_KINDS[kind][1]}, got {value!r}")
+    if kind == "int" and value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass
 class ModelConfig:
     """Hyper-parameters; defaults follow the tweet+user setting."""
@@ -93,18 +101,18 @@ class ModelConfig:
     dropout: float = 0.2
 
     def __post_init__(self):
-        for f in fields(self):  # every int field is a size
-            value, kind = getattr(self, f.name), _KINDS.get(f.type)
-            if kind and (isinstance(value, bool) or not isinstance(value, kind[0])):
-                raise ValueError(f"{f.name} must be {kind[1]}, got {value!r}")
-            if f.type == "int" and value < 1:
-                raise ValueError(f"{f.name} must be >= 1, got {value}")
+        for f in fields(self):
+            if f.type in _KINDS:
+                _check_setting(f.name, getattr(self, f.name), f.type)
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         for name in ("noise_sigma", "extrema_alpha"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if isinstance(self.removed_features, str):
+            raise ValueError("removed_features must be a list of feature "
+                             f"names, got {self.removed_features!r}")
         self.removed_features = tuple(self.removed_features)
         for f in self.removed_features:
             if f not in FEATURES or self.removed_features.count(f) > 1:
@@ -135,9 +143,9 @@ class GeoModel:
 
     def __init__(self, config, char_vocab_size, n_timezones, n_classes, rng):
         self.config = config
-        self.char_vocab_size = char_vocab_size
-        self.n_timezones = n_timezones
-        self.n_classes = n_classes
+        for key, size in zip(VOCAB_SIZES, (char_vocab_size, n_timezones, n_classes)):
+            _check_setting(key, size, "int")
+            setattr(self, key, size)
         self.features = config.active_features()
         self.nets = {}
         self.params = {}

@@ -872,6 +872,26 @@ def test_sidecar_setting_of_the_wrong_type_fails_with_one_error_line(
     assert capsys.readouterr() == ("", f"error: {sidecar}: {fault}\n")
 
 
+@pytest.mark.parametrize("in_config, key, value, fault", [
+    (False, "char_vocab_size", 29.0, "char_vocab_size must be an integer, got 29.0"),
+    (False, "n_classes", True, "n_classes must be an integer, got True"),
+    (False, "n_timezones", 0, "n_timezones must be >= 1, got 0"),
+    (True, "removed_features", "timezone",
+     "removed_features must be a list of feature names, got 'timezone'"),
+], ids=["float-vocab", "bool-vocab", "empty-vocab", "text-features"])
+def test_sidecar_vocabulary_size_or_feature_list_of_the_wrong_type_is_named(
+        pipeline, tmp_path, capsys, in_config, key, value, fault):
+    run = tmp_path / "run"
+    shutil.copytree(pipeline["run"], run)
+    sidecar = run / "model.gtpa.json"
+    meta = json.loads(sidecar.read_text())
+    (meta["config"] if in_config else meta)[key] = value
+    sidecar.write_text(json.dumps(meta))
+    assert main(["eval", "--model", str(run),
+                 "--data", str(pipeline["data"] / "test.jsonl")]) == 1
+    assert capsys.readouterr() == ("", f"error: {sidecar}: {fault}\n")
+
+
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_training_split_of_only_short_texts_names_its_file(
         pipeline, tmp_path, capsys, command):

@@ -196,6 +196,17 @@ def test_settings_take_numpy_numbers_but_no_bool():
         ModelConfig(noise_sigma=False)
 
 
+def test_vocabulary_sizes_take_numpy_integers_but_no_bool_or_zero():
+    cfg = synthetic_model_config()
+    model = GeoModel(cfg, np.int64(9), np.int32(4), 3, np.random.default_rng(0))
+    assert (model.char_vocab_size, model.n_timezones, model.n_classes) == (9, 4, 3)
+    for sizes, fault in (((9, 4, True), "n_classes must be an integer, got True"),
+                         ((9.0, 4, 3), "char_vocab_size must be an integer, got 9.0"),
+                         ((9, 0, 3), "n_timezones must be >= 1, got 0")):
+        with pytest.raises(ValueError, match=re.escape(fault)):
+            GeoModel(cfg, *sizes, np.random.default_rng(0))
+
+
 def test_window_longer_than_its_sequence_is_rejected_only_when_built():
     with pytest.raises(ValueError, match="loc_span 21 is longer than loc_max_len 20"):
         ModelConfig(loc_span=21)

@@ -5,6 +5,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -315,6 +316,29 @@ class TestBilstmSequence:
         for a, b in zip(grads_m[1:], grads[4:] + grads[1:4]):
             assert a.dtype == dtype
             np.testing.assert_array_equal(a, b)
+
+    # a serial float32 case, then one whose directions run on two threads
+    @pytest.mark.parametrize("T,B,H,cpus", [(50, 16, 32, 1), (40, 32, 128, 2)])
+    def test_backward_writes_its_gradient_over_the_gates(self, T, B, H, cpus,
+                                                         monkeypatch):
+        # each step's pre-activation gradient takes the place of the gates
+        # it has read, so the rule allocates no (T, batch, 4H) array
+        monkeypatch.setattr(ad, "_CPUS", cpus)
+        ids, table, weights, upstream = bilstm_case(T, B, 8, H, seed=T)
+        table, *w = [ad.Tensor(t.data.astype(np.float32), requires_grad=True)
+                     for t in (table, *weights[0], *weights[1])]
+        hs = ad.bilstm_sequence(ids, table, w[:3], w[3:])
+        upstream = upstream.astype(np.float32)
+        gates = T * B * 4 * H * np.dtype(np.float32).itemsize
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            grads = hs._backward(upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grads) == 7
+        assert peak - start < gates, f"{(peak - start) / gates:.2f} gate arrays"
 
     def test_worker_and_serial_runs_are_identical(self, monkeypatch):
         # switch threads as often as the interpreter can, so that the two
