@@ -170,8 +170,8 @@ def rbf(u, mu, sigma):
 
 # Work, in multiply-adds or comparisons, from which an op runs its two
 # halves on two threads. Measured on 2 vCPUs in float32: every text op at
-# paper scale and batch 32 (37 M for window_max, 1.5 G for the others) ran
-# 1.1-1.9x faster threaded, forward and backward, while at synthetic scale
+# paper scale and batch 32 (37 M for window_max's routing, 1.5 G for the
+# others) ran 1.1-1.9x faster threaded, while at synthetic scale
 # the bi-LSTM's threads mostly traded the interpreter lock over small
 # arrays and its batch-128 step (5.2 M) ran 2x slower. The largest
 # synthetic op, 21 M at batch 512, stays below.
@@ -199,9 +199,9 @@ def _halves(fn, work):
     return [first, second.result()]
 
 
-def _half(h, n, unit=1):
-    """Half ``h`` of range(n) as a slice, cut at a multiple of ``unit``."""
-    cut = n // unit // 2 * unit
+def _half(h, n):
+    """Half ``h`` of range(n) as a slice."""
+    cut = n // 2
     return slice(0, cut) if h == 0 else slice(cut, n)
 
 
@@ -218,22 +218,16 @@ def window_max(a, P):
     """Elementwise max over each length-``P`` window along axis 0: T-P+1 rows.
 
     The gradient of each output goes to the first maximum in its window.
-    With ``P`` equal to the length it is a max-reduce over axis 0. Both
-    passes run in two halves of the batch axis 1: windows overlap along
-    axis 0, examples do not.
+    With ``P`` equal to the length it is a max-reduce over axis 0. The
+    forward is one max over a sliding-window view. The backward routes in
+    two ``_halves`` of the batch axis 1: windows overlap along axis 0,
+    examples do not.
     """
     a = as_tensor(a)
     T, batch = a.shape[:2]
     if not 1 <= P <= T:
         raise ValueError(f"pooling window {P} not in 1..{T} (the sequence length)")
-    y = np.empty((T - P + 1, *a.shape[1:]), dtype=a.data.dtype)
-    windows, work = sliding_window_view(a.data, P, axis=0), y.size * P
-
-    def forward(h):
-        cols = _half(h, batch)
-        np.max(windows[:, cols], axis=-1, out=y[:, cols])
-
-    _halves(forward, work)
+    y = sliding_window_view(a.data, P, axis=0).max(axis=-1)
 
     def backward(g):
         out = np.zeros_like(a.data)
@@ -242,7 +236,7 @@ def window_max(a, P):
             cols = _half(h, batch)
             _to_first_max(a.data[:, cols], y[:, cols], g[:, cols], out[:, cols])
 
-        _halves(route, work)
+        _halves(route, y.size * P)
         return (out,)
 
     return _make(y, (a,), backward)
@@ -469,8 +463,10 @@ def context_projection(ids, table, hs, W, b):
     (T, batch, O). Each row block of the (2H+E, O) ``W`` multiplies its
     input unshifted: the table block each distinct id once, and the context
     blocks the states, added one position apart, so no shifted or
-    concatenated copy is made. Both passes run in two ``_halves`` of the
-    T*batch positions.
+    concatenated copy is made. The two context products, forward states by
+    their block and reverse states by theirs, are the two ``_halves`` of
+    the op, in forward and in backward: each writes its own rows of the
+    state gradient and its own block of the weight gradient.
     """
     table, hs, W, b = (as_tensor(t) for t in (table, hs, W, b))
     ids = checked_ids(ids, table, "context_projection")
@@ -484,50 +480,32 @@ def context_projection(ids, table, hs, W, b):
                          f"weights {W.shape}, {b.shape}")
     T, B = ids.shape
     chars = _Lookup(ids, table)
-    W_fwd, W_x, W_bwd = W.data[:H], W.data[H:H + E], W.data[H + E:]
+    W_x = W.data[H:H + E]
     n = T * B
     # position r's left context is forward state r - B, its right context
     # reverse state r + B; both are rows of C-order views
-    h_fwd, h_bwd = hs.data[0].reshape(n, H), hs.data[1].reshape(n, H)
+    states = [hs.data[0].reshape(n, H)[:-B], hs.data[1].reshape(n, H)[B:]]
+    fed = [slice(B, n), slice(0, n - B)]  # the positions each direction feeds
+    blocks = [W.data[:H], W.data[H + E:]]  # the rows each direction multiplies
     work = n * 2 * H * O
-
-    def contexts(h):
-        """The positions of half ``h`` that have a left context and the rows
-        of those states, then the same for the right context."""
-        rows = _half(h, n, B)
-        left = slice(max(rows.start, B), max(rows.start, B, rows.stop))
-        right = slice(rows.start, max(rows.start, min(rows.stop, n - B)))
-        return ((left, slice(left.start - B, left.stop - B)),
-                (right, slice(right.start + B, right.stop + B)))
-
-    proj = chars.rows @ W_x + b.data
-    out = np.empty((n, O), dtype=proj.dtype)
-
-    def forward(h):
-        rows = _half(h, n, B)
-        (left, states_f), (right, states_b) = contexts(h)
-        out[rows] = proj[chars.inv[rows]]
-        out[left] += h_fwd[states_f] @ W_fwd
-        out[right] += h_bwd[states_b] @ W_bwd
-        np.maximum(out[rows], 0, out=out[rows])
-
-    _halves(forward, work)
+    out = (chars.rows @ W_x + b.data)[chars.inv]
+    left, right = _halves(lambda d: states[d] @ blocks[d], work)
+    out[fed[0]] += left
+    out[fed[1]] += right
+    np.maximum(out, 0, out=out)
 
     def backward(g):
         g2d = g.reshape(n, O) * (out > 0)
-        dhs = np.zeros(hs.shape, dtype=hs.data.dtype)  # C order: slabs are views
-        d_fwd, d_bwd = dhs[0].reshape(n, H), dhs[1].reshape(n, H)
+        dhs = np.zeros(hs.shape, dtype=hs.data.dtype)  # C order: rows are views
+        d_states = [dhs[0].reshape(n, H)[:-B], dhs[1].reshape(n, H)[B:]]
 
-        def half(h):
-            (left, states_f), (right, states_b) = contexts(h)
-            np.matmul(g2d[left], W_fwd.T, out=d_fwd[states_f])
-            np.matmul(g2d[right], W_bwd.T, out=d_bwd[states_b])
-            return h_fwd[states_f].T @ g2d[left], h_bwd[states_b].T @ g2d[right]
+        def direction(d):
+            np.matmul(g2d[fed[d]], blocks[d].T, out=d_states[d])
+            return states[d].T @ g2d[fed[d]]
 
-        (dW_fwd0, dW_bwd0), (dW_fwd1, dW_bwd1) = _halves(half, work)
+        dW_fwd, dW_bwd = _halves(direction, work)
         per_id = chars.sum_by_id(g2d)
-        dW = np.concatenate([dW_fwd0 + dW_fwd1, chars.rows.T @ per_id,
-                             dW_bwd0 + dW_bwd1])
+        dW = np.concatenate([dW_fwd, chars.rows.T @ per_id, dW_bwd])
         return chars.scatter(per_id @ W_x.T), dhs, dW, per_id.sum(axis=0)
 
     return _make(out.reshape(T, B, O), (table, hs, W, b), backward)
@@ -550,14 +528,12 @@ def attention_pool(spans, Wv, bv, v):
                          f"weights {Wv.shape}, {bv.shape}, {v.shape}")
     w = np.empty((S, B), dtype=spans.data.dtype)
     pooled = np.empty((B, O), dtype=spans.data.dtype)
-    hiddens = np.empty(S * B * A, dtype=spans.data.dtype)  # a block of rows per half
     work = S * B * O * A
     # reshapes take their widths from views: a batch of one has an empty half
 
     def forward(h):
         cols = _half(h, B)
-        hidden = hiddens[S * A * cols.start:S * A * cols.stop].reshape(-1, A)
-        np.tanh(spans.data[:, cols].reshape(-1, O) @ Wv.data + bv.data, out=hidden)
+        hidden = np.tanh(spans.data[:, cols].reshape(-1, O) @ Wv.data + bv.data)
         scores = (hidden @ v.data).reshape(w[:, cols].shape)
         e = np.exp(scores - scores.max(axis=0))
         np.divide(e, e.sum(axis=0), out=w[:, cols])

@@ -47,8 +47,9 @@ BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False,
 
 
 def read_config_file(path):
-    """Simple ``key = value`` text format; '#' starts a comment line."""
-    values = {}
+    """Simple ``key = value`` text format; '#' starts a comment line, and
+    each key, with ``-`` and ``_`` alike, may appear once."""
+    values, lines = {}, {}
     for i, line in enumerate(corpus_mod.read_text_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -56,7 +57,10 @@ def read_config_file(path):
         if "=" not in line:
             raise ValueError(f"{path}: line {i}: expected 'key = value'")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in lines:
+            raise ValueError(f"{path}: line {i}: key {key!r} repeats line {lines[key]}")
+        values[key], lines[key] = value.strip(), i
     return values
 
 

@@ -645,6 +645,7 @@ def test_retrieve_of_codes_of_different_widths_names_both_files(tmp_path,
     ("epoch = 1", "unknown key 'epoch' for 'synth'"),
     ("informative-text = maybe",
      "informative_text must be one of true/false/yes/no/1/0, got 'maybe'"),
+    ("seed = 4", "line 2: key 'seed' repeats line 1"),
 ])
 def test_bad_config_file_key_fails_with_one_error_line(tmp_path, capsys, line,
                                                        message):

@@ -423,8 +423,10 @@ class TestBilstmSequence:
                         ids, hs)
         pooled = counted("window_max", net.windowed_max_pool, g_seq)
         counted("attention_pool", net.attention_pool, pooled)
-        # one threaded call per op and pass
-        assert calls == {name: (name in threaded,) * 2 for name in calls}
+        # one threaded call per op and pass, but window_max's forward is one
+        # max over the whole batch
+        assert calls == {name: (name in threaded and name != "window_max",
+                                name in threaded) for name in calls}
         assert len(calls) == 4
 
     @pytest.mark.parametrize("fails", [False, True])
@@ -632,6 +634,36 @@ class TestContextProjectionOp:
             assert_matches_oracle(a, b)
         unused = np.setdiff1d(np.arange(vocab), ids)
         np.testing.assert_array_equal(got[0][unused], 0.0)
+
+    # (T, batch, dtype, CPUs, threshold): a paper-length batch on two
+    # threads, a synthetic one serially, and two float64 ones, the last with
+    # every call threaded
+    @pytest.mark.parametrize("T,B,dtype,cpus,threshold", [
+        (300, 32, np.float32, 2, None),
+        (40, 128, np.float32, 1, None),
+        (7, 3, np.float64, 1, None),
+        (5, 4, np.float64, 2, 0),
+    ])
+    def test_each_context_block_of_dW_is_one_product(self, T, B, dtype, cpus,
+                                                     threshold, monkeypatch):
+        # the forward and reverse context products are the op's two halves,
+        # so each block is one product over every position its states feed
+        E, H, O, V = 16, 32, 64, 9
+        ids = np.random.default_rng(T).integers(0, V, size=(T, B))
+        ids, inputs, upstream = context_case(T, B, E, H, O, ids, V)
+        inputs = [ad.Tensor(t.data.astype(dtype), requires_grad=True)
+                  for t in inputs]
+        upstream = upstream.astype(dtype)
+        out, grads, sent = run_split(
+            lambda *inputs: ad.context_projection(ids, *inputs), inputs,
+            upstream, cpus, monkeypatch, threshold)
+        assert sent == (2 if cpus == 2 else 0)  # forward and backward
+        dW = grads[2]
+        assert dW.dtype == dtype
+        g2d = (upstream * (out > 0)).reshape(T * B, O)
+        h_fwd, h_bwd = (inputs[1].data[d].reshape(T * B, H) for d in (0, 1))
+        np.testing.assert_array_equal(dW[:H], h_fwd[:-B].T @ g2d[B:])
+        np.testing.assert_array_equal(dW[H + E:], h_bwd[B:].T @ g2d[:-B])
 
     def test_ends_get_no_context_gradient(self):
         rng = np.random.default_rng(0)
