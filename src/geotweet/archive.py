@@ -61,6 +61,8 @@ def load_archive(path):
         for _ in range(count):
             (name_len,) = struct.unpack("<I", read_exact(f, 4, path))
             name = read_exact(f, name_len, path).decode("utf-8", "replace")
+            if name in out:
+                raise ValueError(f"{path}: repeated tensor {name!r}")
             (ndim,) = struct.unpack("<I", read_exact(f, 4, path))
             shape = struct.unpack(f"<{ndim}Q", read_exact(f, 8 * ndim, path))
             n = math.prod(shape)  # exact, where an int64 product could wrap
@@ -72,4 +74,6 @@ def load_archive(path):
             except ValueError as e:
                 raise ValueError(f"{path}: tensor {name!r}: {e}") from None
             out[name] = data.astype(np.float64)
+        if f.read(1):
+            raise ValueError(f"{path}: data after the last of {count} tensors")
         return out

@@ -20,14 +20,13 @@ from . import corpus as corpus_mod
 from . import hashing
 from .archive import FORMAT_VERSION
 from .corpus import encode_records
-from .model import (FEATURES, MESSAGE_ONLY, MESSAGE_ONLY_REMOVED, TWEET_USER,
-                    VOCAB_SIZES, GeoModel, ModelConfig, load_checkpoint,
-                    save_checkpoint)
+from .model import (FEATURE_SETS, FEATURES, TWEET_USER, VOCAB_SIZES, GeoModel,
+                    ModelConfig, load_checkpoint, save_checkpoint)
 from .rbf_net import bin_weight_profile
 from .text_net import top_attended_spans
-from .trainer import (SyntheticConfig, TrainConfig, TrainingStopped, ablate,
-                      evaluate_accuracy, generate_synthetic,
-                      synthetic_model_config, train)
+from .trainer import (SYNTHETIC_SCALE, SyntheticConfig, TrainConfig,
+                      TrainingStopped, ablate, evaluate_accuracy,
+                      generate_synthetic, train)
 
 MODEL_FILE = "model.gtpa"
 # in the order of build_vocabularies and of VOCAB_SIZES
@@ -36,11 +35,15 @@ VOCAB_FILES = {"char_vocab.txt": corpus_mod.CharVocabulary,
                "labels.txt": corpus_mod.CategoryVocabulary}
 RUN_CONFIG_FILE = "run_config.json"
 
+FLAG_TYPES = {"int": int, "float": float}
 # ModelConfig's int and float fields: same-named flags, None when unset
-MODEL_FLAGS = {f.name: {"int": int, "float": float}[f.type]
-               for f in dataclasses.fields(ModelConfig) if f.type in ("int", "float")}
-# the noise sigma and extrema alpha of --hashing, where the flag is not given
-HASHING_DEFAULT = 0.1
+MODEL_FLAGS = {f.name: FLAG_TYPES[f.type]
+               for f in dataclasses.fields(ModelConfig) if f.type in FLAG_TYPES}
+# the settings of --hashing, beneath the model flags given
+HASHING = {"noise_sigma": 0.1, "extrema_alpha": 0.1}
+# synth's int flags and the SyntheticConfig fields they set
+SYNTH_FLAGS = {"seed": "seed", "cities": "n_cities", "train_size": "n_train",
+               "dev_size": "n_dev", "test_size": "n_test"}
 # values a config file may give a store_true flag
 BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False,
               "1": True, "0": False}
@@ -104,20 +107,16 @@ def write_run_config(path, args):
 
 
 def model_config_from_args(args):
-    if args.synthetic_scale:
-        base = synthetic_model_config()
-    elif args.feature_set == MESSAGE_ONLY:
-        base = ModelConfig.message_only_defaults()
-    else:
-        base = ModelConfig()
-    overrides = {key: getattr(args, key) for key in MODEL_FLAGS
-                 if getattr(args, key) is not None}
-    if args.hashing:
-        for key in ("noise_sigma", "extrema_alpha"):
-            overrides.setdefault(key, HASHING_DEFAULT)
-    preset = MESSAGE_ONLY_REMOVED if args.feature_set == MESSAGE_ONLY else ()
-    return dataclasses.replace(
-        base, removed_features=(*preset, *(args.remove_feature or ())), **overrides)
+    """Settings in layers, each over the ones before: the feature set's,
+    --synthetic-scale's, --hashing's, then each model flag given. The
+    feature set's removals come before each --remove-feature."""
+    removed, settings = FEATURE_SETS[args.feature_set]
+    settings = {**settings, **(SYNTHETIC_SCALE if args.synthetic_scale else {}),
+                **(HASHING if args.hashing else {}),
+                **{key: getattr(args, key) for key in MODEL_FLAGS
+                   if getattr(args, key) is not None}}
+    return ModelConfig(removed_features=(*removed, *(args.remove_feature or ())),
+                       **settings)
 
 
 def load_model_dir(model_dir):
@@ -196,8 +195,8 @@ def _write_codes(args, codes, kind="codes"):
 
 
 def _train_config(args):
-    return TrainConfig(batch_size=args.batch_size, epochs=args.epochs,
-                       learning_rate=args.learning_rate, seed=args.seed)
+    return TrainConfig(**{f.name: getattr(args, f.name)
+                          for f in dataclasses.fields(TrainConfig)})
 
 
 # --- subcommands ------------------------------------------------------------
@@ -205,8 +204,7 @@ def _train_config(args):
 
 def cmd_synth(args):
     cfg = SyntheticConfig(
-        n_cities=args.cities, n_train=args.train_size, n_dev=args.dev_size,
-        n_test=args.test_size, seed=args.seed,
+        **{field: getattr(args, flag) for flag, field in SYNTH_FLAGS.items()},
         location_informative=not args.uninformative_location,
         time_informative=not args.uninformative_time,
         timezone_informative=not args.uninformative_timezone,
@@ -373,10 +371,9 @@ def _add_model_flags(p):
 
 
 def _add_train_flags(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=512)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--learning-rate", type=float, default=0.001)
+    for f in dataclasses.fields(TrainConfig):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=FLAG_TYPES[f.type],
+                       default=f.default)
     p.add_argument("--min-char-count", type=int,
                    default=corpus_mod.DEFAULT_MIN_COUNT)
 
@@ -402,11 +399,9 @@ def build_parser():
 
     p = new("synth", cmd_synth, help="generate a synthetic labeled corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cities", type=int, default=20)
-    p.add_argument("--train-size", type=int, default=10000)
-    p.add_argument("--dev-size", type=int, default=1000)
-    p.add_argument("--test-size", type=int, default=1000)
+    for flag, field in SYNTH_FLAGS.items():
+        p.add_argument(f"--{flag.replace('_', '-')}", type=int,
+                       default=getattr(SyntheticConfig, field))
     p.add_argument("--uninformative-location", action="store_true")
     p.add_argument("--uninformative-time", action="store_true")
     p.add_argument("--uninformative-timezone", action="store_true")
@@ -417,8 +412,7 @@ def build_parser():
     p.add_argument("--dev", required=True)
     p.add_argument("--test")
     p.add_argument("--out", required=True)
-    p.add_argument("--feature-set", choices=[MESSAGE_ONLY, TWEET_USER],
-                   default=TWEET_USER)
+    p.add_argument("--feature-set", choices=list(FEATURE_SETS), default=TWEET_USER)
     _add_model_flags(p)
     _add_train_flags(p)
 

@@ -181,6 +181,8 @@ def load_codes(path):
         version, width, count = struct.unpack("<IIQ", read_exact(f, 16, path))
         if version != CODE_FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported code file version {version}")
+        if not width:
+            raise ValueError(f"{path}: code width 0: a code has at least one bit")
         record = _record(width)
         rows = np.frombuffer(read_exact(f, count * record.itemsize, path),
                              dtype=record)

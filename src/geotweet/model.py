@@ -50,10 +50,11 @@ FEATURES = {
     "account_time": _rbf_feature("account_time", "account_bins", "account"),
 }
 
-# --feature-set values; message-only is a preset of removed features
-MESSAGE_ONLY = "message-only"
+# --feature-set values: the features each removes and the settings it sets
 TWEET_USER = "tweet-user"
 MESSAGE_ONLY_REMOVED = tuple(f for f in FEATURES if f != "text")
+FEATURE_SETS = {"message-only": (MESSAGE_ONLY_REMOVED, {"text_out_size": 600}),
+                TWEET_USER: ((), {})}
 
 # The dtype of GeoModel's parameters, and so the dtype its forward, loss
 # and backward run in. The engine's own default stays float64; checkpoints
@@ -129,12 +130,6 @@ class ModelConfig:
 
     def active_features(self):
         return tuple(f for f in FEATURES if f not in self.removed_features)
-
-    @classmethod
-    def message_only_defaults(cls, **overrides):
-        overrides.setdefault("text_out_size", 600)
-        overrides.setdefault("removed_features", MESSAGE_ONLY_REMOVED)
-        return cls(**overrides)
 
 
 class GeoModel:
@@ -212,13 +207,16 @@ class GeoModel:
         return {k: p.data for k, p in self.params.items()}
 
     def load_param_arrays(self, arrays):
-        for name, p in self.params.items():
+        """Copy in exactly this model's parameters, all checked before any is written."""
+        for name in (*self.params, *arrays):  # a missing name before an extra one
             if name not in arrays:
                 raise ValueError(f"checkpoint missing parameter {name!r}")
-            if arrays[name].shape != p.data.shape:
-                raise ValueError(
-                    f"checkpoint parameter {name!r} has shape "
-                    f"{arrays[name].shape}, model expects {p.data.shape}")
+            if name not in self.params:
+                raise ValueError(f"checkpoint parameter {name!r} is not in the model")
+            if arrays[name].shape != self.params[name].data.shape:
+                raise ValueError(f"checkpoint parameter {name!r} has shape {arrays[name].shape}, "
+                                 f"model expects {self.params[name].data.shape}")
+        for name, p in self.params.items():
             p.data[...] = arrays[name]
 
 
@@ -255,10 +253,10 @@ def load_checkpoint(path):
         config = dict(meta["config"])
         config.pop("text_attn_size", None)  # null in sidecars of older versions
         feature_set = config.pop("feature_set", TWEET_USER)  # older sidecars too
-        if feature_set == MESSAGE_ONLY:
-            config["removed_features"] = MESSAGE_ONLY_REMOVED
-        elif feature_set != TWEET_USER:
+        if feature_set not in FEATURE_SETS:
             raise ValueError(f"unknown feature set {feature_set!r}")
+        config["removed_features"] = (FEATURE_SETS[feature_set][0]
+                                      or config.get("removed_features", ()))
         model = GeoModel(ModelConfig(**config),
                          *(meta[key] for key in VOCAB_SIZES),
                          np.random.default_rng(0))  # weights loaded below

@@ -153,16 +153,18 @@ def ablate(build_model, train_columns, dev_columns, test_columns,
     return baseline, {feat: run(cfg) - baseline for feat, cfg in configs.items()}
 
 
+# small hyper-parameters sized for the synthetic desk-scale corpus
+SYNTHETIC_SCALE = dict(
+    text_max_len=40, text_emb_size=16, text_window=5, text_out_size=32,
+    time_bins=12, offset_bins=8, timezone_emb_size=8,
+    loc_max_len=12, loc_emb_size=24, loc_span=3, loc_out_size=48,
+    penultimate_dim=64, account_bins=6,
+)
+
+
 def synthetic_model_config(**overrides):
-    """Small hyper-parameters sized for the synthetic desk-scale corpus."""
-    defaults = dict(
-        text_max_len=40, text_emb_size=16, text_window=5, text_out_size=32,
-        time_bins=12, offset_bins=8, timezone_emb_size=8,
-        loc_max_len=12, loc_emb_size=24, loc_span=3, loc_out_size=48,
-        penultimate_dim=64, account_bins=6,
-    )
-    defaults.update(overrides)
-    return ModelConfig(**defaults)
+    """ModelConfig of SYNTHETIC_SCALE under ``overrides``."""
+    return ModelConfig(**{**SYNTHETIC_SCALE, **overrides})
 
 
 # --- synthetic corpus -------------------------------------------------------

@@ -76,3 +76,21 @@ def test_empty_tensor_with_an_impossible_shape_is_reported(tmp_path, dims):
                      + struct.pack(f"<I{len(dims)}Q", len(dims), *dims))
     with pytest.raises(ValueError, match=f"^{path}: tensor 'w': "):
         load_archive(path)
+
+
+def test_data_after_the_last_tensor_is_reported(tmp_path):
+    path = tmp_path / "params.gtpa"
+    save_archive(path, {"w": np.ones((2, 3)), "s": np.array(1.0)})
+    path.write_bytes(path.read_bytes() + bytes(64))
+    with pytest.raises(ValueError, match=f"^{path}: data after the last of 2 tensors$"):
+        load_archive(path)
+
+
+def test_repeated_tensor_name_is_reported(tmp_path):
+    path = tmp_path / "params.gtpa"
+    save_archive(path, {"w": np.ones(2), "v": np.zeros(2)})
+    raw = path.read_bytes()
+    # rename "v" to "w": both records have a one-byte name and a 2-vector
+    path.write_bytes(raw.replace(b"\x01\x00\x00\x00v", b"\x01\x00\x00\x00w"))
+    with pytest.raises(ValueError, match=f"^{path}: repeated tensor 'w'$"):
+        load_archive(path)

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from collections import Counter
@@ -11,6 +13,7 @@ import pytest
 
 import geotweet
 from geotweet.cli import main, read_config_file
+from geotweet.model import ModelConfig
 from geotweet import hashing as H
 from geotweet.rbf_net import RbfNetwork
 
@@ -719,15 +722,40 @@ def test_repeated_code_id_fails_with_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {codes}: repeated id 0\n"
 
 
-def test_train_message_only_defaults(tmp_path, pipeline):
-    # message-only preset selects the wider text output
+MESSAGE_ONLY_REMOVED = ("tweet_time", "utc_offset", "timezone", "location",
+                        "account_time")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # message-only's preset selects the wider text output
+    (["train", "--feature-set", "message-only"],
+     {"text_emb_size": 200, "text_window": 10, "text_out_size": 600,
+      "removed_features": MESSAGE_ONLY_REMOVED}),
+    # the presets layer in order, lowest first: feature set, synthetic
+    # scale, hashing, then each model flag given
+    (["train", "--synthetic-scale", "--feature-set", "message-only"],
+     {"text_out_size": 32, "removed_features": MESSAGE_ONLY_REMOVED}),
+    (["train", "--feature-set", "message-only", "--text-out-size", "7"],
+     {"text_out_size": 7}),
+    (["train", "--synthetic-scale", "--hashing", "--extrema-alpha", "0"],
+     {"noise_sigma": 0.1, "extrema_alpha": 0.0}),
+    (["ablate", "--test", "t"], dataclasses.asdict(ModelConfig())),
+])
+def test_train_message_only_defaults(argv, expected):
     from geotweet.cli import build_parser, model_config_from_args
     args = build_parser().parse_args(
-        ["train", "--train", "x", "--dev", "y", "--out", "z",
-         "--feature-set", "message-only"])
-    cfg = model_config_from_args(args)
-    assert (cfg.text_emb_size, cfg.text_window, cfg.text_out_size) == (200, 10, 600)
-    assert cfg.active_features() == ("text",)
+        [*argv, "--train", "x", "--dev", "y", "--out", "z"])
+    cfg = dataclasses.asdict(model_config_from_args(args))
+    assert {key: cfg[key] for key in expected} == expected
+
+
+def test_code_width_zero_fails_with_one_error_line(tmp_path, capsys):
+    codes = tmp_path / "width0.codes"
+    codes.write_bytes(b"GTBC" + struct.pack("<IIQ", 1, 0, 3) + bytes(16 * 3))
+    assert main(["retrieve", "--test-codes", str(codes),
+                 "--dev-codes", str(codes)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {codes}: code width 0")
 
 
 def test_message_only_without_text_fails_before_reading_data(tmp_path, capsys):

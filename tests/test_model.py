@@ -18,8 +18,14 @@ from geotweet.trainer import synthetic_model_config
 from conftest import encode_all, graph_nodes, head, op_counts
 
 
+def _message_only(**overrides):
+    """The message-only feature set's config under ``overrides``."""
+    removed, settings = model_mod.FEATURE_SETS["message-only"]
+    return ModelConfig(removed_features=removed, **{**settings, **overrides})
+
+
 def test_message_only_uses_wider_text_output():
-    cfg = ModelConfig.message_only_defaults()
+    cfg = _message_only()
     assert cfg.text_out_size == 600
     assert cfg.active_features() == ("text",)
 
@@ -212,10 +218,10 @@ def test_window_longer_than_its_sequence_is_rejected_only_when_built():
         ModelConfig(loc_span=21)
     with pytest.raises(ValueError,
                        match="text_window 301 is longer than text_max_len 300"):
-        ModelConfig.message_only_defaults(text_window=301)
+        _message_only(text_window=301)
     # without the location net, its span is never used
     ModelConfig(loc_span=21, removed_features=("location",))
-    ModelConfig.message_only_defaults(loc_span=21)
+    _message_only(loc_span=21)
 
 
 def _save_checkpoint(tiny_corpus, path, config):
@@ -302,6 +308,27 @@ def test_non_utf8_tensor_name_is_a_missing_parameter(checkpoint):
             f"{checkpoint} does not match {checkpoint}.json: checkpoint "
             "missing parameter")):
         load_checkpoint(checkpoint)
+
+
+def test_tensor_the_model_lacks_is_rejected(checkpoint):
+    arrays = load_archive(checkpoint)
+    save_archive(checkpoint, {**arrays, "bogus.W": np.ones(2)})
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{checkpoint} does not match {checkpoint}.json: checkpoint "
+            "parameter 'bogus.W' is not in the model") + "$"):
+        load_checkpoint(checkpoint)
+
+
+def test_extra_tensor_leaves_every_parameter_unwritten(tiny_corpus):
+    model = GeoModel(synthetic_model_config(), len(tiny_corpus["char_vocab"]),
+                     len(tiny_corpus["tz_vocab"]), len(tiny_corpus["label_vocab"]),
+                     np.random.default_rng(0))
+    before = {name: values.copy() for name, values in model.param_arrays().items()}
+    arrays = {name: values + 1 for name, values in before.items()}
+    with pytest.raises(ValueError, match="'bogus.W' is not in the model"):
+        model.load_param_arrays({**arrays, "bogus.W": np.ones(2)})
+    for name, values in model.param_arrays().items():
+        np.testing.assert_array_equal(values, before[name])
 
 
 def test_float64_archive_loads_rounded_to_nearest(checkpoint):
