@@ -331,6 +331,20 @@ class _Lookup:
         return out
 
 
+def _past_lengths(lengths, T, B, op, limit=None):
+    """The (T, batch) mask of the positions at or after each row's length
+    n; none when ``lengths`` is None. A ValueError names ``op`` unless
+    ``lengths`` holds one integer per row in 1..``limit`` (default T)."""
+    if lengths is None:
+        return np.zeros((T, B), dtype=bool)
+    n = np.asarray(lengths)
+    limit = T if limit is None else limit
+    if (n.shape != (B,) or n.dtype.kind not in "iu"
+            or (B and not 1 <= n.min() <= n.max() <= limit)):
+        raise ValueError(f"{op}: lengths must be {B} integers in 1..{limit}")
+    return np.arange(T)[:, None] >= n
+
+
 def _check_lstm(E, Wx, Wh, b, op):
     H = Wh.shape[0]
     if Wx.shape != (E, 4 * H) or Wh.shape != (H, 4 * H) or b.shape != (4 * H,):
@@ -346,7 +360,8 @@ def _lstm_forward(acts, Wh, hs):
     owns both, and its one backward writes its gradient over the gates.
 
     The 4H gate columns are input, forget, cell candidate, output. The steps
-    run from 0 to T-1; the reverse direction passes time-reversed views.
+    run from 0 to T-1; the reverse direction passes its inputs in its
+    own reading order.
     """
     T, B, _ = acts.shape
     H = Wh.shape[0]
@@ -395,21 +410,25 @@ def _lstm_backward(grad_h, Wh, hs, acts, cells):
     return dz, hs[:-1].reshape(-1, H).T @ dz[1:].reshape(-1, 4 * H)
 
 
-def bilstm_sequence(ids, table, fwd_weights, bwd_weights):
+def bilstm_sequence(ids, table, fwd_weights, bwd_weights, lengths=None):
     """Both directions of a bidirectional LSTM over the rows of a (V, E)
     ``table`` that a (T, batch) integer array ``ids`` picks.
 
     ``fwd_weights`` and ``bwd_weights`` are (Wx, Wh, b) triples, of shapes
     (E, 4H), (H, 4H) and (4H,). Returns a (2, T, batch, H) tensor: the
-    forward states, then the reverse states. The reverse direction is the
-    same ``_lstm_forward`` run over time-reversed views of the ids and of
-    its states, so state t has read positions t..T-1, and no flipped copy
-    is made. Each direction projects each distinct id once, not every
-    position, and takes its input gradients from one sum per id of its
-    pre-activation gradient. The directions share only the input, so they
-    are the two ``_halves`` of the op, in forward and in backward. The table
-    gradient is the forward direction's plus the reverse one's, in that
-    order either way.
+    forward states, then the reverse states. ``lengths`` holds each row's
+    length n, 1 <= n <= T; None means n = T for every row. The reverse
+    direction is the same ``_lstm_forward`` run over the ids gathered by
+    one per-row time index, ``rev[t, b] = n_b - 1 - t`` for t < n_b and t
+    after: state t has read positions t..n-1, and the reverse states at
+    positions >= n are zero. The index is its own inverse, so the same
+    gather maps the ids in, the states out and their gradient back. Each
+    direction projects each distinct id once, not every position, and
+    takes its input gradients from one sum per id of its pre-activation
+    gradient. The directions share only the input, so they are the two
+    ``_halves`` of the op, in forward and in backward. The table gradient
+    is the forward direction's plus the reverse one's, in that order
+    either way.
     """
     table = as_tensor(table)
     weights = [tuple(as_tensor(w) for w in ws) for ws in (fwd_weights, bwd_weights)]
@@ -424,22 +443,38 @@ def bilstm_sequence(ids, table, fwd_weights, bwd_weights):
         raise ValueError(f"bilstm_sequence: ids of shape {ids.shape} are not "
                          f"(T, batch)")
     T, B = ids.shape
+    past = _past_lengths(lengths, T, B, "bilstm_sequence")
+    t, n = np.arange(T)[:, None], T - past.sum(axis=0)
+    # the reverse reading order, and the positions past n, as flat t * B + b
+    rev = (np.where(past, t, n - 1 - t) * B + np.arange(B)).reshape(-1)
+    past = np.flatnonzero(past)
     # both directions in reading order; both pick the same ``present`` rows
-    chars = [_Lookup(ids, table), _Lookup(ids[::-1], table)]
+    chars = [_Lookup(ids, table), _Lookup(ids.reshape(-1)[rev], table)]
     hs = np.empty((2, T, B, H), dtype=table.data.dtype)
-    states = [hs[0], hs[1, ::-1]]
+    # each direction's states in its own reading order
+    reading = [hs[0], np.empty_like(hs[1])]
     raw = [[w.data for w in ws] for ws in weights]
     work = T * B * 4 * H * H  # one direction's recurrent products
+
+    def flip(x, out=None):
+        """A (T, batch, H) array in the other direction's reading order,
+        zero at the positions past each row's length."""
+        # rev is in range, so "clip" only spares ``take`` a buffered copy
+        out = np.take(x.reshape(-1, H), rev, axis=0, out=out, mode="clip")
+        out[past] = 0.0
+        return out.reshape(T, B, H)
 
     def forward(d):
         Wx, Wh, b = raw[d]
         acts = (chars[d].rows @ Wx + b)[chars[d].inv].reshape(T, B, 4 * H)
-        return acts, _lstm_forward(acts, Wh, states[d])
+        return acts, _lstm_forward(acts, Wh, reading[d])
 
     saved = _halves(forward, work)
+    flip(reading.pop(), out=hs[1].reshape(-1, H))
 
     def backward(g):
-        grads = [g[0], g[1, ::-1]]
+        # a state past its row's length reads as zero, which gets no gradient
+        grads, states = [g[0], flip(g[1])], [hs[0], flip(hs[1])]
 
         def direction(d):
             Wx, Wh, _ = raw[d]
@@ -454,16 +489,17 @@ def bilstm_sequence(ids, table, fwd_weights, bwd_weights):
     return _make(hs, (table, *weights[0], *weights[1]), backward)
 
 
-def context_projection(ids, table, hs, W, b):
+def context_projection(ids, table, hs, W, b, lengths=None):
     """ReLU of [h_fwd(t-1) ; table[ids_t] ; h_bwd(t+1)] @ W + b at every t.
 
     ``ids`` is the (T, batch) integer array that picks rows of the (V, E)
     ``table``, and ``hs`` the (2, T, batch, H) states of
     ``bilstm_sequence``; the contexts beyond either end are zero. Returns
-    (T, batch, O). Each row block of the (2H+E, O) ``W`` multiplies its
-    input unshifted: the table block each distinct id once, and the context
-    blocks the states, added one position apart, so no shifted or
-    concatenated copy is made. The two context products, forward states by
+    (T, batch, O), zero at the positions at or after each row's length in
+    ``lengths``; None means no such position. Each row block of the
+    (2H+E, O) ``W`` multiplies its input unshifted: the table block each
+    distinct id once, and the context blocks the states, added one position
+    apart, so no shifted or concatenated copy is made. The two context products, forward states by
     their block and reverse states by theirs, are the two ``_halves`` of
     the op, in forward and in backward: each writes its own rows of the
     state gradient and its own block of the weight gradient.
@@ -479,6 +515,7 @@ def context_projection(ids, table, hs, W, b):
                          f"{table.shape} and states {hs.shape} do not fit "
                          f"weights {W.shape}, {b.shape}")
     T, B = ids.shape
+    past = _past_lengths(lengths, T, B, "context_projection")
     chars = _Lookup(ids, table)
     W_x = W.data[H:H + E]
     n = T * B
@@ -493,6 +530,7 @@ def context_projection(ids, table, hs, W, b):
     out[fed[0]] += left
     out[fed[1]] += right
     np.maximum(out, 0, out=out)
+    out[past.reshape(n)] = 0.0  # so no gradient reaches them either
 
     def backward(g):
         g2d = g.reshape(n, O) * (out > 0)
@@ -511,13 +549,15 @@ def context_projection(ids, table, hs, W, b):
     return _make(out.reshape(T, B, O), (table, hs, W, b), backward)
 
 
-def attention_pool(spans, Wv, bv, v):
+def attention_pool(spans, Wv, bv, v, lengths=None):
     """Attention-weighted mean over the S spans of a (S, batch, O) tensor.
 
     Span s of example b scores tanh(spans[s, b] @ Wv + bv) @ v, the scores
     of each example are softmaxed over its spans, and the result is the
-    (batch, O) weighted mean. Also returns the (batch, S) weights, as a
-    Tensor outside the graph: no loss reads them. The softmax is per
+    (batch, O) weighted mean. A span that starts at or after the row's
+    text length in ``lengths`` scores -inf, so its weight is exactly 0;
+    None means every span is scored. Also returns the (batch, S) weights,
+    as a Tensor outside the graph: no loss reads them. The softmax is per
     example, so both passes run in two ``_halves`` of the batch.
     """
     spans, Wv, bv, v = (as_tensor(t) for t in (spans, Wv, bv, v))
@@ -526,6 +566,7 @@ def attention_pool(spans, Wv, bv, v):
     if Wv.shape != (O, A) or v.shape != (A, 1):
         raise ValueError(f"attention_pool: spans {spans.shape} do not fit "
                          f"weights {Wv.shape}, {bv.shape}, {v.shape}")
+    past = _past_lengths(lengths, S, B, "attention_pool", limit=np.inf)
     w = np.empty((S, B), dtype=spans.data.dtype)
     pooled = np.empty((B, O), dtype=spans.data.dtype)
     work = S * B * O * A
@@ -535,6 +576,7 @@ def attention_pool(spans, Wv, bv, v):
         cols = _half(h, B)
         hidden = np.tanh(spans.data[:, cols].reshape(-1, O) @ Wv.data + bv.data)
         scores = (hidden @ v.data).reshape(w[:, cols].shape)
+        scores[past[:, cols]] = -np.inf
         e = np.exp(scores - scores.max(axis=0))
         np.divide(e, e.sum(axis=0), out=w[:, cols])
         (w[:, cols, None] * spans.data[:, cols]).sum(axis=0, out=pooled[cols])

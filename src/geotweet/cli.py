@@ -277,10 +277,12 @@ def cmd_attn(args):
     attention = model.infer(columns)[2]
     lines = ["example\trank\tstart\tspan\tweight"]
     max_len = model.config.text_max_len
+    # a span that starts at or after the row's length holds only padding
+    lengths = model.text_lengths(columns["text_ids"])
     for i, (record, weights) in enumerate(zip(records, attention)):
         padded = record.text[:max_len].ljust(max_len)
-        spans = top_attended_spans(padded, weights, model.config.text_window,
-                                   k=args.top_k)
+        spans = top_attended_spans(padded, weights[:lengths[i]],
+                                   model.config.text_window, k=args.top_k)
         for rank, (pos, substring, weight) in enumerate(spans, start=1):
             lines.append(f"{i}\t{rank}\t{pos}\t{substring!r}\t{weight:.6f}")
     _write_report(args, "\n".join(lines) + "\n", "attention.txt")
@@ -323,6 +325,9 @@ def cmd_retrieve(args):
         raise ValueError(f"{args.test_codes} holds {test.width}-bit codes, "
                          f"{args.dev_codes} {dev.width}-bit ones")
     mean_ap, excluded = hashing.map_from_codes(test, dev)
+    if excluded == len(test):
+        raise ValueError(f"no code in {args.test_codes} has a code of its label "
+                         f"in {args.dev_codes}: no query to score")
     _write_report(args, f"map\t{mean_ap:.6f}\n"
                         f"queries\t{len(test) - excluded}\n"
                         f"excluded\t{excluded}\n", "map_report.txt")

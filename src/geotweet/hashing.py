@@ -183,6 +183,8 @@ def load_codes(path):
             raise ValueError(f"{path}: unsupported code file version {version}")
         if not width:
             raise ValueError(f"{path}: code width 0: a code has at least one bit")
+        if not count:
+            raise ValueError(f"{path}: no records")
         record = _record(width)
         rows = np.frombuffer(read_exact(f, count * record.itemsize, path),
                              dtype=record)

@@ -15,7 +15,7 @@ from .archive import load_archive, save_archive
 from .fusion import FusionClassifier, extrema_loss
 from .loc_net import LocConvNetwork, TimezoneEmbedding
 from .rbf_net import RbfNetwork
-from .text_net import TextNetwork
+from .text_net import TextNetwork, text_lengths
 
 
 class Feature(NamedTuple):
@@ -64,7 +64,8 @@ COMPUTE_DTYPE = np.float32
 # rows per eval-mode forward in GeoModel.infer
 EVAL_BATCH_SIZE = 512
 
-CHECKPOINT_META_VERSION = 1
+# 2: the text network reads each row to its length; 1 read all T positions
+CHECKPOINT_META_VERSION = 2
 # ModelConfig field types: the values each takes, never a bool, and their name
 _KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
 # GeoModel attributes and checkpoint keys sized by the three vocabularies
@@ -156,6 +157,17 @@ class GeoModel:
         self.params.update(self.fusion.params)
         for p in self.params.values():  # drawn in float64, rounded once
             p.data = p.data.astype(COMPUTE_DTYPE)
+        # load_checkpoint clears it for a model of meta_version 1
+        self.length_aware = True
+
+    def text_lengths(self, text_ids):
+        """Each row's length that the text network reads ``text_ids`` to:
+        all T positions for a model of meta_version 1, which cuts nothing
+        and masks nothing."""
+        text_ids = np.asarray(text_ids)
+        if not self.length_aware:
+            return np.full(len(text_ids), text_ids.shape[1])
+        return text_lengths(text_ids)
 
     def forward(self, batch, train=False, rng=None):
         """Returns (logits, r, attention) for the rows of a column table: the
@@ -163,10 +175,12 @@ class GeoModel:
         vectors = []
         attention = None
         for feat in self.features:
-            vec = self.nets[feat].forward(batch[FEATURES[feat].column])
+            column = batch[FEATURES[feat].column]
             if feat == "text":
-                vec, attn = vec
+                vec, attn = self.nets[feat].forward(column, self.text_lengths(column))
                 attention = attn.data
+            else:
+                vec = self.nets[feat].forward(column)
             vectors.append(vec)
         cfg = self.config
         fused = self.fusion.fuse(vectors, noise_sigma=cfg.noise_sigma,
@@ -248,7 +262,7 @@ def load_checkpoint(path):
     try:
         with open(meta_path, encoding="utf-8") as f:
             meta = json.load(f)
-        if meta["meta_version"] != CHECKPOINT_META_VERSION:
+        if meta["meta_version"] not in (1, CHECKPOINT_META_VERSION):
             raise ValueError("unsupported checkpoint metadata version")
         config = dict(meta["config"])
         config.pop("text_attn_size", None)  # null in sidecars of older versions
@@ -276,4 +290,5 @@ def load_checkpoint(path):
         model.load_param_arrays(arrays)
     except ValueError as e:
         raise ValueError(f"{path} does not match {meta_path}: {e}") from None
+    model.length_aware = meta["meta_version"] != 1
     return model, meta

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+from .corpus import PAD_ID
 from .init import embedding_table, glorot, zeros
 
 
@@ -52,34 +53,60 @@ class TextNetwork:
         checked against the embedding table."""
         return ad.checked_ids(np.asarray(text_ids).T, self._p("emb"))
 
-    def bilstm_contexts(self, ids):
+    def bilstm_contexts(self, ids, lengths=None):
         """The (2, T, batch, H) forward then backward hidden states over the
-        embedded chars of time-major ``ids``."""
+        embedded chars of time-major ``ids``; the backward states read each
+        row from its length in ``lengths`` (default T) down."""
         return ad.bilstm_sequence(ids, self._p("emb"), *(
-            [self._p(f"{d}.{w}") for w in ("Wx", "Wh", "b")] for d in ("fwd", "bwd")))
+            [self._p(f"{d}.{w}") for w in ("Wx", "Wh", "b")] for d in ("fwd", "bwd")),
+            lengths=lengths)
 
-    def contextual_projection(self, ids, hs):
+    def contextual_projection(self, ids, hs, lengths=None):
         """ReLU projection of [h_fwd[t-1] ; x_t ; h_bwd[t+1]] for every
         position, where x_t embeds char ``ids[t]``.
 
-        Out-of-range contexts are zero vectors. Returns a (T, batch, O) tensor.
+        Out-of-range contexts are zero vectors, and so are the projections
+        at or after each row's length in ``lengths``. Returns a (T, batch,
+        O) tensor.
         """
         return ad.context_projection(ids, self._p("emb"), hs, self._p("Wg"),
-                                     self._p("bg"))
+                                     self._p("bg"), lengths=lengths)
 
     def windowed_max_pool(self, g_seq, window=None):
         """Elementwise max over each length-P window; yields T-P+1 span vectors."""
         return ad.window_max(g_seq, self.window if window is None else window)
 
-    def attention_pool(self, pooled):
-        """Softmax-weighted mean of span vectors; also returns the weights."""
-        return ad.attention_pool(pooled, self._p("Wv"), self._p("bv"), self._p("v"))
+    def attention_pool(self, pooled, lengths=None):
+        """Softmax-weighted mean of span vectors, weighting none that starts
+        at or after its row's length in ``lengths``; also returns the weights."""
+        return ad.attention_pool(pooled, self._p("Wv"), self._p("bv"), self._p("v"),
+                                 lengths=lengths)
 
-    def forward(self, text_ids):
+    def forward(self, text_ids, lengths=None):
+        """(features, span weights) of a (batch, T) int array. With each
+        row's text length in ``lengths``, the batch is cut to the
+        min(T, max n + P - 1) positions that can change an output, and the
+        weights of the spans cut off are zeros: no row's result depends on
+        the cut. None reads all T positions of every row."""
+        text_ids = np.asarray(text_ids)
+        spans = text_ids.shape[1] - self.window + 1
+        if lengths is not None:
+            text_ids = text_ids[:, :np.max(lengths, initial=1) + self.window - 1]
         ids = self.char_vectors(text_ids)
-        g_seq = self.contextual_projection(ids, self.bilstm_contexts(ids))
-        pooled = self.windowed_max_pool(g_seq)
-        return self.attention_pool(pooled)
+        g_seq = self.contextual_projection(ids, self.bilstm_contexts(ids, lengths),
+                                           lengths)
+        features, weights = self.attention_pool(self.windowed_max_pool(g_seq),
+                                                lengths)
+        cut = spans - weights.shape[1]
+        return features, ad.Tensor(np.pad(weights.data, ((0, 0), (0, cut))))
+
+
+def text_lengths(text_ids):
+    """Each row's text length n in a (batch, T) int array that pads texts on
+    the right with ``PAD_ID``, which no character encodes to: T less the
+    row's trailing run of PAD ids, and at least 1."""
+    text = np.asarray(text_ids) != PAD_ID
+    return np.where(text.any(axis=1), text.shape[1] - text[:, ::-1].argmax(axis=1), 1)
 
 
 def top_attended_spans(text, weights, window, k=3):

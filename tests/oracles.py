@@ -5,7 +5,9 @@ only gradient checks and oracles use (``sub``, ``mul``, ``div``, ``exp``,
 ``absolute``, ``softmax``, ``transpose``, ``tsum``, ``tmean``, ``maximum``,
 ``sigmoid``, ``relu``, ``take``, ``reshape``, ``lstm_sequence``, ``amax``),
 an op as the engine ran it before a rewrite (``bilstm_sequence`` and
-``context_projection`` over an embedded input), a brute-force or per-item
+``context_projection`` over an embedded input), the text network's
+function of one row read to its length (``text_row_forward``), a
+brute-force or per-item
 reference for the retrieval, code-file and LSH feature code (``hamming``,
 ``average_precision``, ``map_from_codes``, ``map_eval``, ``save_codes``,
 ``raw_feature_vector``, ``raw_feature_matrix``),
@@ -297,6 +299,29 @@ def chained_context_projection(xs, hs, W, b):
                         axis=2)
     flat = reshape(stacked, (T * batch, stacked.shape[-1]))
     return reshape(ad.add(ad.matmul(flat, W), b), (T, batch, W.shape[1]))
+
+
+def text_row_forward(net, row_ids, n):
+    """``TextNetwork.forward`` of one row of T ids read to its length n,
+    from the ops over its first n characters alone: the bi-LSTM and the
+    context projection over their embedding, then the windowed max over
+    their projections followed by zeros up to min(T, n + P - 1)
+    positions, and attention over the spans that start at a character.
+    Returns the (1, O) features and the (1, T - P + 1) weights array."""
+    p = net.params
+    T, P = len(row_ids), net.window
+    x = ad.embedding(np.reshape(row_ids[:n], (n, 1)), p["text.emb"])
+    hs = bilstm_sequence(x, *([p[f"text.{d}.{w}"] for w in ("Wx", "Wh", "b")]
+                              for d in ("fwd", "bwd")))
+    proj = relu(context_projection(x, hs, p["text.Wg"], p["text.bg"]))
+    width = min(T, n + P - 1)
+    if width > n:
+        proj = ad.concat([proj, ad.Tensor(np.zeros((width - n, 1, net.out_size)))])
+    spans = min(n, width - P + 1)
+    pooled = maximum_list([take(proj, slice(k, k + spans)) for k in range(P)])
+    features, weights = chained_attention_pool(pooled, p["text.Wv"], p["text.bv"],
+                                               p["text.v"])
+    return features, np.pad(weights.data, ((0, 0), (0, T - P + 1 - spans)))
 
 
 def chained_rbf(u, mu, sigma):

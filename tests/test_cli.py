@@ -124,6 +124,18 @@ def test_attn_reports_spans(pipeline, capsys):
     assert len(lines) == 1 + 2 * 60
 
 
+def test_attn_ranks_no_span_of_only_padding(pipeline, tmp_path, capsys):
+    # "ab c" starts 4 of the 36 spans of 5 that T = 40 holds
+    record = json.loads((pipeline["data"] / "test.jsonl").read_text().splitlines()[0])
+    data = tmp_path / "short.jsonl"
+    data.write_text(json.dumps({**record, "text": "ab c"}) + "\n")
+    assert main(["attn", "--model", str(pipeline["run"]), "--data", str(data),
+                 "--top-k", "10"]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert sorted(int(start) for _, _, start, _, _ in rows) == [0, 1, 2, 3]
+    assert sum(float(weight) for *_, weight in rows) == pytest.approx(1.0, abs=1e-5)
+
+
 def test_time_profile_emits_all_bins(pipeline, capsys, monkeypatch):
     outputs = []
     forward = RbfNetwork.forward
@@ -756,6 +768,37 @@ def test_code_width_zero_fails_with_one_error_line(tmp_path, capsys):
                  "--dev-codes", str(codes)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {codes}: code width 0")
+
+
+def test_code_file_of_no_records_fails_with_one_error_line(pipeline, tmp_path,
+                                                          capsys):
+    empty = tmp_path / "empty.codes"
+    empty.write_bytes(b"GTBC" + struct.pack("<IIQ", 1, 400, 0))
+    dev_codes = tmp_path / "dev.codes"
+    assert main(["hash", "--model", str(pipeline["run"]),
+                 "--data", str(pipeline["data"] / "dev.jsonl"),
+                 "--out", str(dev_codes)]) == 0
+    for test, dev in ((empty, dev_codes), (dev_codes, empty)):
+        capsys.readouterr()
+        assert main(["retrieve", "--test-codes", str(test),
+                     "--dev-codes", str(dev)]) == 1
+        assert capsys.readouterr().err == f"error: {empty}: no records\n"
+
+
+def test_retrieve_with_no_query_to_score_names_both_files(tmp_path, capsys):
+    def codes(name, labels):
+        path = tmp_path / name
+        H.save_codes(path, H.CodeSet(bits=np.ones((len(labels), 8), dtype=np.uint8),
+                                     ids=np.arange(len(labels)),
+                                     labels=np.array(labels)))
+        return path
+
+    test, dev = codes("test.codes", [0, 0]), codes("dev.codes", [1, 2])
+    assert main(["retrieve", "--test-codes", str(test),
+                 "--dev-codes", str(dev)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: no code in {test} has a code of its label in {dev}: "
+        "no query to score\n")
 
 
 def test_message_only_without_text_fails_before_reading_data(tmp_path, capsys):

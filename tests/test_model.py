@@ -281,6 +281,56 @@ def test_sidecar_with_a_null_text_attn_size_still_loads(checkpoint):
         np.testing.assert_array_equal(restored.params[name].data, p.data)
 
 
+def test_a_meta_version_1_checkpoint_reads_every_position(checkpoint, tiny_corpus,
+                                                          monkeypatch):
+    # models of version 1 were trained to read all T positions of each row
+    assert json.loads(Path(f"{checkpoint}.json").read_text())["meta_version"] == 2
+    table = encode_all(tiny_corpus["test"][:16], tiny_corpus,
+                       synthetic_model_config())
+    model, _ = load_checkpoint(checkpoint)
+    _edit_sidecar(checkpoint, lambda m: m.update(meta_version=1))
+    old, _ = load_checkpoint(checkpoint)
+    got = old.infer(table)
+    text_forward = TextNetwork.forward
+    with monkeypatch.context() as m:
+        m.setattr(TextNetwork, "forward",
+                  lambda net, text_ids, lengths=None: text_forward(net, text_ids))
+        full_length = model.infer(table)
+    for a, b in zip(got, full_length):
+        np.testing.assert_array_equal(a, b)
+    # the current version reads each row only up to its length
+    assert not np.array_equal(model.infer(table)[0], full_length[0])
+
+
+def test_rows_predict_alike_however_their_batch_is_cut(tiny_corpus, monkeypatch):
+    cfg = synthetic_model_config(text_max_len=60)
+    T, P = cfg.text_max_len, cfg.text_window
+    model = _tweet_user_model(tiny_corpus, cfg, 0)
+    table = encode_all(tiny_corpus["test"][:16], tiny_corpus, cfg)
+    lengths = model.text_lengths(table["text_ids"])
+    # the table is cut; one more row of T characters leaves it whole
+    assert lengths.max() + P - 1 < T
+    whole = {k: np.concatenate([v, v[:1]]) for k, v in table.items()}
+    whole["text_ids"][-1] = whole["text_ids"][0, 0]
+    widths = []
+    char_vectors = TextNetwork.char_vectors
+
+    def spy(net, text_ids):
+        widths.append(np.shape(text_ids)[1])
+        return char_vectors(net, text_ids)
+
+    monkeypatch.setattr(TextNetwork, "char_vectors", spy)
+    expected = model.forward(whole)[0].data[:-1]
+    runs = [model.forward(table)[0].data, np.concatenate(
+        [model.forward({k: v[i:i + 1] for k, v in table.items()})[0].data
+         for i in range(16)])]
+    assert widths == [T, lengths.max() + P - 1, *(lengths + P - 1)]
+    for logits in runs:
+        np.testing.assert_array_equal(logits.argmax(axis=1), expected.argmax(axis=1))
+        np.testing.assert_allclose(logits, expected, rtol=1e-5,
+                                   atol=1e-5 * np.abs(expected).max())
+
+
 @pytest.mark.parametrize("removed, old_form", [
     ((), {"feature_set": "tweet-user"}),
     (model_mod.MESSAGE_ONLY_REMOVED,
@@ -417,8 +467,8 @@ def test_training_step_graph_has_one_op_per_job(tiny_corpus, monkeypatch):
     text_outputs = []
     text_forward = TextNetwork.forward
 
-    def spy(net, text_ids):
-        text_outputs.append(text_forward(net, text_ids))
+    def spy(net, text_ids, lengths=None):
+        text_outputs.append(text_forward(net, text_ids, lengths))
         return text_outputs[-1]
 
     monkeypatch.setattr(TextNetwork, "forward", spy)

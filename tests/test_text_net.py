@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 
 from geotweet import autodiff as ad
-from geotweet.text_net import TextNetwork, top_attended_spans
+from geotweet.corpus import PAD_ID
+from geotweet.text_net import TextNetwork, text_lengths, top_attended_spans
 
 from conftest import assert_matches_oracle, finite_difference_check, gradients
 from oracles import bilstm_sequence as x_bilstm_sequence
 from oracles import context_projection as x_context_projection
 from oracles import (chained_attention_pool, chained_context_projection,
                      lstm_sequence, maximum_list, mul, relu, reshape, sigmoid,
-                     take, tsum)
+                     take, text_row_forward, tsum)
 
 
 def make_net(vocab_size=9, emb=3, out=4, window=3, attn=None, seed=0):
@@ -201,9 +202,10 @@ def bilstm_case(T, B, E, H, seed, vocab=7):
     return ids, table, weights, rng.standard_normal((2, T, B, H))
 
 
-def split_op_cases(T, B, seed):
+def split_op_cases(T, B, seed, lengths=None):
     """Each op that runs in two halves, as (name, build, inputs, upstream):
-    build(*inputs) is the op's output tensor, and inputs are its tensors."""
+    build(*inputs) is the op's output tensor, and inputs are its tensors.
+    The three ops that take ``lengths`` are given them."""
     rng = np.random.default_rng(seed)
     V, E, H, O, A, P = 6, 3, 4, 5, 4, min(T, 3)
 
@@ -214,16 +216,17 @@ def split_op_cases(T, B, seed):
     lstm = [tensor(E, 4 * H), tensor(H, 4 * H), tensor(4 * H)]
     return [
         ("bilstm_sequence",
-         lambda table, *w: ad.bilstm_sequence(ids, table, w[:3], w[3:]),
+         lambda table, *w: ad.bilstm_sequence(ids, table, w[:3], w[3:], lengths),
          [tensor(V, E), *lstm, *(tensor(*w.shape) for w in lstm)],
          rng.standard_normal((2, T, B, H))),
         ("context_projection",
-         lambda table, hs, W, b: ad.context_projection(ids, table, hs, W, b),
+         lambda table, hs, W, b: ad.context_projection(ids, table, hs, W, b,
+                                                        lengths),
          [tensor(V, E), tensor(2, T, B, H), tensor(2 * H + E, O), tensor(O)],
          rng.standard_normal((T, B, O))),
         ("window_max", lambda a: ad.window_max(a, P), [tensor(T, B, O)],
          rng.standard_normal((T - P + 1, B, O))),
-        ("attention_pool", lambda *inputs: ad.attention_pool(*inputs)[0],
+        ("attention_pool", lambda *inputs: ad.attention_pool(*inputs, lengths)[0],
          [tensor(T, B, O), tensor(O, A), tensor(A), tensor(A, 1)],
          rng.standard_normal((B, O))),
     ]
@@ -719,6 +722,98 @@ class TestBilstmSequenceOverIds:
             ad.bilstm_sequence(np.zeros(3, dtype=int), table, *weights)
         with pytest.raises(ValueError, match="bilstm_sequence: id out of range"):
             ad.bilstm_sequence(np.full((2, 1), 7), table, *weights)
+
+
+class TestRowLengths:
+    """Each row is read to its length n: the three ops mask what lies past
+    it, and TextNetwork.forward cuts its batch to the positions that can
+    change an output."""
+
+    # T = 6: n = 1, 1 < n < T and n = T; then n = 1 for every row
+    @pytest.mark.parametrize("lengths", [[1, 4, 6, 2], [1, 1, 1, 1]],
+                             ids=["mixed", "n=1"])
+    def test_ops_pass_finite_difference_checks(self, lengths):
+        cases = split_op_cases(6, 4, seed=7, lengths=np.array(lengths))
+        for name, build, inputs, _ in cases:
+            if name != "window_max":
+                finite_difference_check(
+                    {f"p{i}": t for i, t in enumerate(inputs)},
+                    lambda: tsum(ad.tanh(build(*inputs))), max_coords=4)
+
+    def test_lengths_of_T_are_no_lengths_bit_for_bit(self):
+        T, B = 5, 3
+        for dtype in (np.float64, np.float32):
+            for (name, build, inputs, upstream), (_, build_none, _, _) in zip(
+                    split_op_cases(T, B, seed=3, lengths=np.full(B, T)),
+                    split_op_cases(T, B, seed=3)):
+                inputs = [ad.Tensor(t.data.astype(dtype), requires_grad=True)
+                          for t in inputs]
+                upstream = upstream.astype(dtype)
+                runs = [(out.data, gradients(inputs, tsum(mul(out, upstream))))
+                        for out in (build(*inputs), build_none(*inputs))]
+                np.testing.assert_array_equal(runs[0][0], runs[1][0], name)
+                for a, b in zip(runs[0][1], runs[1][1]):
+                    np.testing.assert_array_equal(a, b, name)
+        net = make_net(seed=3)
+        ids = np.random.default_rng(3).integers(0, 9, size=(B, 7))
+        params = list(net.params.values())
+        runs = [net.forward(ids, np.full(B, 7)), net.forward(ids)]
+        for a, b in zip(*runs):
+            np.testing.assert_array_equal(a.data, b.data)
+        for a, b in zip(*(gradients(params, tsum(mul(f, f))) for f, _ in runs)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_reverse_states_read_each_row_from_its_end(self):
+        ids, table, weights, _ = bilstm_case(6, 3, 4, 5, seed=1)
+        lengths = np.array([2, 6, 1])
+        hs = ad.bilstm_sequence(ids, table, *weights, lengths=lengths).data
+        for b, n in enumerate(lengths):
+            alone = ad.bilstm_sequence(ids[:n, b:b + 1], table, *weights).data
+            assert_matches_oracle(hs[:, :n, b], alone[:, :, 0])
+            np.testing.assert_array_equal(hs[1, n:, b], 0.0)
+
+    # T = 9, P = 3: with n = 1, 4 and 2 the batch is cut to 6 positions;
+    # n = 9 = T and n = 8, past T - P + 1, leave it whole
+    @pytest.mark.parametrize("lengths", [[1, 4, 2], [1, 4, 9, 8, 2]],
+                             ids=["cut", "whole"])
+    def test_each_row_matches_its_characters_alone(self, lengths):
+        lengths = np.array(lengths)
+        B, T = len(lengths), 9
+        net = make_net(vocab_size=8, emb=3, out=5, window=3, attn=4, seed=B)
+        rng = np.random.default_rng(B)
+        ids = rng.integers(1, 8, size=(B, T))
+        ids[np.arange(T) >= lengths[:, None]] = PAD_ID
+        np.testing.assert_array_equal(text_lengths(ids), lengths)
+        upstream = rng.standard_normal((B, 5))
+        f, weights = net.forward(ids, lengths)
+        rows = [text_row_forward(net, ids[b], n) for b, n in enumerate(lengths)]
+        assert weights.shape == (B, T - 2)
+        for b, (f_row, w_row) in enumerate(rows):
+            assert_matches_oracle(f.data[b], f_row.data[0])
+            assert_matches_oracle(weights.data[b], w_row[0])
+            np.testing.assert_array_equal(weights.data[b, lengths[b]:], 0.0)
+        params = list(net.params.values())
+        oracle = tsum(ad.concat([mul(f_row, upstream[b:b + 1])
+                                 for b, (f_row, _) in enumerate(rows)]))
+        for got, want in zip(gradients(params, tsum(mul(f, upstream))),
+                             gradients(params, oracle)):
+            assert_matches_oracle(got, want)
+
+    @pytest.mark.parametrize("lengths", [[0, 2], [2, 7], [2], [2.0, 3.0]])
+    def test_lengths_outside_1_to_T_are_rejected(self, lengths):
+        for name, build, inputs, _ in split_op_cases(6, 2, seed=0,
+                                                     lengths=np.array(lengths)):
+            # a span may start past the end of a text that fills its row
+            if name == "window_max" or (name == "attention_pool"
+                                        and lengths == [2, 7]):
+                continue
+            with pytest.raises(ValueError, match=f"{name}: lengths must be 2 "
+                                                 f"integers in 1.."):
+                build(*inputs)
+
+    def test_text_lengths_count_to_the_last_character(self):
+        ids = np.array([[3, 0, 0], [0, 0, 0], [2, 2, 2], [4, 5, 0]])
+        np.testing.assert_array_equal(text_lengths(ids), [1, 1, 3, 2])
 
 
 class TestWindowedMaxPool:
