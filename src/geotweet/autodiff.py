@@ -317,7 +317,9 @@ class _Lookup:
     def sum_by_id(self, g):
         """The rows of a (positions, width) ``g`` summed per id, in blocks
         of at most ``_SUM_ROWS`` positions: (len(rows), width)."""
-        order = np.argsort(self.ids, kind="stable")  # positions by id
+        # numpy's stable sort is a radix sort for ids of 16 bits or fewer
+        ids = self.ids.astype(np.min_scalar_type(self.table.shape[0] - 1))
+        order = np.argsort(ids, kind="stable")  # positions by id
         out = np.empty((len(self.present), g.shape[1]), dtype=g.dtype)
         for k, (lo, hi) in enumerate(zip(self.bounds, self.bounds[1:])):
             out[k] = sum(g[order[i:min(i + _SUM_ROWS, hi)]].sum(axis=0)

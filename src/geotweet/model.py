@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -58,7 +59,7 @@ FEATURE_SETS = {"message-only": (MESSAGE_ONLY_REMOVED, {"text_out_size": 600}),
 
 # The dtype of GeoModel's parameters, and so the dtype its forward, loss
 # and backward run in. The engine's own default stays float64; checkpoints
-# store float64, which holds every float32 exactly.
+# store float32, and a float64 value, as older ones hold, loads rounded.
 COMPUTE_DTYPE = np.float32
 
 # rows per eval-mode forward in GeoModel.infer
@@ -156,7 +157,7 @@ class GeoModel:
                                        n_classes)
         self.params.update(self.fusion.params)
         for p in self.params.values():  # drawn in float64, rounded once
-            p.data = p.data.astype(COMPUTE_DTYPE)
+            p.data = p.data.astype(COMPUTE_DTYPE, copy=False)
         # load_checkpoint clears it for a model of meta_version 1
         self.length_aware = True
 
@@ -221,7 +222,7 @@ class GeoModel:
         return {k: p.data for k, p in self.params.items()}
 
     def load_param_arrays(self, arrays):
-        """Copy in exactly this model's parameters, all checked before any is written."""
+        """Take in exactly this model's parameters, all checked before any is taken."""
         for name in (*self.params, *arrays):  # a missing name before an extra one
             if name not in arrays:
                 raise ValueError(f"checkpoint missing parameter {name!r}")
@@ -231,7 +232,7 @@ class GeoModel:
                 raise ValueError(f"checkpoint parameter {name!r} has shape {arrays[name].shape}, "
                                  f"model expects {self.params[name].data.shape}")
         for name, p in self.params.items():
-            p.data[...] = arrays[name]
+            p.data = np.require(arrays[name], p.data.dtype, "W")  # copied if read-only
 
 
 def iter_batches(columns, batch_size, order=None):
@@ -244,16 +245,24 @@ def iter_batches(columns, batch_size, order=None):
 
 
 def save_checkpoint(path, model, seed=None):
-    save_archive(path, model.param_arrays())
+    """Archive, then sidecar, each renamed into place once both are written."""
     meta = {
         "meta_version": CHECKPOINT_META_VERSION,
         "config": asdict(model.config),
         "seed": seed,
         **{key: getattr(model, key) for key in VOCAB_SIZES},
     }
-    with open(f"{path}.json", "w", encoding="utf-8") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    tmp = f"{path}.tmp"
+    try:
+        save_archive(tmp, model.param_arrays())
+        with open(f"{tmp}.json", "w", encoding="utf-8") as f:
+            f.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+        os.replace(f"{tmp}.json", f"{path}.json")
+    finally:
+        for name in (tmp, f"{tmp}.json"):  # left by a failed write
+            if os.path.exists(name):
+                os.remove(name)
 
 
 def load_checkpoint(path):
@@ -272,20 +281,17 @@ def load_checkpoint(path):
         config["removed_features"] = (FEATURE_SETS[feature_set][0]
                                       or config.get("removed_features", ()))
         model = GeoModel(ModelConfig(**config),
-                         *(meta[key] for key in VOCAB_SIZES),
-                         np.random.default_rng(0))  # weights loaded below
+                         *(meta[key] for key in VOCAB_SIZES), rng=None)  # zeros, no draw
     except KeyError as e:
         raise ValueError(f"{meta_path}: missing key {e}") from None
     except (ValueError, TypeError, OverflowError) as e:
         raise ValueError(f"{meta_path}: {e}") from None
     arrays = load_archive(path)
-    for name, p in model.params.items():
-        # checked before the cast, which would turn them into inf silently
-        values = arrays.get(name)
-        limit = np.finfo(p.data.dtype).max
-        if values is not None and not (np.abs(values) <= limit).all():
+    limit = np.finfo(COMPUTE_DTYPE).max  # checked before a float64 value's cast to inf
+    for name, values in arrays.items():
+        if name in model.params and not (np.abs(values) <= limit).all():
             raise ValueError(f"{path}: parameter {name!r} has values outside "
-                             f"the {p.data.dtype} range")
+                             f"the {COMPUTE_DTYPE.__name__} range")
     try:
         model.load_param_arrays(arrays)
     except ValueError as e:

@@ -124,7 +124,7 @@ def train(model, train_columns, dev_columns, config):
             report.revert_epochs.append(epoch)
         else:
             best_accuracy = accuracy
-            best = optimizer.snapshot()
+            best = optimizer.snapshot() if epoch < config.epochs else None  # only a later epoch reverts
     report.wall_clock_seconds = time.perf_counter() - start
     return report
 

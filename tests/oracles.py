@@ -10,7 +10,8 @@ function of one row read to its length (``text_row_forward``), a
 brute-force or per-item
 reference for the retrieval, code-file and LSH feature code (``hamming``,
 ``average_precision``, ``map_from_codes``, ``map_eval``, ``save_codes``,
-``raw_feature_vector``, ``raw_feature_matrix``),
+``raw_feature_vector``, ``raw_feature_matrix``), a writer of an older
+on-disk format that the loaders still read (``save_archive_v1``),
 or the chain of graph nodes that a fused engine op replaced, kept so that
 the fused op can be checked against it.
 """
@@ -481,3 +482,15 @@ def save_codes(path, codes):
         for bits, rid, lab in zip(codes.bits, codes.ids, codes.labels):
             f.write(struct.pack("<QQ", int(rid), int(lab)))
             f.write(np.packbits(bits).tobytes())
+
+
+def save_archive_v1(path, tensors):
+    """``.gtpa`` version 1 writer: no dtype codes, every tensor as float64."""
+    with open(path, "wb") as f:
+        f.write(b"GTPA" + struct.pack("<II", 1, len(tensors)))
+        for name, arr in tensors.items():
+            raw = name.encode("utf-8")
+            arr = np.asarray(arr, dtype="<f8")
+            f.write(struct.pack("<I", len(raw)) + raw)
+            f.write(struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
+            f.write(arr.tobytes())

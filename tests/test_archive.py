@@ -5,6 +5,11 @@ import pytest
 
 from geotweet.archive import load_archive, save_archive
 
+from oracles import save_archive_v1
+
+# one float32 and one float64 tensor
+MIXED = {"w": np.ones((2, 3), dtype=np.float32), "s": np.array(1.0)}
+
 
 def test_roundtrip_preserves_values_and_order(tmp_path):
     rng = np.random.default_rng(0)
@@ -20,6 +25,39 @@ def test_roundtrip_preserves_values_and_order(tmp_path):
     for name, arr in tensors.items():
         np.testing.assert_array_equal(loaded[name], arr)
         assert loaded[name].dtype == np.float64
+
+
+def test_each_tensor_keeps_its_float_dtype_and_is_writable(tmp_path):
+    tensors = {"f32": np.arange(6, dtype=np.float32).reshape(3, 2) / 3,
+               "f64": np.arange(4) / 3, "ints": np.arange(3)}
+    path = tmp_path / "params.gtpa"
+    save_archive(path, tensors)
+    loaded = load_archive(path)
+    assert [a.dtype for a in loaded.values()] == [np.float32, np.float64, np.float64]
+    for name, arr in tensors.items():
+        np.testing.assert_array_equal(loaded[name], arr)
+        assert loaded[name].flags.writeable
+
+
+def test_a_version_1_archive_loads_as_float64(tmp_path):
+    path = tmp_path / "params.gtpa"
+    save_archive_v1(path, MIXED)
+    loaded = load_archive(path)
+    assert list(loaded) == list(MIXED)
+    for name, arr in MIXED.items():
+        np.testing.assert_array_equal(loaded[name], arr)
+        assert loaded[name].dtype == np.float64
+
+
+def test_unknown_dtype_code_names_the_archive_and_tensor(tmp_path):
+    path = tmp_path / "params.gtpa"
+    save_archive(path, MIXED)
+    raw = bytearray(path.read_bytes())
+    # magic, version and count, then the first name's length and "w"
+    raw[17:21] = struct.pack("<I", 3)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"^{path}: tensor 'w': unknown dtype code 3$"):
+        load_archive(path)
 
 
 def test_rejects_foreign_file(tmp_path):
@@ -45,13 +83,14 @@ def test_identical_content_gives_identical_bytes(tmp_path):
 
 def test_every_truncation_is_reported(tmp_path):
     path = tmp_path / "params.gtpa"
-    save_archive(path, {"w": np.ones((2, 3)), "s": np.array(1.0)})
-    raw = path.read_bytes()
     cut = tmp_path / "cut.gtpa"
-    for n in range(len(raw)):
-        cut.write_bytes(raw[:n])
-        with pytest.raises(ValueError, match=f"{cut}: truncated"):
-            load_archive(cut)
+    for save in (save_archive, save_archive_v1):
+        save(path, MIXED)
+        raw = path.read_bytes()
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(ValueError, match=f"{cut}: truncated"):
+                load_archive(cut)
 
 
 @pytest.mark.parametrize("dims", [

@@ -334,3 +334,28 @@ class TestAdam:
         opt.restore(snap)
         p.data[...] = before
         assert opt.step_count == 1
+
+
+@pytest.mark.parametrize("rows", [2, 256, 257, 65536, 65537])
+def test_sum_by_id_orders_positions_as_an_int64_stable_sort(rows, monkeypatch):
+    rng = np.random.default_rng(rows)
+    ids = rng.integers(0, rows, size=(40, 128))
+    ids[0, :3] = rows - 1, 0, rows - 1  # the largest id, and ties
+    lookup = ad._Lookup(ids, Tensor(np.zeros((rows, 1))))
+    argsort, sorted_dtypes, orders = np.argsort, [], []
+
+    def recorded(a, *args, **kwargs):
+        sorted_dtypes.append(a.dtype)
+        orders.append(argsort(a, *args, **kwargs))
+        return orders[-1]
+    monkeypatch.setattr(np, "argsort", recorded)
+    g = rng.standard_normal((ids.size, 2))
+    summed = lookup.sum_by_id(g)
+    monkeypatch.undo()
+    (order,) = orders
+    np.testing.assert_array_equal(
+        order, np.argsort(ids.reshape(-1).astype(np.int64), kind="stable"))
+    assert sorted_dtypes[0].itemsize <= (1 if rows <= 256 else 2 if rows <= 65536 else 4)
+    expected = np.zeros((rows, 2))
+    np.add.at(expected, ids.reshape(-1), g)
+    np.testing.assert_allclose(summed, expected[lookup.present], rtol=1e-12, atol=1e-12)

@@ -16,6 +16,7 @@ from geotweet.text_net import TextNetwork
 from geotweet.trainer import synthetic_model_config
 
 from conftest import encode_all, graph_nodes, head, op_counts
+from oracles import save_archive_v1
 
 
 def _message_only(**overrides):
@@ -77,7 +78,8 @@ def test_checkpoint_roundtrip(tiny_corpus, tmp_path):
     a, _, _ = model.forward(batch, train=False)
     b, _, _ = restored.forward(batch, train=False)
     np.testing.assert_array_equal(a.data, b.data)
-    # float32 -> float64 on disk -> float32 is exact
+    # float32 on disk: exact
+    assert all(a.dtype == np.float32 for a in load_archive(path).values())
     for name, p in model.params.items():
         assert restored.params[name].data.dtype == np.float32
         np.testing.assert_array_equal(restored.params[name].data, p.data)
@@ -386,22 +388,88 @@ def test_float64_archive_loads_rounded_to_nearest(checkpoint):
     # float64 values between float32 neighbours, as older checkpoints hold
     wide = {name: values + rng.uniform(-1e-3, 1e-3, values.shape)
             for name, values in load_archive(checkpoint).items()}
-    save_archive(checkpoint, wide)
+    for save in (save_archive, save_archive_v1):
+        save(checkpoint, wide)
+        restored, _ = load_checkpoint(checkpoint)
+        inexact = 0
+        for name, values in wide.items():
+            got = restored.params[name].data
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, values.astype(np.float32))
+            ulp = np.spacing(np.abs(got)).astype(np.float64)
+            assert (np.abs(got - values) <= ulp / 2).all()
+            inexact += int((got != values).sum())
+        assert inexact > 0
+
+
+def test_version_1_checkpoint_predicts_as_it_did(checkpoint, tiny_corpus):
+    # a float64 archive of the same float32 values, as older trains wrote
+    model, _ = load_checkpoint(checkpoint)
+    save_archive_v1(checkpoint, load_archive(checkpoint))
+    old, _ = load_checkpoint(checkpoint)
+    batch = encode_all(tiny_corpus["test"], tiny_corpus, model.config)
+    for got, expected in zip(old.infer(batch), model.infer(batch)):
+        np.testing.assert_array_equal(got, expected)
+    for name, p in model.params.items():
+        assert old.params[name].data.dtype == np.float32
+        np.testing.assert_array_equal(old.params[name].data, p.data)
+
+
+def test_load_checkpoint_draws_no_random_number(checkpoint, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew a random number")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for name in ("uniform", "normal", "standard_normal", "random"):
+        monkeypatch.setattr(np.random, name, refuse)
+    model, _ = load_checkpoint(checkpoint)
+    for name, values in load_archive(checkpoint).items():
+        np.testing.assert_array_equal(model.params[name].data, values)
+
+
+def test_read_only_arrays_are_copied_in(tiny_corpus):
+    model = GeoModel(synthetic_model_config(), len(tiny_corpus["char_vocab"]),
+                     len(tiny_corpus["tz_vocab"]), len(tiny_corpus["label_vocab"]),
+                     rng=None)
+    arrays = {name: values + 1 for name, values in model.param_arrays().items()}
+    for values in arrays.values():
+        values.flags.writeable = False
+    model.load_param_arrays(arrays)
+    for name, p in model.params.items():
+        assert p.data.flags.writeable and p.data.dtype == np.float32
+        np.testing.assert_array_equal(p.data, arrays[name])
+
+
+def test_failed_sidecar_write_leaves_the_previous_pair(checkpoint, tiny_corpus,
+                                                       monkeypatch):
+    before, _ = load_checkpoint(checkpoint)
+    files = {path: path.read_bytes() for path in Path(checkpoint).parent.iterdir()}
+    newer = GeoModel(synthetic_model_config(), len(tiny_corpus["char_vocab"]),
+                     len(tiny_corpus["tz_vocab"]), len(tiny_corpus["label_vocab"]),
+                     np.random.default_rng(2))
+
+    def disk_full(*args, **kwargs):
+        raise OSError("No space left on device")
+    monkeypatch.setattr(model_mod.json, "dumps", disk_full)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(checkpoint, newer)
+    monkeypatch.undo()
+    # no file changed, and no temporary file is left
+    assert {path: path.read_bytes()
+            for path in Path(checkpoint).parent.iterdir()} == files
     restored, _ = load_checkpoint(checkpoint)
-    inexact = 0
-    for name, values in wide.items():
-        got = restored.params[name].data
-        assert got.dtype == np.float32
-        np.testing.assert_array_equal(got, values.astype(np.float32))
-        ulp = np.spacing(np.abs(got)).astype(np.float64)
-        assert (np.abs(got - values) <= ulp / 2).all()
-        inexact += int((got != values).sum())
-    assert inexact > 0
+    for name, p in before.params.items():
+        np.testing.assert_array_equal(restored.params[name].data, p.data)
 
 
-@pytest.mark.parametrize("value", [1e39, np.nan])
-def test_value_outside_float32_range_is_rejected(checkpoint, value):
+@pytest.mark.parametrize("value, dtype", [
+    # a float64 tensor is the only way a value beyond float32 reaches an archive
+    pytest.param(1e39, np.float64, id="1e+39"),
+    pytest.param(np.nan, np.float32, id="nan"),
+    pytest.param(np.inf, np.float32, id="inf"),
+])
+def test_value_outside_float32_range_is_rejected(checkpoint, value, dtype):
     arrays = load_archive(checkpoint)
+    arrays["text.Wg"] = arrays["text.Wg"].astype(dtype)
     arrays["text.Wg"][1, 2] = value
     save_archive(checkpoint, arrays)
     with pytest.raises(ValueError, match="^" + re.escape(

@@ -1,12 +1,15 @@
-"""Truncations and byte flips of every file in a run directory and of a code
-file: each either loads or raises a ValueError that names the file."""
+"""Truncations and byte flips of every file in a run directory, of a code
+file and of an archive of one float32 and one float64 tensor: each either
+loads or raises a ValueError that names the file."""
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from geotweet import hashing as H
+from geotweet.archive import load_archive, save_archive
 from geotweet.cli import load_model_dir, main
 
 RUN_FILES = ("model.gtpa", "model.gtpa.json", "char_vocab.txt",
@@ -32,6 +35,8 @@ def run_dir(tmp_path_factory):
                  "--min-char-count", "1", "--seed", "2"]) == 0
     assert main(["hash", "--model", str(run), "--data",
                  str(data / "dev.jsonl"), "--out", str(run / "dev.codes")]) == 0
+    save_archive(run / "mixed.gtpa", {"w": np.ones((2, 3), dtype=np.float32),
+                                      "s": np.array(1.0)})
     load_model_dir(run)
     H.load_codes(run / "dev.codes")
     return run
@@ -40,6 +45,8 @@ def run_dir(tmp_path_factory):
 def load(run, name):
     if name.endswith(".codes"):
         H.load_codes(run / name)
+    elif name == "mixed.gtpa":
+        load_archive(run / name)
     else:
         load_model_dir(run)
 
@@ -56,7 +63,7 @@ def corruptions(draw, original):
 
 @settings(max_examples=1000, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(name=st.sampled_from(RUN_FILES + ("dev.codes",)), data=st.data())
+@given(name=st.sampled_from(RUN_FILES + ("dev.codes", "mixed.gtpa")), data=st.data())
 def test_corrupt_file_loads_or_is_named(run_dir, name, data):
     path = run_dir / name
     original = path.read_bytes()

@@ -108,6 +108,25 @@ class TestRevertRule:
                 assert acc >= accepted
                 accepted = acc
 
+    @pytest.mark.parametrize("scores, snapshots", [
+        ([0.1, 0.2, 0.3], [1, 2]),  # no snapshot after the last epoch
+        ([0.3, 0.2, 0.1], [1]),
+        ([0.2, 0.1, 0.3], [1]),  # revert at epoch 2, accept at epoch 3
+    ])
+    def test_snapshot_is_taken_only_when_another_epoch_follows(
+            self, tiny_corpus, tiny_encoded, monkeypatch, scores, snapshots):
+        scores = iter(scores)
+        monkeypatch.setattr(trainer_mod, "evaluate_accuracy",
+                            lambda *a, **k: next(scores))
+        taken = []
+        snapshot = trainer_mod.Adam.snapshot
+        monkeypatch.setattr(trainer_mod.Adam, "snapshot", lambda self: (
+            taken.append(self.step_count) or snapshot(self)))
+        model = build_model(tiny_corpus, tiny_encoded["config"], 0)
+        train(model, head(tiny_encoded["train"], 64), head(tiny_encoded["dev"], 32),
+              TrainConfig(batch_size=64, epochs=3, seed=0))
+        assert taken == snapshots  # one step per epoch
+
     def test_empty_split_rejected(self, tiny_corpus, tiny_encoded):
         model = build_model(tiny_corpus, tiny_encoded["config"], 0)
         with pytest.raises(ValueError, match="non-empty"):
