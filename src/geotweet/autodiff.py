@@ -168,13 +168,12 @@ def rbf(u, mu, sigma):
     return _make(y, (mu, sigma), backward)
 
 
-# Work, in multiply-adds or comparisons, from which an op runs its two
-# halves on two threads. Measured on 2 vCPUs in float32: every text op at
-# paper scale and batch 32 (37 M for window_max's routing, 1.5 G for the
-# others) ran 1.1-1.9x faster threaded, while at synthetic scale
-# the bi-LSTM's threads mostly traded the interpreter lock over small
-# arrays and its batch-128 step (5.2 M) ran 2x slower. The largest
-# synthetic op, 21 M at batch 512, stays below.
+# One direction's recurrent multiply-adds, T * batch * 4H * H, from which
+# bilstm_sequence's backward runs its two directions on two threads: a
+# paper-scale training step reaches it, 1.5 G at batch 32 and T = 300 and
+# 77 M at T = 15. At synthetic scale the threads mostly traded the
+# interpreter lock over small arrays and a batch-128 step (5.2 M) ran 2x
+# slower; the largest synthetic backward, 21 M at batch 512, stays below.
 _THREADED_WORK = 2 ** 25
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
@@ -182,7 +181,8 @@ _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 def _halves(fn, work):
     """[fn(0), fn(1)], with fn(1) on a thread of its own while fn(0) runs
-    here when there is a second CPU and ``work`` reaches ``_THREADED_WORK``.
+    here when there is a second CPU and ``work`` reaches ``_THREADED_WORK``:
+    the two directions of bilstm_sequence's backward.
 
     The two calls must write disjoint memory. Both always run, whatever the
     CPU count, so an op's result does not depend on where they ran. numpy
@@ -199,12 +199,6 @@ def _halves(fn, work):
     return [first, second.result()]
 
 
-def _half(h, n):
-    """Half ``h`` of range(n) as a slice."""
-    cut = n // 2
-    return slice(0, cut) if h == 0 else slice(cut, n)
-
-
 def _to_first_max(x, y, g, out):
     """Add ``g`` into ``out`` where each window of ``x`` first holds its max ``y``."""
     unrouted = np.ones(y.shape, dtype=bool)
@@ -219,24 +213,17 @@ def window_max(a, P):
 
     The gradient of each output goes to the first maximum in its window.
     With ``P`` equal to the length it is a max-reduce over axis 0. The
-    forward is one max over a sliding-window view. The backward routes in
-    two ``_halves`` of the batch axis 1: windows overlap along axis 0,
-    examples do not.
+    forward is one max over a sliding-window view.
     """
     a = as_tensor(a)
-    T, batch = a.shape[:2]
+    T = a.shape[0]
     if not 1 <= P <= T:
         raise ValueError(f"pooling window {P} not in 1..{T} (the sequence length)")
     y = sliding_window_view(a.data, P, axis=0).max(axis=-1)
 
     def backward(g):
         out = np.zeros_like(a.data)
-
-        def route(h):
-            cols = _half(h, batch)
-            _to_first_max(a.data[:, cols], y[:, cols], g[:, cols], out[:, cols])
-
-        _halves(route, y.size * P)
+        _to_first_max(a.data, y, g, out)
         return (out,)
 
     return _make(y, (a,), backward)
@@ -427,10 +414,10 @@ def bilstm_sequence(ids, table, fwd_weights, bwd_weights, lengths=None):
     gather maps the ids in, the states out and their gradient back. Each
     direction projects each distinct id once, not every position, and
     takes its input gradients from one sum per id of its pre-activation
-    gradient. The directions share only the input, so they are the two
-    ``_halves`` of the op, in forward and in backward. The table gradient
-    is the forward direction's plus the reverse one's, in that order
-    either way.
+    gradient. The directions share only the input: the forward runs them
+    one after the other, and the backward as its two ``_halves``. The
+    table gradient is the forward direction's plus the reverse one's, in
+    that order either way.
     """
     table = as_tensor(table)
     weights = [tuple(as_tensor(w) for w in ws) for ws in (fwd_weights, bwd_weights)]
@@ -456,7 +443,6 @@ def bilstm_sequence(ids, table, fwd_weights, bwd_weights, lengths=None):
     # each direction's states in its own reading order
     reading = [hs[0], np.empty_like(hs[1])]
     raw = [[w.data for w in ws] for ws in weights]
-    work = T * B * 4 * H * H  # one direction's recurrent products
 
     def flip(x, out=None):
         """A (T, batch, H) array in the other direction's reading order,
@@ -466,26 +452,26 @@ def bilstm_sequence(ids, table, fwd_weights, bwd_weights, lengths=None):
         out[past] = 0.0
         return out.reshape(T, B, H)
 
-    def forward(d):
-        Wx, Wh, b = raw[d]
-        acts = (chars[d].rows @ Wx + b)[chars[d].inv].reshape(T, B, 4 * H)
-        return acts, _lstm_forward(acts, Wh, reading[d])
-
-    saved = _halves(forward, work)
+    saved = []  # each direction's gates and cells
+    for (Wx, Wh, b), lookup, states in zip(raw, chars, reading):
+        acts = (lookup.rows @ Wx + b)[lookup.inv].reshape(T, B, 4 * H)
+        saved.append((acts, _lstm_forward(acts, Wh, states)))
     flip(reading.pop(), out=hs[1].reshape(-1, H))
 
     def backward(g):
-        # a state past its row's length reads as zero, which gets no gradient
-        grads, states = [g[0], flip(g[1])], [hs[0], flip(hs[1])]
-
         def direction(d):
             Wx, Wh, _ = raw[d]
-            dz, dWh = _lstm_backward(grads[d], Wh, states[d], *saved[d])
+            # the reverse direction's gradient and states, in its reading
+            # order, are made here so that they die with its BPTT, before its
+            # sums by id; a state past its row's length reads as zero, which
+            # gets no gradient
+            in_order = flip if d else np.asarray
+            dz, dWh = _lstm_backward(in_order(g[d]), Wh, in_order(hs[d]), *saved[d])
             per_id = chars[d].sum_by_id(dz.reshape(T * B, 4 * H))
             return (per_id @ Wx.T, chars[d].rows.T @ per_id, dWh,
                     per_id.sum(axis=0))
 
-        (d_rows_f, *dw_f), (d_rows_b, *dw_b) = _halves(direction, work)
+        (d_rows_f, *dw_f), (d_rows_b, *dw_b) = _halves(direction, T * B * 4 * H * H)
         return (chars[0].scatter(d_rows_f + d_rows_b), *dw_f, *dw_b)
 
     return _make(hs, (table, *weights[0], *weights[1]), backward)
@@ -501,10 +487,9 @@ def context_projection(ids, table, hs, W, b, lengths=None):
     ``lengths``; None means no such position. Each row block of the
     (2H+E, O) ``W`` multiplies its input unshifted: the table block each
     distinct id once, and the context blocks the states, added one position
-    apart, so no shifted or concatenated copy is made. The two context products, forward states by
-    their block and reverse states by theirs, are the two ``_halves`` of
-    the op, in forward and in backward: each writes its own rows of the
-    state gradient and its own block of the weight gradient.
+    apart, so no shifted or concatenated copy is made. Each context product,
+    forward states by their block and reverse states by theirs, writes its
+    own rows of the state gradient and its own block of the weight gradient.
     """
     table, hs, W, b = (as_tensor(t) for t in (table, hs, W, b))
     ids = checked_ids(ids, table, "context_projection")
@@ -526,11 +511,9 @@ def context_projection(ids, table, hs, W, b, lengths=None):
     states = [hs.data[0].reshape(n, H)[:-B], hs.data[1].reshape(n, H)[B:]]
     fed = [slice(B, n), slice(0, n - B)]  # the positions each direction feeds
     blocks = [W.data[:H], W.data[H + E:]]  # the rows each direction multiplies
-    work = n * 2 * H * O
     out = (chars.rows @ W_x + b.data)[chars.inv]
-    left, right = _halves(lambda d: states[d] @ blocks[d], work)
-    out[fed[0]] += left
-    out[fed[1]] += right
+    for x, rows, w in zip(states, fed, blocks):
+        out[rows] += x @ w
     np.maximum(out, 0, out=out)
     out[past.reshape(n)] = 0.0  # so no gradient reaches them either
 
@@ -538,12 +521,9 @@ def context_projection(ids, table, hs, W, b, lengths=None):
         g2d = g.reshape(n, O) * (out > 0)
         dhs = np.zeros(hs.shape, dtype=hs.data.dtype)  # C order: rows are views
         d_states = [dhs[0].reshape(n, H)[:-B], dhs[1].reshape(n, H)[B:]]
-
-        def direction(d):
-            np.matmul(g2d[fed[d]], blocks[d].T, out=d_states[d])
-            return states[d].T @ g2d[fed[d]]
-
-        dW_fwd, dW_bwd = _halves(direction, work)
+        for d_x, rows, w in zip(d_states, fed, blocks):
+            np.matmul(g2d[rows], w.T, out=d_x)
+        dW_fwd, dW_bwd = (x.T @ g2d[rows] for x, rows in zip(states, fed))
         per_id = chars.sum_by_id(g2d)
         dW = np.concatenate([dW_fwd, chars.rows.T @ per_id, dW_bwd])
         return chars.scatter(per_id @ W_x.T), dhs, dW, per_id.sum(axis=0)
@@ -559,8 +539,7 @@ def attention_pool(spans, Wv, bv, v, lengths=None):
     (batch, O) weighted mean. A span that starts at or after the row's
     text length in ``lengths`` scores -inf, so its weight is exactly 0;
     None means every span is scored. Also returns the (batch, S) weights,
-    as a Tensor outside the graph: no loss reads them. The softmax is per
-    example, so both passes run in two ``_halves`` of the batch.
+    as a Tensor outside the graph: no loss reads them.
     """
     spans, Wv, bv, v = (as_tensor(t) for t in (spans, Wv, bv, v))
     S, B, O = spans.shape
@@ -569,41 +548,22 @@ def attention_pool(spans, Wv, bv, v, lengths=None):
         raise ValueError(f"attention_pool: spans {spans.shape} do not fit "
                          f"weights {Wv.shape}, {bv.shape}, {v.shape}")
     past = _past_lengths(lengths, S, B, "attention_pool", limit=np.inf)
-    w = np.empty((S, B), dtype=spans.data.dtype)
-    pooled = np.empty((B, O), dtype=spans.data.dtype)
-    work = S * B * O * A
-    # reshapes take their widths from views: a batch of one has an empty half
-
-    def forward(h):
-        cols = _half(h, B)
-        hidden = np.tanh(spans.data[:, cols].reshape(-1, O) @ Wv.data + bv.data)
-        scores = (hidden @ v.data).reshape(w[:, cols].shape)
-        scores[past[:, cols]] = -np.inf
-        e = np.exp(scores - scores.max(axis=0))
-        np.divide(e, e.sum(axis=0), out=w[:, cols])
-        (w[:, cols, None] * spans.data[:, cols]).sum(axis=0, out=pooled[cols])
-        return hidden
-
-    halves = _halves(forward, work)
+    x = spans.data.reshape(S * B, O)
+    hidden = np.tanh(x @ Wv.data + bv.data)
+    scores = (hidden @ v.data).reshape(S, B)
+    scores[past] = -np.inf
+    e = np.exp(scores - scores.max(axis=0))
+    w = e / e.sum(axis=0)
+    pooled = (w[:, :, None] * spans.data).sum(axis=0)
 
     def backward(g):
-        g_spans = np.empty_like(spans.data)
-
-        def half(h):
-            cols = _half(h, B)
-            x, w_h, g_h, hidden = spans.data[:, cols], w[:, cols], g[cols], halves[h]
-            g_w = (x * g_h).sum(axis=2)
-            g_scores = ((g_w - (g_w * w_h).sum(axis=0)) * w_h).reshape(-1, 1)
-            g_pre = 1.0 - hidden * hidden
-            g_pre *= g_scores @ v.data.T
-            out = g_spans[:, cols]
-            np.multiply(w_h[:, :, None], g_h, out=out)
-            out += (g_pre @ Wv.data.T).reshape(out.shape)
-            return (x.reshape(-1, O).T @ g_pre, g_pre.sum(axis=0),
-                    hidden.T @ g_scores)
-
-        first, second = _halves(half, work)
-        return (g_spans, *(p0 + p1 for p0, p1 in zip(first, second)))
+        g_w = (spans.data * g).sum(axis=2)
+        g_scores = ((g_w - (g_w * w).sum(axis=0)) * w).reshape(-1, 1)
+        g_pre = 1.0 - hidden * hidden
+        g_pre *= g_scores @ v.data.T
+        g_spans = w[:, :, None] * g
+        g_spans += (g_pre @ Wv.data.T).reshape(g_spans.shape)
+        return g_spans, x.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g_scores
 
     return _make(pooled, (spans, Wv, bv, v), backward), Tensor(w.T)
 

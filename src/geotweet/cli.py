@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -67,12 +68,14 @@ def read_config_file(path):
     return values
 
 
-def _apply_config_file(parser, args, argv):
-    """Parse argv again with the config file's values as the subcommand's
-    defaults: command-line flags win, and each value takes its flag's type."""
+def _apply_config_file(args, argv):
+    """Parse argv again, by a parser of its own, with the config file's
+    values as the subcommand's defaults: command-line flags win, and each
+    value takes its flag's type."""
     if not getattr(args, "config", None):
         return args
     file_values = read_config_file(args.config)
+    parser = build_parser()
     (sub,) = [a.choices[args.command] for a in parser._actions
               if a.dest == "command"]
     flags = {flag.dest: flag for flag in sub._actions if hasattr(args, flag.dest)}
@@ -98,9 +101,12 @@ def _apply_config_file(parser, args, argv):
     return parser.parse_args(argv)
 
 
-def write_run_config(path, args):
+def write_run_config(path, args, format_version=None):
+    """The resolved settings, with the format version of the artifact they
+    sit beside when it has one."""
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    resolved["format_version"] = FORMAT_VERSION
+    if format_version is not None:
+        resolved["format_version"] = format_version
     with open(path, "w", encoding="utf-8") as f:
         json.dump(resolved, f, indent=2, sort_keys=True, default=str)
         f.write("\n")
@@ -173,14 +179,14 @@ def _training_splits(args, config):
                       for r in (train_records, dev_records, test_records)))
 
 
-def _write_report(args, report, filename):
+def _write_report(args, report, filename, format_version=None):
     """Print a report; with --out, also write it and the run config there."""
     print(report, end="")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / filename).write_text(report, encoding="utf-8")
-        write_run_config(out / RUN_CONFIG_FILE, args)
+        write_run_config(out / RUN_CONFIG_FILE, args, format_version)
 
 
 def _write_codes(args, codes, kind="codes"):
@@ -189,7 +195,7 @@ def _write_codes(args, codes, kind="codes"):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     hashing.save_codes(out, codes)
-    write_run_config(f"{out}.json", args)
+    write_run_config(f"{out}.json", args, hashing.CODE_FORMAT_VERSION)
     print(f"wrote {len(codes)} {kind} of width {codes.width} to {out}")
     return 0
 
@@ -241,7 +247,7 @@ def cmd_train(args):
         vocab.save(out / name)
     save_checkpoint(str(out / MODEL_FILE), model, seed=args.seed)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-    _write_report(args, report.to_text(), "report.txt")
+    _write_report(args, report.to_text(), "report.txt", FORMAT_VERSION)
     return 0
 
 
@@ -462,13 +468,18 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """main's parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        args = _apply_config_file(parser, args, argv)
+        args = _apply_config_file(args, argv)
         if getattr(args, "out", None):
             _check_out(args)
         return args.func(args)

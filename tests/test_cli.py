@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 import geotweet
+from geotweet import archive
 from geotweet.cli import main, read_config_file
 from geotweet.model import ModelConfig
 from geotweet import hashing as H
 from geotweet.rbf_net import RbfNetwork
+from geotweet.trainer import SyntheticConfig
 
 from conftest import graph_nodes, op_counts
 from oracles import map_eval
@@ -113,6 +115,36 @@ def test_codes_written_into_a_run_keep_its_run_config(pipeline, tmp_path):
     for name, command in (("dev.codes", "hash"), ("lsh.codes", "lsh")):
         resolved = json.loads((run / f"{name}.json").read_text())
         assert resolved["command"] == command
+
+
+def test_codes_settings_name_the_code_format_version(pipeline, tmp_path):
+    dev = str(pipeline["data"] / "dev.jsonl")
+    assert main(["hash", "--model", str(pipeline["run"]), "--data", dev,
+                 "--out", str(tmp_path / "dev.codes")]) == 0
+    assert main(["lsh", "--model", str(pipeline["run"]), "--data", dev,
+                 "--bits", "16", "--out", str(tmp_path / "lsh.codes")]) == 0
+    for name in ("dev.codes", "lsh.codes"):
+        resolved = json.loads((tmp_path / f"{name}.json").read_text())
+        assert resolved["format_version"] == H.CODE_FORMAT_VERSION == 1
+
+
+def test_train_settings_name_the_archive_format_version(pipeline):
+    resolved = json.loads((pipeline["run"] / "run_config.json").read_text())
+    assert resolved["format_version"] == archive.FORMAT_VERSION == 2
+
+
+def test_settings_beside_no_versioned_artifact_name_no_version(pipeline,
+                                                               tmp_path):
+    assert main(["synth", "--out", str(tmp_path / "synth"), "--train-size",
+                 "10", "--dev-size", "2", "--test-size", "2"]) == 0
+    on_run = ["--model", str(pipeline["run"]),
+              "--data", str(pipeline["data"] / "test.jsonl")]
+    for command in ("eval", "attn", "time-profile", "hist"):
+        assert main([command, *on_run, "--out", str(tmp_path / command)]) == 0
+    for command in ("synth", "eval", "attn", "time-profile", "hist"):
+        resolved = json.loads((tmp_path / command / "run_config.json").read_text())
+        assert resolved["command"] == command
+        assert "format_version" not in resolved, command
 
 
 def test_attn_reports_spans(pipeline, capsys):
@@ -465,6 +497,22 @@ def test_config_file_values_take_their_flag_types(tmp_path, pipeline):
     meta = json.loads((out / "model.gtpa.json").read_text())
     assert meta["config"]["text_max_len"] == 20
     assert meta["config"]["dropout"] == 0.3
+
+
+def test_a_config_file_leaves_the_next_command_its_defaults(tmp_path):
+    # main parses every command with one parser; a config file's values
+    # must not become the defaults of a later command in the same process
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cities = 3\nseed = 9\n", encoding="utf-8")
+    sizes = ["--train-size", "10", "--dev-size", "2", "--test-size", "2"]
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "file"),
+                 *sizes]) == 0
+    assert main(["synth", "--out", str(tmp_path / "flags"), *sizes]) == 0
+    resolved = [json.loads((tmp_path / name / "run_config.json").read_text())
+                for name in ("file", "flags")]
+    assert (resolved[0]["cities"], resolved[0]["seed"]) == (3, 9)
+    assert (resolved[1]["cities"], resolved[1]["seed"], resolved[1]["config"]) == (
+        SyntheticConfig.n_cities, SyntheticConfig.seed, None)
 
 
 def test_abbreviated_flag_beats_config_file(tmp_path):

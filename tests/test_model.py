@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import re
+import threading
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import geotweet.model as model_mod
+from geotweet import autodiff as ad
 from geotweet.archive import load_archive, save_archive
 from geotweet.model import (FEATURES, GeoModel, ModelConfig, load_checkpoint,
                             save_checkpoint)
@@ -590,3 +593,47 @@ def test_float32_losses_agree_with_float64(tiny_corpus, overrides,
 
     np.testing.assert_allclose(losses(np.float32), losses(np.float64),
                                rtol=1e-4)
+
+
+def count_thread_starts(monkeypatch):
+    """Make ``monkeypatch`` count, in the list it returns, the threads
+    started, with a second CPU for the engine to use."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    monkeypatch.setattr(ad, "_CPUS", 2)
+    return started
+
+
+def test_paper_scale_inference_starts_no_thread(tiny_corpus, monkeypatch):
+    # T = 300 and 16 rows: each direction's recurrence is 768 M multiply-adds,
+    # past the work from which the bi-LSTM's backward splits
+    cfg = ModelConfig()
+    records = [dataclasses.replace(r, text=(r.text * 20)[:300])
+               for r in tiny_corpus["test"][:16]]
+    columns = encode_all(records, tiny_corpus, cfg)
+    model = _tweet_user_model(tiny_corpus, cfg, 0)
+    assert columns["text_ids"].shape == (16, 300)
+    started = count_thread_starts(monkeypatch)
+    logits, _, attention = model.infer(columns)
+    assert logits.shape[0] == attention.shape[0] == 16
+    assert started == []
+
+
+def test_paper_scale_training_step_starts_one_thread(tiny_corpus, monkeypatch):
+    cfg = ModelConfig()
+    model = _tweet_user_model(tiny_corpus, cfg, 0)
+    batch = _batch(tiny_corpus, cfg, 32)
+    optimizer = Adam(model.params)
+    started = count_thread_starts(monkeypatch)
+    loss, _, _ = model.loss(batch, train=True, rng=np.random.default_rng(0))
+    assert started == []  # the forward runs on the calling thread
+    loss.backward()
+    optimizer.step()
+    # the bi-LSTM's reverse direction, in backward
+    assert len(started) == 1 and started[0].startswith("geotweet-half")

@@ -203,7 +203,7 @@ def bilstm_case(T, B, E, H, seed, vocab=7):
 
 
 def split_op_cases(T, B, seed, lengths=None):
-    """Each op that runs in two halves, as (name, build, inputs, upstream):
+    """The four text ops, as (name, build, inputs, upstream):
     build(*inputs) is the op's output tensor, and inputs are its tensors.
     The three ops that take ``lengths`` are given them."""
     rng = np.random.default_rng(seed)
@@ -277,7 +277,7 @@ class TestBilstmSequence:
         both, got, submitted = run_split(
             lambda *_: ad.bilstm_sequence(ids, table, *weights), inputs,
             upstream, 2, monkeypatch)
-        assert submitted == (2 if threaded else 0)  # forward and backward
+        assert submitted == (1 if threaded else 0)  # in backward only
         fwd, bwd = bilstm_over_embedding(ids, table, weights)
         # each position reads the same projected row, so the states agree
         # bit for bit; the input gradients are summed in another order
@@ -287,8 +287,8 @@ class TestBilstmSequence:
         for a, b in zip(got, want):
             assert_matches_oracle(a, b)
 
-    # the paper-scale case is a dev-eval batch: both directions go through
-    # the worker, forward and backward
+    # the paper-scale case is a dev-eval batch: the reverse direction's
+    # backward goes through the worker
     @pytest.mark.parametrize("T,B,H,dtype,cpus", [
         (7, 3, 5, np.float64, 1),
         (40, 128, 16, np.float32, 1),
@@ -313,7 +313,7 @@ class TestBilstmSequence:
         hs_m, grads_m, sent_m = run(ids[::-1], w[3:] + w[:3],
                                     np.stack([upstream[1, ::-1],
                                               upstream[0, ::-1]]))
-        assert sent == sent_m == (2 if cpus == 2 else 0)
+        assert sent == sent_m == (1 if cpus == 2 else 0)
         np.testing.assert_array_equal(hs_m, np.stack([hs[1, ::-1], hs[0, ::-1]]))
         np.testing.assert_array_equal(grads_m[0], grads[0])
         for a, b in zip(grads_m[1:], grads[4:] + grads[1:4]):
@@ -344,13 +344,12 @@ class TestBilstmSequence:
         assert peak - start < gates, f"{(peak - start) / gates:.2f} gate arrays"
 
     def test_worker_and_serial_runs_are_identical(self, monkeypatch):
-        # switch threads as often as the interpreter can, so that the two
-        # halves writing one buffer interleave
+        # switch threads as often as the interpreter can, so that the
+        # bi-LSTM's two directions interleave; the other ops start no thread
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for dtype in (np.float64, np.float32):
-                # (4, 1): the first batch half is empty
                 for T, B in ((5, 3), (1, 1), (4, 2), (4, 1)):
                     for name, build, inputs, upstream in split_op_cases(T, B, T * B):
                         inputs = [ad.Tensor(t.data.astype(dtype),
@@ -360,7 +359,8 @@ class TestBilstmSequence:
                                              monkeypatch, threshold=0)
                         serial = run_split(build, inputs, upstream, 1,
                                            monkeypatch, threshold=0)
-                        assert threaded[2] > 0 and serial[2] == 0, name
+                        assert threaded[2] == (name == "bilstm_sequence"), name
+                        assert serial[2] == 0, name
                         assert threaded[0].dtype == dtype, name
                         np.testing.assert_array_equal(threaded[0], serial[0], name)
                         for a, b in zip(threaded[1], serial[1]):
@@ -389,14 +389,13 @@ class TestBilstmSequence:
         assert (seen[1][0] != main) == threaded
         assert seen[1][1] == "raise"  # the caller's error handling, either way
 
-    # (T, batch, E, O, window) and the ops that use the worker at that size
+    # (T, batch, E, O, window), and whether the bi-LSTM's backward uses the
+    # worker at that size
     @pytest.mark.parametrize("shape,threaded", [
-        ((300, 32, 200, 400, 10), {"bilstm_sequence", "context_projection",
-                                   "window_max", "attention_pool"}),
-        ((300, 8, 200, 400, 10), {"bilstm_sequence", "context_projection",
-                                  "attention_pool"}),
-        ((40, 128, 16, 32, 5), set()),
-        ((40, 512, 16, 32, 5), set()),
+        ((300, 32, 200, 400, 10), True),
+        ((300, 8, 200, 400, 10), True),
+        ((40, 128, 16, 32, 5), False),
+        ((40, 512, 16, 32, 5), False),
     ], ids=["paper-train", "paper-eval", "synthetic-train", "synthetic-eval"])
     def test_ops_use_the_worker_at_paper_scale_only(self, shape, threaded,
                                                     monkeypatch):
@@ -426,10 +425,10 @@ class TestBilstmSequence:
                         ids, hs)
         pooled = counted("window_max", net.windowed_max_pool, g_seq)
         counted("attention_pool", net.attention_pool, pooled)
-        # one threaded call per op and pass, but window_max's forward is one
-        # max over the whole batch
-        assert calls == {name: (name in threaded and name != "window_max",
-                                name in threaded) for name in calls}
+        # every forward runs on the calling thread, and only the bi-LSTM's
+        # backward splits
+        assert calls == {name: (0, int(threaded and name == "bilstm_sequence"))
+                         for name in calls}
         assert len(calls) == 4
 
     @pytest.mark.parametrize("fails", [False, True])
@@ -638,9 +637,9 @@ class TestContextProjectionOp:
         unused = np.setdiff1d(np.arange(vocab), ids)
         np.testing.assert_array_equal(got[0][unused], 0.0)
 
-    # (T, batch, dtype, CPUs, threshold): a paper-length batch on two
-    # threads, a synthetic one serially, and two float64 ones, the last with
-    # every call threaded
+    # (T, batch, dtype, CPUs, threshold): a paper-length batch with two
+    # CPUs, a synthetic one with one, and two float64 ones, the last with a
+    # threshold that every call reaches
     @pytest.mark.parametrize("T,B,dtype,cpus,threshold", [
         (300, 32, np.float32, 2, None),
         (40, 128, np.float32, 1, None),
@@ -649,8 +648,8 @@ class TestContextProjectionOp:
     ])
     def test_each_context_block_of_dW_is_one_product(self, T, B, dtype, cpus,
                                                      threshold, monkeypatch):
-        # the forward and reverse context products are the op's two halves,
-        # so each block is one product over every position its states feed
+        # each block is one product over every position its states feed,
+        # made on the calling thread
         E, H, O, V = 16, 32, 64, 9
         ids = np.random.default_rng(T).integers(0, V, size=(T, B))
         ids, inputs, upstream = context_case(T, B, E, H, O, ids, V)
@@ -660,7 +659,7 @@ class TestContextProjectionOp:
         out, grads, sent = run_split(
             lambda *inputs: ad.context_projection(ids, *inputs), inputs,
             upstream, cpus, monkeypatch, threshold)
-        assert sent == (2 if cpus == 2 else 0)  # forward and backward
+        assert sent == 0
         dW = grads[2]
         assert dW.dtype == dtype
         g2d = (upstream * (out > 0)).reshape(T * B, O)
